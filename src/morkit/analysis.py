@@ -20,6 +20,7 @@ import numpy as np
 from .dense import dense_solve, eig_generalized, sigma_max
 from .errors import MorkitError
 from .irka import companion, factor_augmented
+from .oracles import oracle_sampling_equivalence
 from .system import atomic_write_text, to_dense_schur
 
 THREADS_ENV = "MORKIT_THREADS"
@@ -33,7 +34,7 @@ class TransferSample:
     G: np.ndarray
 
 
-def eval_full(system, s, factorization=None):
+def eval_full(system, s):
     """Evaluate the full index-1 system's transfer function at s.
 
     Solves the augmented system with all m right-hand-side columns
@@ -42,10 +43,8 @@ def eval_full(system, s, factorization=None):
     so feed-through behavior is exact.
     """
     s = complex(s)
-    if factorization is None:
-        factorization = factor_augmented(system, s)
     rhs = np.vstack([system.F1, system.F2]).astype(np.complex128)
-    sol = factorization.solve(rhs)
+    sol = factor_augmented(system, s).solve(rhs)
     v, gamma = sol[: system.n1], sol[system.n1 :]
     return TransferSample(s=s, G=system.H1 @ v + system.H2 @ gamma + system.Da)
 
@@ -67,14 +66,9 @@ def schur_equivalence_check(system, points):
     over the given complex points. Intended for reference-scale
     systems (the dense route materializes the Schur complement).
     """
-    schur = to_dense_schur(system)
-    worst = 0.0
-    for s in points:
-        G_aug = eval_full(system, s).G
-        G_schur = schur.evaluate(s)
-        scale = max(1.0, float(np.max(np.abs(G_aug))))
-        worst = max(worst, float(np.max(np.abs(G_aug - G_schur))) / scale)
-    return worst
+    return oracle_sampling_equivalence(
+        lambda s: eval_full(system, s).G, to_dense_schur(system).evaluate, points
+    )
 
 
 @dataclass

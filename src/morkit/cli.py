@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,76 +36,44 @@ from .system import (
     validate,
 )
 
-_DEFAULTS = {
-    "max_iter": 20,
-    "shift_tol": 1e-3,
-    "inner_max_iter": 20,
-    "inner_tol": 1e-5,
-    "freq_lo": 10.0,
-    "freq_hi": 1e4,
-    "seed": 0,
-    "one_sided": "auto",
+# reduce settings a --config file may set, with the type of each value
+_SETTINGS = {
+    "r": int,
+    "max_iter": int,
+    "shift_tol": float,
+    "inner_max_iter": int,
+    "inner_tol": float,
+    "freq_lo": float,
+    "freq_hi": float,
+    "seed": int,
+    "one_sided": str,
 }
+_ONE_SIDED = {"auto": None, "on": True, "off": False}
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved reduction settings."""
-
-    r: int
-    max_iter: int
-    shift_tol: float
-    inner_max_iter: float
-    inner_tol: float
-    freq_lo: float
-    freq_hi: float
-    seed: int
-    one_sided: str
-    timings: bool
-
-    @classmethod
-    def from_sources(cls, args, file_kv):
-        def pick(name, cast):
-            cli_value = getattr(args, name, None)
-            if cli_value is not None:
-                return cli_value
-            if name in file_kv:
-                return cast(file_kv[name])
-            return _DEFAULTS[name]
-
-        r = args.r if args.r is not None else (
-            int(file_kv["r"]) if "r" in file_kv else None
-        )
-        if r is None:
-            raise MorkitError("reduced order r missing (give --r or put r in --config)")
-        one_sided = pick("one_sided", str)
-        if one_sided not in ("auto", "on", "off"):
-            raise MorkitError(f"one_sided must be auto/on/off, got {one_sided!r}")
-        return cls(
-            r=int(r),
-            max_iter=pick("max_iter", int),
-            shift_tol=pick("shift_tol", float),
-            inner_max_iter=pick("inner_max_iter", int),
-            inner_tol=pick("inner_tol", float),
-            freq_lo=pick("freq_lo", float),
-            freq_hi=pick("freq_hi", float),
-            seed=pick("seed", int),
-            one_sided=one_sided,
-            timings=bool(getattr(args, "timings", False)),
-        )
-
-    def to_irka_config(self):
-        force = {"auto": None, "on": True, "off": False}[self.one_sided]
-        return irka.IrkaConfig(
-            r=self.r,
-            max_iter=int(self.max_iter),
-            shift_tol=float(self.shift_tol),
-            inner_max_iter=int(self.inner_max_iter),
-            inner_tol=float(self.inner_tol),
-            freq_range=(float(self.freq_lo), float(self.freq_hi)),
-            seed=int(self.seed),
-            force_one_sided=force,
-        )
+def _irka_config(args, file_kv):
+    """Resolve each setting from its flag, then the config file, then the
+    :class:`~morkit.irka.IrkaConfig` default."""
+    unknown = sorted(set(file_kv) - set(_SETTINGS))
+    if unknown:
+        raise MorkitError(f"unknown setting(s) in --config file: {', '.join(unknown)}")
+    given = {}
+    for name, cast in _SETTINGS.items():
+        value = getattr(args, name)
+        if value is None and name in file_kv:
+            value = cast(file_kv[name])
+        if value is not None:
+            given[name] = value
+    if "r" not in given:
+        raise MorkitError("reduced order r missing (give --r or put r in --config)")
+    one_sided = given.pop("one_sided", "auto")
+    if one_sided not in _ONE_SIDED:
+        raise MorkitError(f"one_sided must be auto/on/off, got {one_sided!r}")
+    lo, hi = irka.DEFAULT_FREQ_RANGE
+    freq_range = (given.pop("freq_lo", lo), given.pop("freq_hi", hi))
+    return irka.IrkaConfig(
+        **given, freq_range=freq_range, force_one_sided=_ONE_SIDED[one_sided]
+    )
 
 
 def _positive_int(text):
@@ -136,12 +103,12 @@ def cmd_generate(args):
 
 def cmd_reduce(args):
     file_kv = read_keyvalue(args.config) if args.config else {}
-    config = RunConfig.from_sources(args, file_kv)
+    config = _irka_config(args, file_kv)
     system = load_system(args.manifest)
-    rom, trace = irka.irka_second_order_index1(system, config.to_irka_config())
+    rom, trace = irka.irka_second_order_index1(system, config)
     out = Path(args.out)
     irka.save_reduced_model(rom, out)
-    atomic_write_text(out / "trace.log", trace.format(include_timings=config.timings))
+    atomic_write_text(out / "trace.log", trace.format(include_timings=args.timings))
     if args.index1_form:
         back = irka.back_to_index1(rom, system, trace.final_basis)
         save_system(back, out / "index1")
@@ -330,7 +297,7 @@ def build_parser():
     ana.add_argument("--manifest", required=True)
     ana.add_argument("--rom", required=True, help="directory written by reduce")
     ana.add_argument("--points", type=_positive_int, default=200)
-    ana.add_argument("--freq", type=float, nargs=2, default=[10.0, 1e4],
+    ana.add_argument("--freq", type=float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
                      metavar=("LO", "HI"))
     ana.add_argument("--channel", type=int, nargs=2, default=None,
                      metavar=("INPUT", "OUTPUT"))
@@ -347,7 +314,7 @@ def build_parser():
     ver.add_argument("--r", type=_positive_int, default=4,
                      help="order for the interpolation spot-check")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--freq", type=float, nargs=2, default=[10.0, 1e4],
+    ver.add_argument("--freq", type=float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
                      metavar=("LO", "HI"))
     ver.set_defaults(func=cmd_verify)
     return parser

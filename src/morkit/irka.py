@@ -48,7 +48,39 @@ from .system import SecondOrderIndex1System, validate
 DEFAULT_FREQ_RANGE = (10.0, 1.0e4)
 
 _CLOSURE_RTOL = 1e-8
+_PAIR_RTOL = 1e-6
 _PERTURB = 1e-8
+
+
+def pair_conjugates(shifts, order=None):
+    """Group shift indices into real shifts and conjugate pairs.
+
+    Indices are visited in `order` (default 0, 1, ...). A shift is real
+    if ``|Im s| <= 1e-8 max(1, |s|)``; a complex shift's partner is the
+    first unused index, in visiting order, with
+    ``|s_j - conj(s)| <= 1e-6 max(1, |s|)``. Returns ``(i, j)`` groups in
+    visiting order, where ``j`` is None for a real shift, the partner's
+    index for a pair and -1 for a complex shift without a partner.
+    """
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    order = range(shifts.shape[0]) if order is None else [int(i) for i in order]
+    used = np.zeros(shifts.shape[0], dtype=bool)
+    groups = []
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        s = shifts[i]
+        scale = max(1.0, abs(s))
+        if abs(s.imag) <= _CLOSURE_RTOL * scale:
+            groups.append((i, None))
+            continue
+        near = np.abs(shifts - np.conj(s)) <= _PAIR_RTOL * scale
+        partner = next((j for j in order if near[j] and not used[j]), -1)
+        if partner >= 0:
+            used[partner] = True
+        groups.append((i, partner))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -93,31 +125,25 @@ class InterpolationData:
         return self.c.shape[1]
 
     def is_conjugate_closed(self, rtol=_CLOSURE_RTOL):
-        """True if shifts and directions are closed under conjugation."""
-        used = np.zeros(self.r, dtype=bool)
-        for i in range(self.r):
-            if used[i]:
-                continue
-            s = self.shifts[i]
-            tol = rtol * max(1.0, abs(s))
-            if abs(s.imag) <= tol:
-                used[i] = True
-                if (np.max(np.abs(self.b[i].imag), initial=0.0) > rtol
-                        or np.max(np.abs(self.c[i].imag), initial=0.0) > rtol):
-                    return False
-                continue
-            partner = -1
-            for j in range(self.r):
-                if used[j] or j == i:
-                    continue
-                if (abs(self.shifts[j] - np.conj(s)) <= tol
-                        and np.max(np.abs(self.b[j] - np.conj(self.b[i]))) <= rtol
-                        and np.max(np.abs(self.c[j] - np.conj(self.c[i]))) <= rtol):
-                    partner = j
-                    break
-            if partner < 0:
+        """True if shifts and directions are closed under conjugation.
+
+        Every shift needs a partner under :func:`pair_conjugates`; a real
+        shift then needs real directions and a pair conjugate shifts and
+        directions, all up to `rtol`.
+        """
+        def close(x, y):
+            return np.max(np.abs(x - y), initial=0.0) <= rtol
+
+        s, b, c = self.shifts, self.b, self.c
+        for i, j in pair_conjugates(s):
+            if j is None:
+                ok = close(b[i].imag, 0.0) and close(c[i].imag, 0.0)
+            else:
+                ok = (j >= 0
+                      and abs(s[j] - np.conj(s[i])) <= rtol * max(1.0, abs(s[i]))
+                      and close(b[j], np.conj(b[i])) and close(c[j], np.conj(c[i])))
+            if not ok:
                 return False
-            used[i] = used[partner] = True
         return True
 
 
@@ -152,46 +178,29 @@ def _real_direction(vec):
     return _unit_direction(rotated.real.astype(np.complex128))
 
 
-def enforce_conjugate_closure(shifts, b, c, rtol=_CLOSURE_RTOL):
+def enforce_conjugate_closure(shifts, b, c):
     """Build a closed, unit-direction, deterministically ordered iterate.
 
-    Shifts with negligible imaginary part collapse to the real axis;
-    complex shifts are matched with their conjugates (averaging the
-    pair), and any unmatched complex leftover is demoted to its real
-    part rather than breaking closure. Directions are renormalized to
-    unit length with canonical phase. The result is sorted by (real,
-    imaginary) part.
+    Shifts are paired by :func:`pair_conjugates`, visited in (real,
+    imaginary) order. Real shifts collapse onto the real axis; pairs are
+    averaged with their conjugates, and any unmatched complex leftover
+    is demoted to its real part rather than breaking closure. Directions
+    are renormalized to unit length with canonical phase. The result is
+    sorted by (real, imaginary) part.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.complex128))
     b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
     c = np.atleast_2d(np.asarray(c, dtype=np.complex128))
-    r = shifts.shape[0]
     entries = []  # (shift, b_row, c_row)
-    used = np.zeros(r, dtype=bool)
-    for i in np.lexsort((shifts.imag, shifts.real)):
-        if used[i]:
+    for i, j in pair_conjugates(shifts, order=np.lexsort((shifts.imag, shifts.real))):
+        if j is None or j < 0:
+            # real, or no conjugate partner: keep the iteration alive on the real axis
+            entries.append((complex(shifts[i].real), _real_direction(b[i]),
+                            _real_direction(c[i])))
             continue
-        used[i] = True
-        s = shifts[i]
-        tol = rtol * max(1.0, abs(s))
-        if abs(s.imag) <= tol:
-            entries.append((complex(s.real), _real_direction(b[i]), _real_direction(c[i])))
-            continue
-        candidates = [j for j in range(r) if not used[j]]
-        partner = -1
-        if candidates:
-            dist = [abs(shifts[j] - np.conj(s)) for j in candidates]
-            best = int(np.argmin(dist))
-            if dist[best] <= 1e-6 * max(1.0, abs(s)):
-                partner = candidates[best]
-        if partner < 0:
-            # no conjugate partner: keep the iteration alive on the real axis
-            entries.append((complex(s.real), _real_direction(b[i]), _real_direction(c[i])))
-            continue
-        used[partner] = True
-        pair = (s + np.conj(shifts[partner])) / 2.0
-        b_row = _unit_direction((b[i] + np.conj(b[partner])) / 2.0)
-        c_row = _unit_direction((c[i] + np.conj(c[partner])) / 2.0)
+        pair = (shifts[i] + np.conj(shifts[j])) / 2.0
+        b_row = _unit_direction((b[i] + np.conj(b[j])) / 2.0)
+        c_row = _unit_direction((c[i] + np.conj(c[j])) / 2.0)
         entries.append((pair, b_row, c_row))
         entries.append((np.conj(pair), np.conj(b_row), np.conj(c_row)))
     out_s = np.array([e[0] for e in entries], dtype=np.complex128)
@@ -246,34 +255,19 @@ def _perturb(interp):
     )
 
 
-def _representatives(interp, rtol=_CLOSURE_RTOL):
+def _representatives(interp):
     """One entry per real shift / conjugate pair (positive-imag member)."""
     reps = []
-    used = np.zeros(interp.r, dtype=bool)
-    for i in range(interp.r):
-        if used[i]:
+    for i, j in pair_conjugates(interp.shifts):
+        if j is None:
+            reps.append((complex(interp.shifts[i].real), interp.b[i], interp.c[i], False))
             continue
-        used[i] = True
-        s = interp.shifts[i]
-        tol = rtol * max(1.0, abs(s))
-        if abs(s.imag) <= tol:
-            reps.append((complex(s.real), interp.b[i], interp.c[i], False))
-            continue
-        partner = -1
-        for j in range(interp.r):
-            if not used[j] and abs(interp.shifts[j] - np.conj(s)) <= 1e-6 * max(1.0, abs(s)):
-                partner = j
-                break
-        if partner < 0:
+        if j < 0:
             raise StructuralError(
                 "interpolation data is not conjugate closed (unmatched complex shift)"
             )
-        used[partner] = True
-        if s.imag > 0:
-            reps.append((complex(s), interp.b[i], interp.c[i], True))
-        else:
-            reps.append((complex(interp.shifts[partner]), interp.b[partner],
-                         interp.c[partner], True))
+        k = i if interp.shifts[i].imag > 0 else j
+        reps.append((complex(interp.shifts[k]), interp.b[k], interp.c[k], True))
     return reps
 
 
@@ -368,51 +362,28 @@ class ProjectionBasis:
         return self.V.shape[1]
 
 
-def build_bases(system, interp, one_sided=False, counter=None):
-    """Assemble real projection bases from one interpolation iterate.
+def _tangential_bases(interp, solve, one_sided=False):
+    """Real projection bases from per-shift tangential solves.
 
-    For each real shift one real column enters V (and W); for each
-    conjugate pair the real and imaginary parts of the positive-imag
-    member's solution enter, which spans the same space as the complex
-    pair. One sparse LU per distinct shift serves both the right solve
-    and (two-sided case) the transposed left solve. A shift whose
-    augmented matrix is singular is perturbed once
-    (sigma -> sigma (1 + 1e-8) + 1e-8) before giving up.
-
-    With ``one_sided=True`` no left solves happen and W is V; the
-    reduction is then a Galerkin projection, which preserves symmetry.
+    ``solve(sigma, b_row, c_row)`` returns the right and left solutions
+    ``(v, w)`` at one shift (``w`` is None when ``one_sided``). For each
+    real shift one real column enters V (and W); for each conjugate pair
+    the real and imaginary parts of the positive-imag member's solution
+    enter, which spans the same space as the complex pair. A shift whose
+    solve raises :class:`ShiftCollisionError` is perturbed once
+    (sigma -> sigma (1 + 1e-8) + 1e-8) before giving up. Two-sided bases
+    of unequal numerical rank are truncated to the smaller one.
     """
-    if not interp.is_conjugate_closed():
-        raise StructuralError("interpolation data is not conjugate closed")
     cols_v, cols_w = [], []
     for sigma, b_row, c_row, is_pair in _representatives(interp):
-        v = w = None
-        attempt_sigma = sigma
-        for attempt in range(2):
-            try:
-                fact = factor_augmented(system, attempt_sigma)
-                if counter is not None:
-                    counter.factorizations += 1
-                v = tangential_solve_right(system, attempt_sigma, b_row, factorization=fact)
-                if counter is not None:
-                    counter.right += 1
-                if not one_sided:
-                    w = tangential_solve_left(system, attempt_sigma, c_row, factorization=fact)
-                    if counter is not None:
-                        counter.left += 1
-                break
-            except ShiftCollisionError:
-                if attempt:
-                    raise
-                attempt_sigma = attempt_sigma * (1.0 + _PERTURB) + _PERTURB
-        if is_pair:
-            cols_v.extend([v.real, v.imag])
-            if w is not None:
-                cols_w.extend([w.real, w.imag])
-        else:
-            cols_v.append(v.real)
-            if w is not None:
-                cols_w.append(w.real)
+        try:
+            v, w = solve(sigma, b_row, c_row)
+        except ShiftCollisionError:
+            v, w = solve(sigma * (1.0 + _PERTURB) + _PERTURB, b_row, c_row)
+        parts = (np.real, np.imag) if is_pair else (np.real,)
+        cols_v.extend(part(v) for part in parts)
+        if w is not None:
+            cols_w.extend(part(w) for part in parts)
     V = orthonormalize(np.column_stack(cols_v))
     if one_sided:
         return ProjectionBasis(V=V, W=V, one_sided=True)
@@ -423,10 +394,39 @@ def build_bases(system, interp, one_sided=False, counter=None):
             f"projection bases have ranks {V.shape[1]} and {W.shape[1]}; "
             f"truncating both to {k}",
             RankDeficiencyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         V, W = V[:, :k], W[:, :k]
     return ProjectionBasis(V=V, W=W, one_sided=False)
+
+
+def build_bases(system, interp, one_sided=False, counter=None):
+    """Assemble real projection bases from one interpolation iterate.
+
+    Columns come from tangential solves with the sparse augmented
+    blocks (see :func:`_tangential_bases`). One sparse LU per distinct
+    shift serves both the right solve and (two-sided case) the
+    transposed left solve.
+
+    With ``one_sided=True`` no left solves happen and W is V; the
+    reduction is then a Galerkin projection, which preserves symmetry.
+    """
+    if not interp.is_conjugate_closed():
+        raise StructuralError("interpolation data is not conjugate closed")
+    counter = SolveCounter() if counter is None else counter
+
+    def solve(sigma, b_row, c_row):
+        fact = factor_augmented(system, sigma)
+        counter.factorizations += 1
+        v = tangential_solve_right(system, sigma, b_row, factorization=fact)
+        counter.right += 1
+        if one_sided:
+            return v, None
+        w = tangential_solve_left(system, sigma, c_row, factorization=fact)
+        counter.left += 1
+        return v, w
+
+    return _tangential_bases(interp, solve, one_sided=one_sided)
 
 
 @dataclass
@@ -528,35 +528,6 @@ class FirstOrderReduction:
     iterations: int
 
 
-def _dense_tangential_bases(E, A, B, C, interp):
-    """Real bases for a dense first-order pencil (per-shift retry inside)."""
-    cols_v, cols_w = [], []
-    for sigma, b_row, c_row, is_pair in _representatives(interp):
-        attempt_sigma = sigma
-        for attempt in range(2):
-            try:
-                Ms = attempt_sigma * E - A
-                v = dense_solve(Ms, B @ b_row)
-                w = dense_solve(Ms.T, C.T @ c_row)
-                break
-            except SingularMatrixError as exc:
-                if attempt:
-                    raise ShiftCollisionError(attempt_sigma, str(exc)) from exc
-                attempt_sigma = attempt_sigma * (1.0 + _PERTURB) + _PERTURB
-        if is_pair:
-            cols_v.extend([v.real, v.imag])
-            cols_w.extend([w.real, w.imag])
-        else:
-            cols_v.append(v.real)
-            cols_w.append(w.real)
-    V = orthonormalize(np.column_stack(cols_v))
-    W = orthonormalize(np.column_stack(cols_w))
-    if V.shape[1] != W.shape[1]:
-        k = min(V.shape[1], W.shape[1])
-        V, W = V[:, :k], W[:, :k]
-    return V, W
-
-
 def _mirror_interpolation(triplets, B, C):
     """Next iterate from reduced eigentriplets: sigma = -lambda, tangential
     directions from the eigenvectors (b = -B^H y, c = C z)."""
@@ -567,30 +538,22 @@ def _mirror_interpolation(triplets, B, C):
 
 
 def _truncate_closed(interp, k):
-    """Largest closure-preserving head of the iterate with at most k shifts."""
-    entries = []
-    count = 0
-    for sigma, b_row, c_row, is_pair in _representatives(interp):
-        if not is_pair:
-            if count + 1 > k:
-                break
-            entries.append((sigma, b_row, c_row))
-            count += 1
-        else:
-            if count + 2 > k:
-                # demote the pair to its real part if a single slot remains
-                if count + 1 <= k:
-                    entries.append((complex(sigma.real), _real_direction(b_row),
-                                    _real_direction(c_row)))
-                    count += 1
-                break
-            entries.append((sigma, b_row, c_row))
-            entries.append((np.conj(sigma), np.conj(b_row), np.conj(c_row)))
-            count += 2
-    shifts = np.array([e[0] for e in entries], dtype=np.complex128)
-    b = np.array([e[1] for e in entries])
-    c = np.array([e[2] for e in entries])
-    return enforce_conjugate_closure(shifts, b, c)
+    """Largest closure-preserving head of the iterate with at most k shifts.
+
+    A conjugate pair that meets a single free slot enters as one shift,
+    which the closure then demotes to its real part.
+    """
+    rows = []
+    for i, j in pair_conjugates(interp.shifts):
+        if j == -1:
+            raise StructuralError(
+                "interpolation data is not conjugate closed (unmatched complex shift)"
+            )
+        group = (i,) if j is None else (i, j)
+        rows.extend(group[: k - len(rows)])
+        if len(rows) >= k:
+            break
+    return enforce_conjugate_closure(interp.shifts[rows], interp.b[rows], interp.c[rows])
 
 
 def _dominant_initialization(E, A, B, C, r):
@@ -607,28 +570,12 @@ def _dominant_initialization(E, A, B, C, r):
         num = np.linalg.norm(C @ t.right) * np.linalg.norm(B.conj().T @ t.left)
         weights.append(num / max(abs(t.value.real), np.finfo(float).tiny))
     order = sorted(range(len(triplets)), key=lambda i: -weights[i])
-    used = set()
+    values = [t.value for t in triplets]
     chosen = []
-    for i in order:
-        if i in used or len(chosen) >= r:
-            continue
-        t = triplets[i]
-        if abs(t.value.imag) <= 1e-12 * max(1.0, abs(t.value)):
-            used.add(i)
-            chosen.append(t)
-            continue
-        partner = None
-        for j in order:
-            if j in used or j == i:
-                continue
-            tj = triplets[j]
-            if abs(tj.value - np.conj(t.value)) <= 1e-6 * max(1.0, abs(t.value)):
-                partner = j
-                break
-        if partner is None or len(chosen) + 2 > r:
-            continue
-        used.update((i, partner))
-        chosen.extend((t, triplets[partner]))
+    for i, j in pair_conjugates(values, order=order):
+        group = (i,) if j is None else (i, j) if j >= 0 else ()
+        if group and len(chosen) + len(group) <= r:
+            chosen.extend(triplets[k] for k in group)
     if not chosen:
         chosen = [triplets[0]]
     return _mirror_interpolation(chosen, B, C)
@@ -661,7 +608,18 @@ def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
         raise DimensionError("interpolation directions do not match B/C")
     interp = init if init.r <= n else _truncate_closed(init, n)
 
-    V, W = _dense_tangential_bases(E, A, B, C, interp)
+    def solve(sigma, b_row, c_row):
+        Ms = sigma * E - A
+        try:
+            return dense_solve(Ms, B @ b_row), dense_solve(Ms.T, C.T @ c_row)
+        except SingularMatrixError as exc:
+            raise ShiftCollisionError(sigma, str(exc)) from exc
+
+    def bases(interp):
+        basis = _tangential_bases(interp, solve)
+        return basis.V, basis.W
+
+    V, W = bases(interp)
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
@@ -671,12 +629,12 @@ def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
         except PencilSingularError:
             # a deflated or resonant projection: nudge the shifts and retry once
             interp = _perturb(interp)
-            V, W = _dense_tangential_bases(E, A, B, C, interp)
+            V, W = bases(interp)
             triplets = eig_generalized(W.T @ A @ V, W.T @ E @ V)
         new_interp = _mirror_interpolation(triplets, W.T @ B, C @ V)
         metric = convergence_metric(interp.shifts, new_interp.shifts)
         interp = new_interp
-        V, W = _dense_tangential_bases(E, A, B, C, interp)
+        V, W = bases(interp)
         if metric <= tol:
             converged = True
             break

@@ -12,11 +12,10 @@ import scipy.sparse.linalg as spla
 from .errors import DimensionError, SingularMatrixError
 from .sparse import as_canonical_csc
 
-DEFAULT_PIVOT_TOL = 0.1
+PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 
 _ORDERINGS = {
     "amd": "MMD_AT_PLUS_A",  # minimum degree on the pattern of A + A^T
-    "colamd": "COLAMD",
     "natural": "NATURAL",
 }
 
@@ -86,17 +85,14 @@ class SparseLU:
         return self._solve(rhs, "T")
 
 
-def factor(A, pivot_tol=DEFAULT_PIVOT_TOL, ordering="amd"):
+def factor(A, ordering="amd"):
     """Factor a square sparse matrix as ``Pr @ A @ Pc = L @ U``.
 
     Parameters
     ----------
     A : sparse matrix
         Square, real or complex.
-    pivot_tol : float
-        Threshold for partial pivoting in [0, 1]; 1.0 is classical
-        partial pivoting, smaller values trade stability for sparsity.
-    ordering : {"amd", "colamd", "natural"}
+    ordering : {"amd", "natural"}
         Fill-reducing column ordering; "amd" applies minimum degree to
         the pattern of A + A^T, "natural" keeps the given order.
 
@@ -109,8 +105,6 @@ def factor(A, pivot_tol=DEFAULT_PIVOT_TOL, ordering="amd"):
     """
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"cannot factor non-square matrix of shape {A.shape}")
-    if not 0.0 <= pivot_tol <= 1.0:
-        raise ValueError(f"pivot_tol must be in [0, 1], got {pivot_tol}")
     try:
         permc_spec = _ORDERINGS[ordering]
     except KeyError:
@@ -123,7 +117,7 @@ def factor(A, pivot_tol=DEFAULT_PIVOT_TOL, ordering="amd"):
         superlu = spla.splu(
             A,
             permc_spec=permc_spec,
-            diag_pivot_thresh=pivot_tol,
+            diag_pivot_thresh=PIVOT_TOL,
             options={"Equil": False},
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

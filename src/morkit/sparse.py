@@ -2,56 +2,13 @@
 
 All sparse blocks in this package live in compressed-sparse-column (CSC)
 form with canonical structure: row indices sorted within each column and
-duplicate entries summed at assembly time. Values are float64 or
-complex128; promotion from real to complex is always an explicit copy.
+duplicate entries summed. Values are float64 or complex128.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError
-
-REAL_DTYPE = np.float64
 COMPLEX_DTYPE = np.complex128
-
-
-def assemble(nrows, ncols, triplets, dtype=None):
-    """Assemble a canonical CSC matrix from (row, col, value) triplets.
-
-    Duplicate (row, col) pairs are summed. An empty triplet list yields
-    the all-zero matrix.
-
-    Parameters
-    ----------
-    nrows, ncols : int
-    triplets : iterable of (int, int, scalar)
-    dtype : optional
-        Force float64 or complex128; by default complex values promote
-        the result to complex128, otherwise float64 is used.
-
-    Returns
-    -------
-    scipy.sparse.csc_array
-    """
-    if nrows < 0 or ncols < 0:
-        raise DimensionError(f"matrix shape ({nrows}, {ncols}) is invalid")
-    triplets = list(triplets)
-    if triplets:
-        rows, cols, vals = map(np.asarray, zip(*triplets))
-    else:
-        rows = cols = np.empty(0, dtype=np.intp)
-        vals = np.empty(0)
-    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
-        raise DimensionError(f"row index out of range for {nrows} rows")
-    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
-        raise DimensionError(f"column index out of range for {ncols} columns")
-    if dtype is None:
-        dtype = COMPLEX_DTYPE if np.iscomplexobj(vals) else REAL_DTYPE
-    vals = vals.astype(dtype)
-    out = sp.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsc()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
 
 
 def as_canonical_csc(A, dtype=None):
@@ -61,28 +18,6 @@ def as_canonical_csc(A, dtype=None):
         out.sum_duplicates()
     out.sort_indices()
     return out
-
-
-def promote_complex(A):
-    """Explicitly copy a real sparse matrix to complex128 storage."""
-    return as_canonical_csc(A, dtype=COMPLEX_DTYPE)
-
-
-def matvec(A, x, conjugate_transpose=False):
-    """Sparse matrix times dense vector (or block of vectors).
-
-    With ``conjugate_transpose=True`` computes ``A^H x`` without forming
-    the transposed matrix.
-    """
-    x = np.asarray(x)
-    n_expected = A.shape[0] if conjugate_transpose else A.shape[1]
-    if x.shape[0] != n_expected:
-        raise DimensionError(
-            f"operand has {x.shape[0]} rows, matrix expects {n_expected}"
-        )
-    if conjugate_transpose:
-        return A.conj().T @ x
-    return A @ x
 
 
 def is_symmetric(A, tol=0.0):

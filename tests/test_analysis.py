@@ -15,7 +15,6 @@ from morkit.irka import (
     IrkaConfig,
     ProjectionBasis,
     ReducedSecondOrderModel,
-    factor_augmented,
     irka_second_order_index1,
     reduce,
 )
@@ -42,13 +41,6 @@ def test_eval_full_s1_at_j(s1):
 def test_eval_full_constant_s2(s2):
     for s in (0.0, 1j, 3.0 + 100.0j):
         assert eval_full(s2, s).G[0, 0] == pytest.approx(2.0, rel=1e-13)
-
-
-def test_eval_full_reuses_factorization(s1):
-    fact = factor_augmented(s1, 2.0j)
-    a = eval_full(s1, 2.0j, factorization=fact).G
-    b = eval_full(s1, 2.0j).G
-    np.testing.assert_array_equal(a, b)
 
 
 def test_eval_reduced_scalar():

@@ -160,6 +160,35 @@ def test_reduce_cli_overrides_settings_file(tmp_path):
     assert "requested_order 3" in (tmp_path / "rom" / "trace.log").read_text()
 
 
+def test_reduce_settings_file_rejects_unknown_key(tmp_path, capsys):
+    # a misspelt key must not fall back silently to the default tolerance
+    manifest = _generate(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 3\nshifttol = 1e-6\n")
+    rc = main(["reduce", "--manifest", str(manifest), "--config", str(cfg),
+               "--out", str(tmp_path / "rom")])
+    assert rc == 1
+    assert "shifttol" in capsys.readouterr().err
+    assert not (tmp_path / "rom").exists()
+
+
+def test_reduce_settings_file_and_defaults_fill_unset_flags(tmp_path):
+    manifest = _generate(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 3\nfreq_hi = 500\none_sided = off\n")
+    rc = main(["reduce", "--manifest", str(manifest), "--config", str(cfg),
+               "--freq-lo", "20", "--out", str(tmp_path / "rom")])
+    assert rc == 0
+    assert "one_sided false" in (tmp_path / "rom" / "trace.log").read_text()
+    # same run with every setting spelt out as a flag
+    rc = main(["reduce", "--manifest", str(manifest), "--r", "3", "--freq-lo", "20",
+               "--freq-hi", "500", "--one-sided", "off", "--max-iter", "20",
+               "--shift-tol", "1e-3", "--inner-max-iter", "20", "--inner-tol", "1e-5",
+               "--seed", "0", "--out", str(tmp_path / "rom_flags")])
+    assert rc == 0
+    assert _dir_bytes(tmp_path / "rom") == _dir_bytes(tmp_path / "rom_flags")
+
+
 def test_reduce_index1_form(tmp_path):
     manifest = _generate(tmp_path)
     rom_dir = tmp_path / "rom"

@@ -1,122 +1,50 @@
-"""Assembly, products, and the shifted augmented matrix."""
+"""Canonical CSC storage, symmetry checks and the shifted augmented matrix."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from morkit.errors import DimensionError
-from morkit.sparse import (
-    as_canonical_csc,
-    assemble,
-    assemble_shifted_augmented,
-    is_symmetric,
-    matvec,
-    promote_complex,
-)
+from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, is_symmetric
 
 from conftest import GRID, grid_ids
 
 
-def test_assemble_direct_layout():
-    A = assemble(2, 2, [(0, 0, 5), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
-    assert isinstance(A, sp.csc_array)
-    np.testing.assert_array_equal(A.toarray(), [[5.0, 1.0], [1.0, 2.0]])
-    assert A.dtype == np.float64
-
-
-def test_assemble_sums_duplicates():
-    A = assemble(2, 2, [(0, 0, 1), (0, 0, 2)])
-    np.testing.assert_array_equal(A.toarray(), [[3.0, 0.0], [0.0, 0.0]])
-
-
-def test_assemble_empty_triplets():
-    A = assemble(3, 2, [])
-    assert A.shape == (3, 2)
-    assert A.nnz == 0
-
-
-def test_assemble_rejects_out_of_range_index():
-    with pytest.raises(DimensionError):
-        assemble(1, 1, [(1, 0, 1.0)])
-    with pytest.raises(DimensionError):
-        assemble(2, 1, [(0, 3, 1.0)])
-
-
-def test_assemble_complex_values_promote_dtype():
-    A = assemble(1, 1, [(0, 0, 1 + 2j)])
-    assert A.dtype == np.complex128
-    assert A[0, 0] == 1 + 2j
-
-
-def test_assemble_canonical_form():
-    # unsorted duplicate-bearing input still comes out canonical
-    A = assemble(3, 3, [(2, 0, 1.0), (0, 0, 2.0), (2, 0, 4.0), (1, 2, 3.0)])
-    assert A.has_sorted_indices
-    assert A[2, 0] == 5.0
-    assert A.nnz == 3
-
-
 def test_as_canonical_csc_idempotent():
-    A = assemble(2, 2, [(0, 0, 5), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    A = sp.csc_array(np.array([[5.0, 1.0], [1.0, 2.0]]))
     B = as_canonical_csc(A)
     assert B.has_sorted_indices
     np.testing.assert_array_equal(A.toarray(), B.toarray())
 
 
-def test_promote_complex_copies():
-    A = assemble(2, 2, [(0, 0, 1.0)])
-    B = promote_complex(A)
+def test_as_canonical_csc_sums_duplicates_and_sorts():
+    # unsorted, duplicate-bearing input comes out canonical
+    rows, cols = np.array([2, 0, 2, 1]), np.array([0, 0, 0, 2])
+    A = sp.coo_array((np.array([1.0, 2.0, 4.0, 3.0]), (rows, cols)), shape=(3, 3))
+    B = as_canonical_csc(A, dtype=np.complex128)
+    assert B.has_sorted_indices
     assert B.dtype == np.complex128
-    assert A.dtype == np.float64
-    np.testing.assert_array_equal(B.toarray(), A.toarray().astype(complex))
-
-
-def test_matvec_basic():
-    A = assemble(2, 2, [(0, 0, 5), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
-    np.testing.assert_array_equal(matvec(A, np.array([1.0, 0.0])), [5.0, 1.0])
-
-
-def test_matvec_identity():
-    I = assemble(3, 3, [(i, i, 1.0) for i in range(3)])
-    x = np.array([2.0, -1.0, 0.5])
-    np.testing.assert_array_equal(matvec(I, x), x)
-
-
-def test_matvec_conjugate_transpose():
-    A = assemble(2, 2, [(0, 1, 1.0)])
-    y = matvec(A, np.array([1.0, 0.0]), conjugate_transpose=True)
-    np.testing.assert_array_equal(y, [0.0, 1.0])
-    # complex entries are conjugated, not just transposed
-    B = assemble(1, 1, [(0, 0, 1j)])
-    assert matvec(B, np.array([1.0]), conjugate_transpose=True)[0] == -1j
-
-
-def test_matvec_dimension_mismatch():
-    A = assemble(2, 3, [(0, 0, 1.0)])
-    with pytest.raises(DimensionError):
-        matvec(A, np.zeros(2))
-    with pytest.raises(DimensionError):
-        matvec(A, np.zeros(3), conjugate_transpose=True)
+    assert B.nnz == 3
+    assert B[2, 0] == 5.0
 
 
 def test_is_symmetric_exact():
-    A = assemble(2, 2, [(0, 0, 5), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    A = sp.csc_array(np.array([[5.0, 1.0], [1.0, 2.0]]))
     assert is_symmetric(A, tol=0.0)
 
 
 def test_is_symmetric_rejects_upper_shift():
-    A = assemble(2, 2, [(0, 1, 1.0)])
+    A = sp.csc_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert not is_symmetric(A, tol=1e-12)
 
 
 def test_is_symmetric_tolerance_boundary():
-    A = assemble(2, 2, [(0, 0, 1.0), (0, 1, 1 + 5e-13), (1, 0, 1.0), (1, 1, 1.0)])
+    A = sp.csc_array(np.array([[1.0, 1 + 5e-13], [1.0, 1.0]]))
     assert is_symmetric(A, tol=1e-12)
     assert not is_symmetric(A, tol=1e-13)
 
 
 def test_is_symmetric_rectangular_is_false():
-    assert not is_symmetric(assemble(2, 3, []), tol=1.0)
+    assert not is_symmetric(sp.csc_array(np.zeros((2, 3))), tol=1.0)
 
 
 def test_augmented_sigma_zero_is_stiffness(s1):
