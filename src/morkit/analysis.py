@@ -261,31 +261,21 @@ def speedup_report(system, rom, omegas, repetitions=3):
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
 
-    def full_pass():
-        for omega in omegas:
-            sigma_max(eval_full(system, 1j * omega).G)
+    def median_pass_seconds(evaluate):
+        times = []
+        for _ in range(repetitions + 1):  # the first pass is an untimed warm-up
+            t0 = time.perf_counter()
+            for omega in omegas:
+                sigma_max(evaluate(1j * omega).G)
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times[1:])
 
-    def rom_pass():
-        for omega in omegas:
-            sigma_max(eval_reduced(rom, 1j * omega).G)
-
-    full_pass()
-    rom_pass()
-    full_times, rom_times = [], []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        full_pass()
-        full_times.append(time.perf_counter() - t0)
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        rom_pass()
-        rom_times.append(time.perf_counter() - t0)
     return SpeedupReport(
         n1=system.n1,
         n2=system.n2,
         order=rom.order,
         points=omegas.shape[0],
         repetitions=repetitions,
-        full_seconds=statistics.median(full_times),
-        rom_seconds=statistics.median(rom_times),
+        full_seconds=median_pass_seconds(lambda s: eval_full(system, s)),
+        rom_seconds=median_pass_seconds(lambda s: eval_reduced(rom, s)),
     )

@@ -255,6 +255,41 @@ def _perturb(interp):
     )
 
 
+def _shift_iteration(interp, bases, step, max_iter, tol, record=None):
+    """The IRKA fixed point shared by the outer and the inner level.
+
+    ``bases(interp)`` builds projection bases at an iterate and
+    ``step(basis, interp)`` returns the next iterate from them. A step
+    that raises :class:`PencilSingularError` (a deflated or resonant
+    projection) is retried once at :func:`_perturb`'s shifts, with bases
+    rebuilt there. After each step the bases are rebuilt at the new
+    iterate and ``record(metric, interp)`` is called if given; the
+    iteration stops once :func:`convergence_metric` is at most `tol`, or
+    after `max_iter` steps.
+
+    Returns ``(interp, basis, iterations, converged)``: the last iterate
+    and its bases.
+    """
+    basis = bases(interp)
+    iterations, converged = 0, False
+    for iterations in range(1, max_iter + 1):
+        try:
+            new_interp = step(basis, interp)
+        except PencilSingularError:
+            interp = _perturb(interp)
+            basis = bases(interp)
+            new_interp = step(basis, interp)
+        metric = convergence_metric(interp.shifts, new_interp.shifts)
+        interp = new_interp
+        basis = bases(interp)
+        if record is not None:
+            record(metric, interp)
+        if metric <= tol:
+            converged = True
+            break
+    return interp, basis, iterations, converged
+
+
 def _representatives(interp):
     """One entry per real shift / conjugate pair (positive-imag member)."""
     reps = []
@@ -281,16 +316,15 @@ class SolveCounter:
 
     right: int = 0
     left: int = 0
-    factorizations: int = 0
 
 
-def factor_augmented(system, sigma, transposed=False):
+def factor_augmented(system, sigma):
     """Sparse LU of the shifted augmented matrix at one shift.
 
     A singular factorization means sigma collided with an eigenvalue of
     the underlying pencil and raises :class:`ShiftCollisionError`.
     """
-    A = assemble_shifted_augmented(system, sigma, transposed=transposed)
+    A = assemble_shifted_augmented(system, sigma)
     try:
         return lu.factor(A, ordering="amd")
     except SingularMatrixError as exc:
@@ -325,23 +359,20 @@ def tangential_solve_right(system, sigma, direction, factorization=None):
 def tangential_solve_left(system, sigma, direction, factorization=None):
     """Left tangential solution w(sigma, c), length n1.
 
-    Same augmented structure as the right solve but with the transposed
-    blocks (K21^T in the (1,2) position) and right-hand side
-    [H1^T c; H2^T c]. With a supplied factorization of the
-    *untransposed* augmented matrix, the transposed system is solved
-    through it directly (no second factorization).
+    Solves the transpose of the right solve's augmented system (K21^T in
+    the (1,2) position) with right-hand side [H1^T c; H2^T c], through a
+    factorization of the *untransposed* matrix: the supplied one, which
+    the right solve at this shift can share, or a fresh one.
     """
     direction = np.asarray(direction, dtype=np.complex128).ravel()
     if direction.shape[0] != system.p:
         raise DimensionError(
             f"left direction has length {direction.shape[0]}, system has p={system.p}"
         )
-    rhs = np.concatenate([system.H1.T @ direction, system.H2.T @ direction])
     if factorization is None:
-        factorization = factor_augmented(system, sigma, transposed=True)
-        sol = factorization.solve(rhs)
-    else:
-        sol = factorization.solve_transposed(rhs)
+        factorization = factor_augmented(system, sigma)
+    rhs = np.concatenate([system.H1.T @ direction, system.H2.T @ direction])
+    sol = factorization.solve_transposed(rhs)
     return sol[: system.n1]
 
 
@@ -417,7 +448,6 @@ def build_bases(system, interp, one_sided=False, counter=None):
 
     def solve(sigma, b_row, c_row):
         fact = factor_augmented(system, sigma)
-        counter.factorizations += 1
         v = tangential_solve_right(system, sigma, b_row, factorization=fact)
         counter.right += 1
         if one_sided:
@@ -615,29 +645,15 @@ def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
         except SingularMatrixError as exc:
             raise ShiftCollisionError(sigma, str(exc)) from exc
 
-    def bases(interp):
-        basis = _tangential_bases(interp, solve)
-        return basis.V, basis.W
+    def step(basis, interp):
+        V, W = basis.V, basis.W
+        triplets = eig_generalized(W.T @ A @ V, W.T @ E @ V)
+        return _mirror_interpolation(triplets, W.T @ B, C @ V)
 
-    V, W = bases(interp)
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        try:
-            triplets = eig_generalized(W.T @ A @ V, W.T @ E @ V)
-        except PencilSingularError:
-            # a deflated or resonant projection: nudge the shifts and retry once
-            interp = _perturb(interp)
-            V, W = bases(interp)
-            triplets = eig_generalized(W.T @ A @ V, W.T @ E @ V)
-        new_interp = _mirror_interpolation(triplets, W.T @ B, C @ V)
-        metric = convergence_metric(interp.shifts, new_interp.shifts)
-        interp = new_interp
-        V, W = bases(interp)
-        if metric <= tol:
-            converged = True
-            break
+    interp, basis, iterations, converged = _shift_iteration(
+        interp, lambda it: _tangential_bases(it, solve), step, max_iter, tol
+    )
+    V, W = basis.V, basis.W
     return FirstOrderReduction(
         E=W.T @ E @ V,
         A=W.T @ A @ V,
@@ -672,7 +688,7 @@ def update_interpolation(pencil, config, warm_start=None):
         )
     reduction = irka_first_order(
         pencil.E, pencil.A, pencil.B, pencil.C,
-        r=warm_start.r,
+        r=min(warm_start.r, pencil.E.shape[0]),
         max_iter=config.inner_max_iter,
         tol=config.inner_tol,
         init=warm_start,
@@ -825,47 +841,41 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    counter = SolveCounter()
+    counter = SolveCounter()  # solves of the current iteration
+    seconds = {}  # wall time of the current iteration, by phase
 
-    marks = [0, 0]
-    basis = build_bases(system, interp, one_sided=one_sided, counter=counter)
-    for it in range(1, config.max_iter + 1):
+    def timed(phase, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        rom = reduce(system, basis)
-        pencil = companion(rom)
-        t1 = time.perf_counter()
-        try:
-            new_interp = update_interpolation(pencil, config, warm_start=interp)
-        except PencilSingularError:
-            # resonant intermediate model: nudge all shifts, rebuild, retry once
-            interp = _perturb(interp)
-            basis = build_bases(system, interp, one_sided=one_sided, counter=counter)
-            rom = reduce(system, basis)
-            pencil = companion(rom)
-            new_interp = update_interpolation(pencil, config, warm_start=interp)
-        t2 = time.perf_counter()
-        metric = convergence_metric(interp.shifts, new_interp.shifts)
-        interp = new_interp
-        basis = build_bases(system, interp, one_sided=one_sided, counter=counter)
-        t3 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - t0
+        return out
+
+    def bases(interp):
+        return timed("solve", build_bases, system, interp, one_sided=one_sided,
+                     counter=counter)
+
+    def step(basis, interp):
+        rom = timed("reduce", reduce, system, basis)
+        pencil = timed("reduce", companion, rom)
+        return timed("update", update_interpolation, pencil, config, warm_start=interp)
+
+    def record(metric, interp):
         trace.records.append(
             IterationRecord(
-                iteration=it,
+                iteration=trace.iterations + 1,
                 metric=metric,
                 shifts=interp.shifts.copy(),
-                right_solves=counter.right - marks[0],
-                left_solves=counter.left - marks[1],
-                seconds={
-                    "reduce": t1 - t0,
-                    "update": t2 - t1,
-                    "solve": t3 - t2,
-                },
+                right_solves=counter.right,
+                left_solves=counter.left,
+                seconds=dict(seconds),
             )
         )
-        marks = [counter.right, counter.left]
-        if metric <= config.shift_tol:
-            trace.converged = True
-            break
+        counter.right = counter.left = 0
+        seconds.clear()
+
+    interp, basis, _, trace.converged = _shift_iteration(
+        interp, bases, step, config.max_iter, config.shift_tol, record
+    )
     rom = reduce(system, basis)
     trace.final_order = rom.order
     trace.final_interpolation = interp

@@ -28,18 +28,14 @@ def is_symmetric(A, tol=0.0):
     return (diff.max() if diff.nnz else 0.0) <= tol
 
 
-def assemble_shifted_augmented(system, sigma, transposed=False):
-    """Assemble the augmented sparse matrix for one interpolation shift.
-
-    Untransposed layout (drives right tangential solves)::
+def assemble_shifted_augmented(system, sigma):
+    """Assemble the augmented sparse matrix for one interpolation shift::
 
         [ sigma^2 M11 + sigma L11 + K11   K12 ]
         [            K21                  K22 ]
 
-    With ``transposed=True`` the matrix is built directly from the
-    transposed blocks (K21^T in the (1,2) position), which equals the
-    entrywise transpose of the untransposed assembly and drives left
-    tangential solves.
+    It drives the right tangential solves; the left solves use its
+    transpose through the same factorization.
 
     Returns
     -------
@@ -47,12 +43,8 @@ def assemble_shifted_augmented(system, sigma, transposed=False):
     """
     sigma = complex(sigma)
     M11, L11, K11 = system.M11, system.L11, system.K11
-    K12, K21, K22 = system.K12, system.K21, system.K22
     S11 = (sigma * sigma) * M11 + sigma * L11 + K11.astype(COMPLEX_DTYPE)
-    if transposed:
-        blocks = [[S11.T, K21.T], [K12.T, K22.T]]
-    else:
-        blocks = [[S11, K12], [K21, K22]]
+    blocks = [[S11, system.K12], [system.K21, system.K22]]
     out = sp.bmat(
         [[as_canonical_csc(b, dtype=COMPLEX_DTYPE) for b in row] for row in blocks],
         format="csc",

@@ -130,11 +130,11 @@ def _pair_matches(A, B_t, scale):
 def validate(system):
     """Check block shapes, the index-1 condition, and structural symmetry.
 
-    Shape inconsistencies raise :class:`StructuralError` naming the
-    offending block; a singular K22 raises
-    :class:`Index1ViolationError`. Symmetry means: M11, L11, K11, K22,
-    Da symmetric, K21 = K12^T, H1 = F1^T and H2 = F2^T, each to 1e-12
-    relative to the blocks involved.
+    Shape inconsistencies and NaN or Inf entries raise
+    :class:`StructuralError` naming the offending block; a singular K22
+    raises :class:`Index1ViolationError`. Symmetry means: M11, L11, K11,
+    K22, Da symmetric, K21 = K12^T, H1 = F1^T and H2 = F2^T, each to
+    1e-12 relative to the blocks involved.
 
     Returns
     -------
@@ -156,11 +156,13 @@ def validate(system):
         "Da": (p, m),
     }
     for name, shape in expected.items():
-        actual = getattr(system, name).shape
-        if tuple(actual) != shape:
+        block = getattr(system, name)
+        if tuple(block.shape) != shape:
             raise StructuralError(
-                f"block {name} has shape {tuple(actual)}, expected {shape}"
+                f"block {name} has shape {tuple(block.shape)}, expected {shape}"
             )
+        if not np.isfinite(block.data if sp.issparse(block) else block).all():
+            raise StructuralError(f"block {name} has non-finite entries")
     if min(n1, n2, m, p) < 1:
         raise StructuralError("all block dimensions must be at least 1")
 
@@ -180,7 +182,7 @@ def validate(system):
         symmetric = symmetric and _pair_matches(system.H2, system.F2.T, scale_h)
         da = system.Da
         symmetric = symmetric and _pair_matches(da, da.T, _max_abs(da))
-    return SystemReport(n1=n1, n2=n2, m=m, p=p, index1=True, symmetric=symmetric)
+    return SystemReport(n1=n1, n2=n2, m=m, p=p, index1=True, symmetric=bool(symmetric))
 
 
 @dataclass(frozen=True)

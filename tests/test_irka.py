@@ -3,11 +3,14 @@ projection, the inner first-order loop, and the outer driver."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from morkit import analysis
+from morkit import analysis, irka
 from morkit.errors import (
     ConvergenceWarning,
     DimensionError,
+    PencilSingularError,
+    RankDeficiencyWarning,
     ShiftCollisionError,
     StructuralError,
 )
@@ -16,6 +19,8 @@ from morkit.irka import (
     IrkaConfig,
     ProjectionBasis,
     SolveCounter,
+    _perturb,
+    _shift_iteration,
     back_to_index1,
     build_bases,
     companion,
@@ -32,9 +37,10 @@ from morkit.irka import (
     tangential_solve_right,
     update_interpolation,
 )
-from morkit.system import to_dense_schur
+from morkit.sparse import assemble_shifted_augmented
+from morkit.system import SecondOrderIndex1System, to_dense_schur
 
-from conftest import damped_pairs, scalar_system
+from conftest import GRID, damped_pairs, grid_ids, scalar_system
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,21 @@ def test_left_solve_through_untransposed_factorization(s1):
     np.testing.assert_allclose(wa, wb, rtol=1e-14)
 
 
+@pytest.mark.parametrize("n1, n2, m, p, sym, seed", GRID[:8], ids=grid_ids()[:8])
+def test_left_solve_is_the_transposed_augmented_solve(make_system, n1, n2, m, p, sym, seed):
+    # the left solve goes through the LU of the untransposed matrix; check it
+    # against a dense solve with the entrywise transpose
+    system = make_system(n1, n2, m, p, seed, symmetric=sym)
+    rng = np.random.default_rng(seed + 17)
+    sigma = complex(rng.uniform(0.1, 10.0), rng.uniform(10.0, 1e4))
+    c = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    A = assemble_shifted_augmented(system, sigma).toarray()
+    rhs = np.concatenate([system.H1.T @ c, system.H2.T @ c])
+    expected = np.linalg.solve(A.T, rhs)[:n1]
+    w = tangential_solve_left(system, sigma, c)
+    assert np.linalg.norm(w - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_solve_direction_length_checked(s1):
     with pytest.raises(DimensionError):
         tangential_solve_right(s1, 0.0, [1.0, 2.0])
@@ -204,25 +225,40 @@ def test_build_bases_conjugate_pair_real_columns(make_system):
     np.testing.assert_allclose(basis.W.T @ basis.W, np.eye(2), atol=1e-13)
 
 
-def test_build_bases_one_sided_counts(make_system):
+def _count_factorizations(monkeypatch):
+    """Record the shift of every augmented factorization build_bases makes."""
+    shifts = []
+    original = irka.factor_augmented
+
+    def counting(system, sigma):
+        shifts.append(sigma)
+        return original(system, sigma)
+
+    monkeypatch.setattr(irka, "factor_augmented", counting)
+    return shifts
+
+
+def test_build_bases_one_sided_counts(make_system, monkeypatch):
     system = make_system(40, 10, 2, 2, 0)
+    factored = _count_factorizations(monkeypatch)
     counter = SolveCounter()
     basis = build_bases(system, damped_pairs(4, 2, 2, seed=1), one_sided=True,
                         counter=counter)
     assert counter.left == 0
     assert counter.right == 2          # one per conjugate-pair representative
-    assert counter.factorizations == 2
+    assert len(factored) == 2
     assert basis.one_sided
     assert basis.W is basis.V
 
 
-def test_build_bases_two_sided_counts(make_system):
+def test_build_bases_two_sided_counts(make_system, monkeypatch):
     system = make_system(40, 10, 2, 2, 0)
+    factored = _count_factorizations(monkeypatch)
     counter = SolveCounter()
     build_bases(system, damped_pairs(4, 2, 2, seed=1), counter=counter)
     assert counter.right == 2
     assert counter.left == 2
-    assert counter.factorizations == 2  # the LU is shared by both sides
+    assert len(factored) == 2  # the LU is shared by both sides
 
 
 def test_build_bases_requires_closure(s1):
@@ -396,6 +432,66 @@ def test_update_siso_directions_are_unit(s1):
 
 
 # ---------------------------------------------------------------------------
+# the shift iteration shared by both levels
+
+
+def _two_real_shifts():
+    return InterpolationData(np.array([2.0, 5.0]), np.ones((2, 1)), np.ones((2, 1)))
+
+
+def test_shift_iteration_retries_a_singular_step_at_perturbed_shifts():
+    start = _two_real_shifts()
+    built, stepped = [], []
+
+    def bases(interp):
+        built.append(interp.shifts.copy())
+        return len(built)
+
+    def step(basis, interp):
+        stepped.append((basis, interp.shifts.copy()))
+        if len(stepped) == 1:
+            raise PencilSingularError("resonant projection")
+        return interp  # a fixed point
+
+    interp, basis, iterations, converged = _shift_iteration(
+        start, bases, step, max_iter=5, tol=1e-12)
+    perturbed = _perturb(start).shifts
+    np.testing.assert_array_equal(stepped[0][1], start.shifts)
+    # the retry steps on bases rebuilt at exactly the perturbed shifts
+    assert stepped[1][0] == 2
+    np.testing.assert_array_equal(built[1], perturbed)
+    np.testing.assert_array_equal(stepped[1][1], perturbed)
+    np.testing.assert_array_equal(interp.shifts, perturbed)
+    assert (basis, iterations, converged) == (3, 1, True)
+
+
+def test_shift_iteration_second_consecutive_singular_step_propagates():
+    steps = []
+
+    def step(basis, interp):
+        steps.append(interp.shifts.copy())
+        raise PencilSingularError("resonant projection")
+
+    with pytest.raises(PencilSingularError):
+        _shift_iteration(_two_real_shifts(), lambda interp: None, step, 5, 1e-12)
+    assert len(steps) == 2
+
+
+def test_shift_iteration_records_each_step_and_stops_at_the_cap():
+    records = []
+
+    def halve(basis, interp):
+        return InterpolationData(interp.shifts / 2.0, interp.b, interp.c)
+
+    interp, basis, iterations, converged = _shift_iteration(
+        _two_real_shifts(), lambda interp: None, halve, 3, 1e-3,
+        record=lambda metric, interp: records.append((metric, interp.shifts[0])))
+    assert (iterations, converged) == (3, False)
+    assert records == [(0.5, 1.0), (0.5, 0.5), (0.5, 0.25)]
+    np.testing.assert_array_equal(interp.shifts, [0.25, 0.625])
+
+
+# ---------------------------------------------------------------------------
 # outer driver
 
 
@@ -452,6 +548,47 @@ def test_driver_trace_structure(make_system):
     text = trace.format()
     assert "seconds" not in text
     assert trace.format(include_timings=True) != text
+
+
+def test_driver_retries_a_singular_update_once(make_system, monkeypatch):
+    system = make_system(40, 10, 1, 1, 1)
+    original = irka.update_interpolation
+    warm_starts = []
+
+    def singular_once(pencil, config, warm_start=None):
+        warm_starts.append(warm_start)
+        if len(warm_starts) == 1:
+            raise PencilSingularError("resonant intermediate model")
+        return original(pencil, config, warm_start=warm_start)
+
+    monkeypatch.setattr(irka, "update_interpolation", singular_once)
+    rom, trace = irka_second_order_index1(system, IrkaConfig(r=3, max_iter=4))
+    np.testing.assert_array_equal(warm_starts[1].shifts, _perturb(warm_starts[0]).shifts)
+    assert trace.iterations >= 2
+    assert len(warm_starts) == trace.iterations + 1
+    assert [rec.iteration for rec in trace.records] == list(range(1, trace.iterations + 1))
+    # iteration 1 solves at the initial, the perturbed and the updated shifts
+    assert trace.records[0].right_solves == sum(
+        len(irka._representatives(interp)) for interp in warm_starts[:3])
+
+
+def test_driver_deflated_reduction_ends_at_lower_order():
+    # tangential solutions stay in span(e1, e2), so the intermediate
+    # model's companion pencil has order 4 < r = 5
+    n1 = 10
+    M11 = sp.eye(n1, format="csc")
+    K11 = sp.diags(np.linspace(100.0, 1000.0, n1), format="csc")
+    F1 = np.zeros((n1, 1))
+    F1[:2] = 1.0
+    system = SecondOrderIndex1System(
+        M11=M11, L11=0.5 * M11 + 1e-4 * K11, K11=K11,
+        K12=sp.csc_array((n1, 2)), K21=sp.csc_array((2, n1)), K22=sp.eye(2, format="csc"),
+        F1=F1, F2=np.zeros((2, 1)), H1=F1.T, H2=np.zeros((1, 2)), Da=np.zeros((1, 1)),
+    )
+    with pytest.warns(RankDeficiencyWarning):
+        rom, trace = irka_second_order_index1(system, IrkaConfig(r=5))
+    assert trace.converged
+    assert trace.final_order == rom.order == 2
 
 
 def test_driver_iteration_cap_warns(make_system):

@@ -1,12 +1,9 @@
 """Canonical CSC storage, symmetry checks and the shifted augmented matrix."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, is_symmetric
-
-from conftest import GRID, grid_ids
 
 
 def test_as_canonical_csc_idempotent():
@@ -56,23 +53,3 @@ def test_augmented_sigma_zero_is_stiffness(s1):
 def test_augmented_sigma_j(s1):
     A = assemble_shifted_augmented(s1, 1j)
     np.testing.assert_allclose(A.toarray(), [[4.0 + 2.0j, 1.0], [1.0, 2.0]], atol=0.0)
-
-
-def test_augmented_transposed_symmetric_case(s1):
-    A = assemble_shifted_augmented(s1, 0.0)
-    At = assemble_shifted_augmented(s1, 0.0, transposed=True)
-    np.testing.assert_array_equal(A.toarray(), At.toarray())
-
-
-@pytest.mark.parametrize("n1, n2, m, p, sym, seed", GRID[:8], ids=grid_ids()[:8])
-def test_augmented_transposed_equals_entrywise_transpose(
-    make_system, n1, n2, m, p, sym, seed
-):
-    system = make_system(n1, n2, m, p, seed, symmetric=sym)
-    rng = np.random.default_rng(seed + 17)
-    sigma = complex(rng.uniform(0.1, 10.0), rng.uniform(10.0, 1e4))
-    A = assemble_shifted_augmented(system, sigma)
-    At = assemble_shifted_augmented(system, sigma, transposed=True)
-    diff = abs(At - A.T)
-    assert (diff.max() if diff.nnz else 0.0) == 0.0
-    assert A.shape == (n1 + n2, n1 + n2)

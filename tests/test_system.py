@@ -36,6 +36,22 @@ def test_validate_asymmetric_output_map():
     assert report.index1
 
 
+@pytest.mark.parametrize("block, value", [("K11", np.nan), ("K22", np.inf),
+                                          ("F1", np.inf), ("Da", -np.inf)])
+def test_validate_names_non_finite_block(block, value):
+    system = generate_synthetic(40, 10, 2, 2, seed=0)
+    data = getattr(system, block)
+    (data.data if sp.issparse(data) else data.ravel())[0] = value
+    with pytest.raises(StructuralError, match=f"block {block} has non-finite"):
+        validate(system)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_validate_symmetry_is_a_python_bool(symmetric):
+    report = validate(generate_synthetic(40, 10, 2, 2, seed=0, symmetric=symmetric))
+    assert report.symmetric is symmetric
+
+
 def test_to_dense_schur_s1(s1):
     dense = to_dense_schur(s1)
     assert dense.M[0, 0] == 1.0
