@@ -53,7 +53,7 @@ def eval_reduced(rom, s):
     """Evaluate a reduced model's transfer function at s (dense)."""
     s = complex(s)
     A = (s * s) * rom.M + s * rom.L + rom.K
-    X = dense_solve(A.astype(np.complex128), rom.F.astype(np.complex128))
+    X = dense_solve(A, rom.F)
     return TransferSample(s=s, G=rom.H @ X + rom.D)
 
 

@@ -18,6 +18,14 @@ from .errors import (
 )
 
 
+# LAPACK getrf/getrs/gecon/lange for dense_solve, looked up once per dtype
+_LU_ROUTINES = {
+    dtype: sla.get_lapack_funcs(("getrf", "getrs", "gecon", "lange"), dtype=dtype)
+    for dtype in (np.float64, np.complex128)
+}
+_EPS = np.finfo(np.float64).eps  # also complex128's
+
+
 @dataclass(frozen=True)
 class EigenTriplet:
     """One eigenvalue with matched right and left eigenvectors.
@@ -121,22 +129,48 @@ def sigma_max(G):
 
 
 def dense_solve(A, B):
-    """Solve the dense square system ``A X = B``.
+    """Solve the dense square system ``A X = B`` by LU with partial pivoting.
 
-    Raises :class:`SingularMatrixError` when LU pivoting breaks down.
+    Works in float64, or complex128 when either operand is complex, and
+    returns bitwise what ``scipy.linalg.solve(A, B, assume_a="gen")``
+    returns, with its checks, minus its per-call dispatch: NaN or Inf
+    input raises ``ValueError``, an exactly zero pivot raises
+    :class:`SingularMatrixError`, and a reciprocal condition estimate
+    below machine epsilon warns with ``scipy.linalg.LinAlgWarning``.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"coefficient matrix must be square, got shape {A.shape}")
-    if B.shape[0] != A.shape[0]:
+    if B.ndim not in (1, 2) or B.shape[0] != A.shape[0]:
         raise DimensionError(
-            f"right-hand side has {B.shape[0]} rows, matrix has {A.shape[0]}"
+            f"right-hand side of shape {B.shape} does not match {A.shape[0]} rows"
         )
-    try:
-        # assume_a pins the general LU path: the structure auto-detection
-        # added to scipy.linalg.solve divides through exactly-singular
-        # diagonal matrices instead of raising
-        return sla.solve(A, B, assume_a="gen")
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"dense solve failed: {exc}") from exc
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    dtype = np.complex128 if np.iscomplexobj(A) or np.iscomplexobj(B) else np.float64
+    if B.size == 0:
+        return np.empty(B.shape, dtype)
+    if A.shape[0] == 1:
+        # scipy's scalar path: a plain division, no condition estimate
+        a = A.astype(dtype)[0, 0]
+        if a == 0:
+            raise SingularMatrixError("dense solve failed: zero 1x1 matrix", column=0)
+        return B.astype(dtype) / a
+    getrf, getrs, gecon, lange = _LU_ROUTINES[dtype]
+    a = np.array(A, dtype=dtype, order="F")
+    # the estimate scipy reports: the infinity norm fed to the 1-norm estimator
+    anorm = lange("I", a)
+    lu, piv, info = getrf(a, overwrite_a=True)
+    if info > 0:
+        raise SingularMatrixError("dense solve failed: exactly zero pivot", column=info - 1)
+    rcond, _ = gecon(lu, anorm, norm="1")
+    if rcond < _EPS:
+        warnings.warn(
+            f"ill-conditioned matrix (rcond={rcond:.6g}): result may not be accurate",
+            sla.LinAlgWarning,
+            stacklevel=2,
+        )
+    b = np.array(B.reshape(B.shape[0], -1), dtype=dtype, order="F")
+    x, _ = getrs(lu, piv, b, overwrite_b=True)
+    return x[:, 0] if B.ndim == 1 else np.ascontiguousarray(x)

@@ -917,7 +917,7 @@ def load_reduced_model(directory):
     """Load a reduced model written by :func:`save_reduced_model`."""
     from pathlib import Path
 
-    import scipy.io
+    from .system import _read_matrix
 
     directory = Path(directory)
     blocks = {}
@@ -925,7 +925,7 @@ def load_reduced_model(directory):
         target = directory / filename
         if not target.is_file():
             raise StructuralError(f"reduced-model file missing: {target}")
-        data = scipy.io.mmread(str(target))
+        data = _read_matrix(target)
         blocks[name] = np.asarray(
             data.toarray() if sp.issparse(data) else data, dtype=np.float64
         )

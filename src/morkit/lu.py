@@ -128,14 +128,21 @@ def factor(A, ordering="amd"):
 
 
 def _check_pivots(A, lu):
-    """Reject factorizations whose pivots are negligible relative to A."""
-    udiag = np.abs(lu.U.diagonal())
-    colmax = np.abs(A).max(axis=0)
-    if sp.issparse(colmax):
-        colmax = colmax.toarray()
-    colmax = np.ravel(colmax)
+    """Reject factorizations whose pivots are negligible relative to A.
+
+    A pivot is negligible when ``|u_jj| <= eps * n * colmax``, colmax the
+    largest modulus in its column of `A` (canonical CSC). The pivots are
+    read off SuperLU's own U, whose diagonal needs no sorted copy.
+    """
+    udiag = np.abs(lu._superlu.U.diagonal())
+    scale = np.finfo(np.float64).eps * lu.n
+    absdata = np.abs(A.data[: A.nnz])
+    # every column maximum is at most the largest entry, so pivots above
+    # that entry's bound pass every column's bound as well
+    if absdata.size and udiag.min() > scale * absdata.max():
+        return
     # U's column j holds the pivot for original column perm_c[j]
-    tiny = np.finfo(np.float64).eps * lu.n * colmax[lu.perm_c]
+    tiny = scale * _column_abs_max(A, absdata)[lu.perm_c]
     bad = np.flatnonzero(udiag <= tiny)
     if bad.size:
         col = int(lu.perm_c[bad[0]])
@@ -143,3 +150,14 @@ def _check_pivots(A, lu):
             "sparse LU produced a negligible pivot; matrix is numerically singular",
             column=col,
         )
+
+
+def _column_abs_max(A, absdata):
+    """Largest of `absdata` (the moduli of canonical CSC `A`'s stored
+    entries) in each column of `A`, 0 in empty columns."""
+    starts = A.indptr[:-1]
+    filled = np.flatnonzero(A.indptr[1:] > starts)
+    colmax = np.zeros(A.shape[1])
+    if filled.size:
+        colmax[filled] = np.maximum.reduceat(absdata, starts[filled])
+    return colmax

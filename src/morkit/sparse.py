@@ -40,13 +40,46 @@ def assemble_shifted_augmented(system, sigma):
     Returns
     -------
     scipy.sparse.csc_array of complex128, shape (n1+n2, n1+n2)
+        Canonical, as the system's blocks are; entries of the shifted
+        block that cancel to zero are dropped, explicit zeros of the
+        other blocks are kept.
     """
     sigma = complex(sigma)
     M11, L11, K11 = system.M11, system.L11, system.K11
     S11 = (sigma * sigma) * M11 + sigma * L11 + K11.astype(COMPLEX_DTYPE)
-    blocks = [[S11, system.K12], [system.K21, system.K22]]
-    out = sp.bmat(
-        [[as_canonical_csc(b, dtype=COMPLEX_DTYPE) for b in row] for row in blocks],
-        format="csc",
-    )
-    return as_canonical_csc(out)
+    return _stack_block_columns(((S11, system.K21), (system.K12, system.K22)), system.n1)
+
+
+def _stack_block_columns(block_columns, n_top):
+    """Complex CSC matrix of block columns, each a (top, bottom) pair of
+    canonical CSC blocks whose tops have `n_top` rows.
+
+    Each column holds the top block's entries, then the bottom block's
+    moved down by `n_top`: the arrays ``sp.bmat(..., format="csc")``
+    builds, written straight into place in one pass per block.
+    """
+    blocks = [block for column in block_columns for block in column]
+    nnz = sum(block.nnz for block in blocks)
+    n_rows = n_top + block_columns[0][1].shape[0]
+    n_cols = sum(top.shape[1] for top, _ in block_columns)
+    idx = sp.get_index_dtype([b.indptr for b in blocks], maxval=max(nnz, n_rows, n_cols))
+    data = np.empty(nnz, COMPLEX_DTYPE)
+    indices = np.empty(nnz, idx)
+    indptr = np.zeros(n_cols + 1, idx)
+    col = start = 0
+    for top, bottom in block_columns:
+        tp, bp = top.indptr, bottom.indptr
+        cols = slice(col + 1, col + 1 + top.shape[1])
+        np.add(tp[1:], bp[1:], out=indptr[cols])
+        indptr[cols] += start
+        # entry k of the top block's column c lands at start + k + bp[c],
+        # entry k of the bottom block's column c at start + k + tp[c + 1]
+        at = np.arange(start, start + top.nnz, dtype=idx) + np.repeat(bp[:-1], np.diff(tp))
+        data[at] = top.data
+        indices[at] = top.indices
+        at = np.arange(start, start + bottom.nnz, dtype=idx) + np.repeat(tp[1:], np.diff(bp))
+        data[at] = bottom.data
+        indices[at] = bottom.indices + n_top
+        col = cols.stop - 1
+        start += top.nnz + bottom.nnz
+    return sp.csc_array((data, indices, indptr), shape=(n_rows, n_cols))

@@ -15,6 +15,7 @@ package never forms that complement for large systems, but
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -366,6 +367,25 @@ def _write_matrix(path, A):
     os.replace(tmp, path)
 
 
+# scipy's Matrix Market reader starts a thread pool per file, sized to
+# the machine; on files of this size the pool costs more than it saves
+_MM_READER = getattr(scipy.io, "_fast_matrix_market", None)
+_MM_READER_LOCK = threading.Lock()
+
+
+def _read_matrix(path):
+    """``scipy.io.mmread`` of one file, parsed on the calling thread."""
+    if not hasattr(_MM_READER, "PARALLELISM"):
+        return scipy.io.mmread(str(path))
+    with _MM_READER_LOCK:
+        saved = _MM_READER.PARALLELISM
+        _MM_READER.PARALLELISM = 1
+        try:
+            return scipy.io.mmread(str(path))
+        finally:
+            _MM_READER.PARALLELISM = saved
+
+
 def save_system(system, directory):
     """Write all eleven blocks as Matrix Market files plus a manifest.
 
@@ -405,13 +425,13 @@ def load_system(manifest_path):
         target = base / kv[name]
         if not target.is_file():
             raise StructuralError(f"block file for {name} not found: {target}")
-        data = scipy.io.mmread(str(target))
+        data = _read_matrix(target)
         if name in _DENSE_BLOCKS:
             blocks[name] = np.asarray(
                 data.toarray() if sp.issparse(data) else data, dtype=np.float64
             )
         else:
-            blocks[name] = as_canonical_csc(data, dtype=np.float64)
+            blocks[name] = data  # canonicalized by the constructor
     system = SecondOrderIndex1System(**blocks)
     declared = {k: int(kv[k]) for k in ("n1", "n2", "m", "p")}
     actual = {"n1": system.n1, "n2": system.n2, "m": system.m, "p": system.p}

@@ -1,7 +1,10 @@
 """Dense kernels: orthonormalization, pencil eigensolve, sigma_max."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from morkit.dense import (
     dense_solve,
@@ -148,3 +151,88 @@ def test_dense_solve_singular_raises():
 def test_dense_solve_dimension_mismatch():
     with pytest.raises(DimensionError):
         dense_solve(np.eye(2), np.ones(3))
+
+
+def _scipy_solve(A, B):
+    return sla.solve(A, B, assume_a="gen")
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("kinds", ["real", "complex", "real-A", "real-B"])
+@pytest.mark.parametrize("rhs", ["1d", "one-column", "block"])
+def test_dense_solve_is_bitwise_scipy_solve(n, layout, kinds, rhs):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + n * np.eye(n)
+    B = rng.standard_normal((n, 3))
+    if kinds in ("complex", "real-B"):
+        A = A + 1j * rng.standard_normal((n, n))
+    if kinds in ("complex", "real-A"):
+        B = B + 1j * rng.standard_normal((n, 3))
+    if layout == "F":
+        A = A.T  # a transposed view, as irka_first_order passes Ms.T
+    B = {"1d": B[:, 0], "one-column": B[:, :1], "block": B}[rhs]
+    _assert_same_bytes(dense_solve(A, B), _scipy_solve(A, B))
+
+
+def test_dense_solve_mixed_operands_as_in_dense_schur():
+    # DenseSchurSystem.evaluate: complex s^2 M + s L + K against a real F
+    rng = np.random.default_rng(7)
+    M, L, K = (rng.standard_normal((5, 5)) for _ in range(3))
+    F = rng.standard_normal((5, 2))
+    s = 0.3 + 40j
+    A = s * s * M + s * L + K
+    _assert_same_bytes(dense_solve(A, F), _scipy_solve(A, F))
+
+
+def test_dense_solve_exactly_singular_raises():
+    with pytest.raises(SingularMatrixError):
+        dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 2)))
+    with pytest.raises(SingularMatrixError):
+        dense_solve(np.zeros((1, 1)), np.ones(1))
+
+
+@pytest.mark.parametrize("where", ["A", "B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dense_solve_rejects_non_finite(where, value):
+    A, B = np.eye(3), np.ones((3, 2))
+    (A if where == "A" else B)[1, 1] = value
+    with pytest.raises(ValueError):
+        dense_solve(A, B)
+
+
+def test_dense_solve_warns_on_ill_conditioned():
+    A = np.array([[1.0, 1.0], [0.0, 1e-20]])  # nonsingular, rcond ~ 1e-20
+    with pytest.warns(sla.LinAlgWarning):
+        X = dense_solve(A, np.ones(2))
+    with pytest.warns(sla.LinAlgWarning):
+        _assert_same_bytes(X, _scipy_solve(A, np.ones(2)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dense_solve_warns_exactly_when_scipy_does(seed):
+    # rcond near eps; the heavy first row parts the 1- and infinity
+    # norms, so a different norm in the estimate flips some verdicts
+    rng = np.random.default_rng(seed)
+    n = 12
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (U * np.logspace(0, -rng.uniform(11.5, 14.5), n)) @ V.T
+    A[0] *= 100.0
+    if seed % 2:
+        A = A + 0.1j * A @ rng.standard_normal((n, n))
+
+    def warned(solve):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(A, np.ones(n))
+        return any(issubclass(w.category, sla.LinAlgWarning) for w in caught)
+
+    assert warned(dense_solve) == warned(_scipy_solve)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from morkit.errors import DimensionError, SingularMatrixError
-from morkit.lu import factor
+from morkit.lu import _column_abs_max, factor
 from morkit.sparse import assemble_shifted_augmented
 
 from conftest import GRID, grid_ids
@@ -49,6 +49,14 @@ def test_negligible_pivot_reports_column():
         factor(A)
     assert err.value.column in (0, 1)
     assert "column" in str(err.value)
+
+
+def test_pivot_small_only_beside_another_column_passes():
+    # the pivot 1.0 is below eps * n * 1e20 but well above its own
+    # column's bound, which is the one that counts
+    A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
+    lu = factor(A)
+    np.testing.assert_array_equal(np.sort(np.abs(lu.U.diagonal())), [1.0, 1e20])
 
 
 def test_structurally_singular_raises():
@@ -165,3 +173,19 @@ def test_augmented_factorization_succeeds_off_spectrum(
     rhs[0] = 1.0
     x = lu.solve(rhs)
     np.testing.assert_allclose(A @ x, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_column_abs_max_matches_sparse_max(dtype):
+    # empty columns (first, middle, last), an explicit zero, -0.0 and
+    # negative entries; complex entries compare by modulus
+    data = np.array([-3.0, 0.0, 2.0, -0.0, -7.5, 1.0], dtype=dtype)
+    if dtype == np.complex128:
+        data = data + 1j * np.array([4.0, 0.0, -1.0, 0.0, 0.5, -2.0])
+    indices = np.array([0, 3, 1, 2, 0, 3])
+    indptr = np.array([0, 0, 3, 3, 4, 6, 6])
+    A = sp.csc_array((data, indices, indptr), shape=(4, 6))
+    want = np.ravel(np.abs(A).max(axis=0).toarray())
+    got = _column_abs_max(A, np.abs(A.data))
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == got[2] == got[5] == 0.0

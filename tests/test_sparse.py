@@ -1,9 +1,11 @@
 """Canonical CSC storage, symmetry checks and the shifted augmented matrix."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, is_symmetric
+from morkit.system import SecondOrderIndex1System, generate_synthetic
 
 
 def test_as_canonical_csc_idempotent():
@@ -53,3 +55,60 @@ def test_augmented_sigma_zero_is_stiffness(s1):
 def test_augmented_sigma_j(s1):
     A = assemble_shifted_augmented(s1, 1j)
     np.testing.assert_allclose(A.toarray(), [[4.0 + 2.0j, 1.0], [1.0, 2.0]], atol=0.0)
+
+
+def _bmat_reference(system, sigma):
+    """The shifted augmented matrix by the plain block route: every block
+    made canonical complex CSC, stacked by ``sp.bmat``, canonicalized."""
+    sigma = complex(sigma)
+    S11 = (sigma * sigma) * system.M11 + sigma * system.L11 + system.K11.astype(np.complex128)
+    blocks = [[S11, system.K12], [system.K21, system.K22]]
+    out = sp.bmat(
+        [[as_canonical_csc(b, dtype=np.complex128) for b in row] for row in blocks],
+        format="csc",
+    )
+    return as_canonical_csc(out)
+
+
+def _stored(entries, shape, index_dtype=np.int32):
+    """CSC block storing exactly `entries` {(row, col): value}, zeros included."""
+    cols = [sorted((r, v) for (r, c), v in entries.items() if c == j) for j in range(shape[1])]
+    indptr = np.cumsum([0] + [len(col) for col in cols]).astype(index_dtype)
+    indices = np.array([r for col in cols for r, _ in col], dtype=index_dtype)
+    data = np.array([v for col in cols for _, v in col], dtype=np.float64)
+    return sp.csc_array((data, indices, indptr), shape=shape)
+
+
+def _awkward_system(coupling_index):
+    """Nonsymmetric 3+2 system with explicit zeros and -0.0 in every
+    block kind, entries that cancel at sigma = 0 and sigma = 1, an empty
+    column in K12 and `coupling_index` indices on K12 and K21."""
+    return SecondOrderIndex1System(
+        # (1, 1) cancels at sigma = 1: 1 - 1 + 0; (2, 0) only in M11, gone at 0
+        M11=_stored({(0, 0): 2.0, (1, 1): 1.0, (2, 0): 3.0, (2, 2): 1.0}, (3, 3)),
+        L11=_stored({(0, 0): 0.5, (1, 1): -1.0, (0, 2): -0.0}, (3, 3)),
+        K11=_stored({(0, 0): 4.0, (1, 1): 0.0, (2, 2): -0.0, (1, 2): 7.0}, (3, 3)),
+        K12=_stored({(0, 0): 1.0, (2, 0): 0.0}, (3, 2), coupling_index),
+        K21=_stored({(0, 1): -0.0, (1, 0): 2.0, (1, 2): 5.0}, (2, 3), coupling_index),
+        K22=_stored({(0, 0): 3.0, (1, 1): 0.0, (0, 1): -2.0}, (2, 2)),
+        F1=np.ones((3, 1)), F2=np.ones((2, 1)),
+        H1=np.ones((2, 3)), H2=np.ones((2, 2)), Da=np.zeros((2, 1)),
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 3j, 0.25 - 4j, 1e3 + 2e4j])
+@pytest.mark.parametrize("kind", ["awkward-int32", "awkward-int64", "generated"])
+def test_augmented_is_bytewise_the_bmat_route(kind, sigma):
+    if kind.startswith("awkward"):
+        system = _awkward_system(np.int32 if kind.endswith("32") else np.int64)
+        assert np.signbit(system.K21.data).any()  # -0.0 and explicit zeros survive
+        assert (system.K22.data == 0).any()
+    else:
+        system = generate_synthetic(30, 8, 2, 3, seed=4, symmetric=False)
+    got = assemble_shifted_augmented(system, sigma)
+    want = _bmat_reference(system, sigma)
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        assert a.tobytes() == b.tobytes(), attr

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from morkit.errors import Index1ViolationError, StructuralError
+from morkit.sparse import as_canonical_csc
 from morkit.system import (
     generate_synthetic,
     load_system,
@@ -210,3 +212,47 @@ def test_generate_damping_is_proportional():
 def test_generate_zero_feedthrough():
     system = generate_synthetic(30, 8, 2, 2, seed=5)
     np.testing.assert_array_equal(system.Da, np.zeros((2, 2)))
+
+
+def test_matrix_market_files_are_read_on_one_thread(tmp_path, monkeypatch):
+    reader = pytest.importorskip("scipy.io._fast_matrix_market")
+    seen = []
+    real_mmread = scipy.io.mmread
+
+    def spy(source):
+        seen.append(reader.PARALLELISM)
+        return real_mmread(source)
+
+    monkeypatch.setattr(scipy.io, "mmread", spy)
+    monkeypatch.setattr(reader, "PARALLELISM", 0)
+    load_system(save_system(generate_synthetic(10, 3, 1, 1, seed=0), tmp_path / "g"))
+    assert seen == [1] * 11
+    assert reader.PARALLELISM == 0
+
+
+def test_matrix_market_thread_setting_restored_after_failure(tmp_path, monkeypatch):
+    reader = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(reader, "PARALLELISM", 3)
+    manifest = save_system(generate_synthetic(10, 3, 1, 1, seed=0), tmp_path / "g")
+    (tmp_path / "g" / "K11.mtx").write_text("not a matrix market file\n")
+    with pytest.raises(ValueError):
+        load_system(manifest)
+    assert reader.PARALLELISM == 3
+
+
+def test_loaded_blocks_need_no_second_canonicalization(tmp_path):
+    # load_system leaves canonicalization to the constructor alone; a
+    # second pass, as the loader once made, must not change a byte
+    system = generate_synthetic(40, 9, 2, 2, seed=5, symmetric=False)
+    directory = tmp_path / "g"
+    loaded = load_system(save_system(system, directory))
+    for name in ("M11", "L11", "K11", "K12", "K21", "K22"):
+        block = getattr(loaded, name)
+        once = as_canonical_csc(scipy.io.mmread(directory / f"{name}.mtx"), dtype=np.float64)
+        twice = as_canonical_csc(once, dtype=np.float64)
+        assert block.format == "csc" and block.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            got = getattr(block, attr)
+            for want in (getattr(once, attr), getattr(twice, attr)):
+                assert got.dtype == want.dtype, (name, attr)
+                assert got.tobytes() == want.tobytes(), (name, attr)
