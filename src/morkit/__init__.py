@@ -42,26 +42,25 @@ from .irka import (
     IrkaConfig,
     IterationTrace,
     ProjectionBasis,
-    ReducedSecondOrderModel,
     back_to_index1,
     build_bases,
     companion,
     initial_interpolation,
     irka_first_order,
     irka_second_order_index1,
-    load_reduced_model,
     reduce,
-    save_reduced_model,
     tangential_solve_left,
     tangential_solve_right,
     update_interpolation,
 )
 from .system import (
-    DenseSchurSystem,
+    ReducedSecondOrderModel,
     SecondOrderIndex1System,
     SystemReport,
     generate_synthetic,
+    load_reduced_model,
     load_system,
+    save_reduced_model,
     save_system,
     to_dense_schur,
     validate,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompanionPencil",
     "ConvergenceWarning",
-    "DenseSchurSystem",
     "DimensionError",
     "FrequencySweep",
     "Index1ViolationError",

@@ -66,8 +66,9 @@ def schur_equivalence_check(system, points):
     over the given complex points. Intended for reference-scale
     systems (the dense route materializes the Schur complement).
     """
+    schur = to_dense_schur(system)
     return oracle_sampling_equivalence(
-        lambda s: eval_full(system, s).G, to_dense_schur(system).evaluate, points
+        lambda s: eval_full(system, s).G, lambda s: eval_reduced(schur, s).G, points
     )
 
 

@@ -28,10 +28,14 @@ from .lu import factor
 from .oracles import oracle_finite_difference_derivative
 from .sparse import assemble_shifted_augmented
 from .system import (
+    GENERATE_DAMPING,
+    GENERATE_SYMMETRIC,
     atomic_write_text,
     generate_synthetic,
+    load_reduced_model,
     load_system,
     read_keyvalue,
+    save_reduced_model,
     save_system,
     validate,
 )
@@ -107,10 +111,10 @@ def cmd_reduce(args):
     system = load_system(args.manifest)
     rom, trace = irka.irka_second_order_index1(system, config)
     out = Path(args.out)
-    irka.save_reduced_model(rom, out)
+    save_reduced_model(rom, out)
     atomic_write_text(out / "trace.log", trace.format(include_timings=args.timings))
     if args.index1_form:
-        back = irka.back_to_index1(rom, system, trace.final_basis)
+        back = irka.back_to_index1(system, trace.final_basis)
         save_system(back, out / "index1")
     marker = out / "NOT_CONVERGED"
     print(f"converged {str(trace.converged).lower()}")
@@ -125,7 +129,7 @@ def cmd_reduce(args):
 
 def cmd_analyze(args):
     system = load_system(args.manifest)
-    rom = irka.load_reduced_model(args.rom)
+    rom = load_reduced_model(args.rom)
     if rom.m != system.m or rom.p != system.p:
         raise MorkitError(
             f"reduced model is {rom.p}x{rom.m} but system is {system.p}x{system.m}"
@@ -256,8 +260,9 @@ def build_parser():
     gen.add_argument("--m", type=_positive_int, required=True)
     gen.add_argument("--p", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--symmetric", action=argparse.BooleanOptionalAction, default=True)
-    gen.add_argument("--damping", type=float, nargs=2, default=[0.5, 1e-4],
+    gen.add_argument("--symmetric", action=argparse.BooleanOptionalAction,
+                     default=GENERATE_SYMMETRIC)
+    gen.add_argument("--damping", type=float, nargs=2, default=list(GENERATE_DAMPING),
                      metavar=("ALPHA", "BETA"),
                      help="proportional damping L11 = ALPHA*M11 + BETA*K11")
     gen.add_argument("--out", required=True, help="output directory")

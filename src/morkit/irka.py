@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lu
 from .dense import dense_solve, eig_generalized, orthonormalize
@@ -43,7 +42,7 @@ from .errors import (
     StructuralError,
 )
 from .sparse import assemble_shifted_augmented
-from .system import SecondOrderIndex1System, validate
+from .system import ReducedSecondOrderModel, SecondOrderIndex1System, validate
 
 DEFAULT_FREQ_RANGE = (10.0, 1.0e4)
 
@@ -310,14 +309,6 @@ def _representatives(interp):
 # tangential solves against the sparse augmented blocks
 
 
-@dataclass
-class SolveCounter:
-    """Bookkeeping of large sparse triangular solves."""
-
-    right: int = 0
-    left: int = 0
-
-
 def factor_augmented(system, sigma):
     """Sparse LU of the shifted augmented matrix at one shift.
 
@@ -431,56 +422,52 @@ def _tangential_bases(interp, solve, one_sided=False):
     return ProjectionBasis(V=V, W=W, one_sided=False)
 
 
-def build_bases(system, interp, one_sided=False, counter=None):
+def build_bases(system, interp, one_sided=False):
     """Assemble real projection bases from one interpolation iterate.
 
     Columns come from tangential solves with the sparse augmented
-    blocks (see :func:`_tangential_bases`). One sparse LU per distinct
-    shift serves both the right solve and (two-sided case) the
-    transposed left solve.
+    blocks (see :func:`_tangential_bases`). One sparse LU per group of
+    :func:`pair_conjugates` serves both the right solve and (two-sided
+    case) the transposed left solve, so a build makes one right solve
+    per group, and as many left solves when two-sided.
 
     With ``one_sided=True`` no left solves happen and W is V; the
     reduction is then a Galerkin projection, which preserves symmetry.
     """
     if not interp.is_conjugate_closed():
         raise StructuralError("interpolation data is not conjugate closed")
-    counter = SolveCounter() if counter is None else counter
 
     def solve(sigma, b_row, c_row):
         fact = factor_augmented(system, sigma)
         v = tangential_solve_right(system, sigma, b_row, factorization=fact)
-        counter.right += 1
         if one_sided:
             return v, None
-        w = tangential_solve_left(system, sigma, c_row, factorization=fact)
-        counter.left += 1
-        return v, w
+        return v, tangential_solve_left(system, sigma, c_row, factorization=fact)
 
     return _tangential_bases(interp, solve, one_sided=one_sided)
 
 
-@dataclass
-class ReducedSecondOrderModel:
-    """Dense second-order reduced model with feed-through."""
+def _project(system, basis):
+    """Dense projections of the blocks that touch x1, by block name.
 
-    M: np.ndarray
-    L: np.ndarray
-    K: np.ndarray
-    F: np.ndarray
-    H: np.ndarray
-    D: np.ndarray
-
-    @property
-    def order(self):
-        return self.M.shape[0]
-
-    @property
-    def m(self):
-        return self.F.shape[1]
-
-    @property
-    def p(self):
-        return self.H.shape[0]
+    M11, L11, K11 become W^T (.) V; K12 becomes W^T K12 (r x n2, kept
+    skinny), K21 becomes K21 V, F1 becomes W^T F1 and H1 becomes H1 V.
+    The algebraic blocks K22, F2, H2 and Da are not touched.
+    """
+    V, W = basis.V, basis.W
+    if V.shape[0] != system.n1:
+        raise DimensionError(
+            f"basis has {V.shape[0]} rows, system has n1 = {system.n1}"
+        )
+    return {
+        "M11": W.T @ (system.M11 @ V),
+        "L11": W.T @ (system.L11 @ V),
+        "K11": W.T @ (system.K11 @ V),
+        "K12": (system.K12.T @ W).T,
+        "K21": system.K21 @ V,
+        "F1": W.T @ system.F1,
+        "H1": system.H1 @ V,
+    }
 
 
 def reduce(system, basis):
@@ -490,22 +477,17 @@ def reduce(system, basis):
     K22 factorization against r (plus m) skinny right-hand sides; the
     n1 x n1 Schur complement itself is never formed.
     """
-    V, W = basis.V, basis.W
-    if V.shape[0] != system.n1:
-        raise DimensionError(
-            f"basis has {V.shape[0]} rows, system has n1 = {system.n1}"
-        )
+    blocks = _project(system, basis)
     k22 = system.k22_lu
-    K21V = system.K21 @ V                     # (n2, r)
-    X = k22.solve(K21V)                       # K22^-1 K21 V
+    X = k22.solve(blocks["K21"])              # K22^-1 K21 V
     XF2 = k22.solve(system.F2)                # K22^-1 F2
-    WtK12 = (system.K12.T @ W).T              # W^T K12, kept skinny
+    WtK12 = blocks["K12"]
     return ReducedSecondOrderModel(
-        M=W.T @ (system.M11 @ V),
-        L=W.T @ (system.L11 @ V),
-        K=W.T @ (system.K11 @ V) - WtK12 @ X,
-        F=W.T @ system.F1 - WtK12 @ XF2,
-        H=system.H1 @ V - system.H2 @ X,
+        M=blocks["M11"],
+        L=blocks["L11"],
+        K=blocks["K11"] - WtK12 @ X,
+        F=blocks["F1"] - WtK12 @ XF2,
+        H=blocks["H1"] - system.H2 @ X,
         D=system.Da + system.H2 @ XF2,
     )
 
@@ -539,6 +521,39 @@ def companion(rom):
     B = np.vstack([np.zeros((r, rom.m)), rom.F])
     C = np.hstack([np.zeros((rom.p, r)), rom.H])
     return CompanionPencil(E=E, A=A, B=B, C=C)
+
+
+# ---------------------------------------------------------------------------
+# settings of both IRKA levels
+
+
+@dataclass
+class IrkaConfig:
+    """Settings for the second-order reduction driver.
+
+    ``force_one_sided=None`` chooses automatically: one-sided (W = V)
+    for structurally symmetric systems, two-sided otherwise.
+    """
+
+    r: int
+    max_iter: int = 20
+    shift_tol: float = 1e-3
+    inner_max_iter: int = 20
+    inner_tol: float = 1e-5
+    freq_range: tuple = DEFAULT_FREQ_RANGE
+    seed: int = 0
+    force_one_sided: bool | None = None
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"reduced order must be positive, got r={self.r}")
+        if self.max_iter < 1 or self.inner_max_iter < 1:
+            raise ValueError("iteration caps must be at least 1")
+        if self.shift_tol <= 0 or self.inner_tol <= 0:
+            raise ValueError("tolerances must be positive")
+        lo, hi = self.freq_range
+        if not (0.0 < lo <= hi):
+            raise ValueError(f"invalid frequency range {self.freq_range}")
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +626,17 @@ def _dominant_initialization(E, A, B, C, r):
     return _mirror_interpolation(chosen, B, C)
 
 
-def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
+def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
+                     tol=IrkaConfig.inner_tol, init=None):
     """IRKA for a dense first-order MIMO system (E, A, B, C).
 
     Iterates Hermite interpolation at mirrored reduced poles until the
     shift set is stationary up to `tol` (relative movement of sorted
     shifts) or `max_iter` is reached. Intended for the small companion
     pencils arising in the second-order shift update; everything here
-    is dense.
+    is dense. An `init` with more than `r` shifts is cut to its
+    closure-preserving head of `r` (:func:`_truncate_closed`); one with
+    fewer raises :class:`DimensionError`.
 
     Returns a :class:`FirstOrderReduction`; its interpolation field is
     the final iterate (mirrored poles of the second-to-last projection).
@@ -636,7 +654,9 @@ def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
         init = initial_interpolation(r, B.shape[1], C.shape[0])
     if init.m != B.shape[1] or init.p != C.shape[0]:
         raise DimensionError("interpolation directions do not match B/C")
-    interp = init if init.r <= n else _truncate_closed(init, n)
+    if init.r < r:
+        raise DimensionError(f"initial iterate has {init.r} shifts, fewer than r={r}")
+    interp = init if init.r == r else _truncate_closed(init, r)
 
     def solve(sigma, b_row, c_row):
         Ms = sigma * E - A
@@ -665,13 +685,13 @@ def irka_first_order(E, A, B, C, r, max_iter=20, tol=1e-5, init=None):
     )
 
 
-def update_interpolation(pencil, config, warm_start=None):
+def update_interpolation(pencil, config, warm_start):
     """Next outer iterate from an intermediate companion pencil.
 
-    Runs the inner first-order IRKA on the companion form (warm-started
-    from the current outer iterate when given — the companion pencil
-    shares the outer system's input/output spaces, so the outer iterate
-    is dimensionally valid as-is) and mirrors the poles of the inner
+    Runs the inner first-order IRKA on the companion form, warm-started
+    from the current outer iterate (the companion pencil shares the
+    outer system's input/output spaces, so the outer iterate is
+    dimensionally valid as-is), and mirrors the poles of the inner
     result: sigma = -lambda, b = -B^H y, c = C z, renormalized and
     conjugate-closed.
 
@@ -681,11 +701,6 @@ def update_interpolation(pencil, config, warm_start=None):
     inside the basin of the dominant-subspace fixed point. The retried
     result is kept only when it actually converged.
     """
-    m, p = pencil.B.shape[1], pencil.C.shape[0]
-    if warm_start is None:
-        warm_start = initial_interpolation(
-            config.r, m, p, config.freq_range, config.seed
-        )
     reduction = irka_first_order(
         pencil.E, pencil.A, pencil.B, pencil.C,
         r=min(warm_start.r, pencil.E.shape[0]),
@@ -712,35 +727,6 @@ def update_interpolation(pencil, config, warm_start=None):
 
 # ---------------------------------------------------------------------------
 # outer driver
-
-
-@dataclass
-class IrkaConfig:
-    """Settings for the second-order reduction driver.
-
-    ``force_one_sided=None`` chooses automatically: one-sided (W = V)
-    for structurally symmetric systems, two-sided otherwise.
-    """
-
-    r: int
-    max_iter: int = 20
-    shift_tol: float = 1e-3
-    inner_max_iter: int = 20
-    inner_tol: float = 1e-5
-    freq_range: tuple = DEFAULT_FREQ_RANGE
-    seed: int = 0
-    force_one_sided: bool | None = None
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"reduced order must be positive, got r={self.r}")
-        if self.max_iter < 1 or self.inner_max_iter < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if self.shift_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        lo, hi = self.freq_range
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"invalid frequency range {self.freq_range}")
 
 
 @dataclass
@@ -841,7 +827,7 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    counter = SolveCounter()  # solves of the current iteration
+    solves = {"right": 0, "left": 0}  # solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
     def timed(phase, fn, *args, **kwargs):
@@ -851,8 +837,11 @@ def irka_second_order_index1(system, config):
         return out
 
     def bases(interp):
-        return timed("solve", build_bases, system, interp, one_sided=one_sided,
-                     counter=counter)
+        basis = timed("solve", build_bases, system, interp, one_sided=one_sided)
+        groups = len(pair_conjugates(interp.shifts))
+        solves["right"] += groups
+        solves["left"] += 0 if one_sided else groups
+        return basis
 
     def step(basis, interp):
         rom = timed("reduce", reduce, system, basis)
@@ -865,12 +854,12 @@ def irka_second_order_index1(system, config):
                 iteration=trace.iterations + 1,
                 metric=metric,
                 shifts=interp.shifts.copy(),
-                right_solves=counter.right,
-                left_solves=counter.left,
+                right_solves=solves["right"],
+                left_solves=solves["left"],
                 seconds=dict(seconds),
             )
         )
-        counter.right = counter.left = 0
+        solves.update(right=0, left=0)
         seconds.clear()
 
     interp, basis, _, trace.converged = _shift_iteration(
@@ -890,81 +879,18 @@ def irka_second_order_index1(system, config):
     return rom, trace
 
 
-_ROM_FILES = {
-    "M": "rom_M.mtx",
-    "L": "rom_L.mtx",
-    "K": "rom_K.mtx",
-    "F": "rom_F.mtx",
-    "H": "rom_H.mtx",
-    "D": "rom_D.mtx",
-}
-
-
-def save_reduced_model(rom, directory):
-    """Write the six reduced matrices as dense Matrix Market files."""
-    from pathlib import Path
-
-    from .system import _write_matrix
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, filename in _ROM_FILES.items():
-        _write_matrix(directory / filename, np.asarray(getattr(rom, name)))
-    return directory
-
-
-def load_reduced_model(directory):
-    """Load a reduced model written by :func:`save_reduced_model`."""
-    from pathlib import Path
-
-    from .system import _read_matrix
-
-    directory = Path(directory)
-    blocks = {}
-    for name, filename in _ROM_FILES.items():
-        target = directory / filename
-        if not target.is_file():
-            raise StructuralError(f"reduced-model file missing: {target}")
-        data = _read_matrix(target)
-        blocks[name] = np.asarray(
-            data.toarray() if sp.issparse(data) else data, dtype=np.float64
-        )
-    rom = ReducedSecondOrderModel(**blocks)
-    if rom.M.shape != rom.L.shape or rom.M.shape != rom.K.shape:
-        raise StructuralError("reduced blocks M, L, K must share a square shape")
-    return rom
-
-
-def back_to_index1(rom, system, basis):
-    """Re-attach the untouched algebraic part to a reduced model.
+def back_to_index1(system, basis):
+    """Project a system onto a basis, keeping its algebraic part.
 
     Builds the (r + n2)-dimensional second-order index-1 system whose
     differential blocks are the projections W^T M11 V, W^T L11 V,
     W^T K11 V (plain, without the algebraic correction), with coupling
-    W^T K12 and K21 V and the original K22, F2, H2, Da. Its transfer
-    function coincides with the reduced model's, while the algebraic
+    W^T K12 and K21 V and the original K22, F2, H2, Da; the constructor
+    stores the projected blocks as CSC. Its transfer function coincides
+    with that of :func:`reduce` on the same basis, while the algebraic
     variables (and any quantities attached to them) remain explicit.
     """
-    V, W = basis.V, basis.W
-    if rom.order != basis.r:
-        raise DimensionError(
-            f"reduced model order {rom.order} does not match basis rank {basis.r}"
-        )
-    if V.shape[0] != system.n1:
-        raise DimensionError("basis does not belong to this system")
-    K11h = W.T @ (system.K11 @ V)
-    K12h = (system.K12.T @ W).T
-    K21h = system.K21 @ V
     return SecondOrderIndex1System(
-        M11=sp.csc_array(rom.M),
-        L11=sp.csc_array(rom.L),
-        K11=sp.csc_array(K11h),
-        K12=sp.csc_array(K12h),
-        K21=sp.csc_array(K21h),
-        K22=system.K22,
-        F1=W.T @ system.F1,
-        F2=system.F2,
-        H1=system.H1 @ V,
-        H2=system.H2,
-        Da=system.Da,
+        **_project(system, basis),
+        K22=system.K22, F2=system.F2, H2=system.H2, Da=system.Da,
     )

@@ -12,8 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dense import orthonormalize
-from .irka import ReducedSecondOrderModel
-from .system import to_dense_schur
+from .system import ReducedSecondOrderModel, to_dense_schur
 
 
 def _dense_columns(schur, shifts, b, c, one_sided):

@@ -12,11 +12,15 @@ COMPLEX_DTYPE = np.complex128
 
 
 def as_canonical_csc(A, dtype=None):
-    """Return `A` as a canonical csc_array (copying only when needed)."""
+    """Return `A` as a canonical csc_array (copying only when needed),
+    with int32 indices whenever they fit, as scipy reads them from file."""
     out = sp.csc_array(A if dtype is None else A.astype(dtype))
     if not out.has_canonical_format:
         out.sum_duplicates()
     out.sort_indices()
+    idx = sp.get_index_dtype(maxval=max(out.nnz, *out.shape))
+    if out.indptr.dtype != idx:
+        out.indices, out.indptr = out.indices.astype(idx), out.indptr.astype(idx)
     return out
 
 

@@ -186,12 +186,12 @@ def validate(system):
     return SystemReport(n1=n1, n2=n2, m=m, p=p, index1=True, symmetric=bool(symmetric))
 
 
-@dataclass(frozen=True)
-class DenseSchurSystem:
-    """Dense unconstrained equivalent obtained by eliminating x2.
+@dataclass
+class ReducedSecondOrderModel:
+    """Dense second-order model G(s) = H (s^2 M + s L + K)^-1 F + D.
 
-    Reference object for verification on small systems only; the
-    reduction path never forms these matrices.
+    Reduction returns one of order r; :func:`to_dense_schur` returns one
+    of order n1, the unconstrained equivalent of a whole system.
     """
 
     M: np.ndarray
@@ -201,27 +201,32 @@ class DenseSchurSystem:
     H: np.ndarray
     D: np.ndarray
 
-    def evaluate(self, s):
-        """Dense transfer function H (s^2 M + s L + K)^-1 F + D."""
-        from .dense import dense_solve
+    @property
+    def order(self):
+        return self.M.shape[0]
 
-        s = complex(s)
-        W = dense_solve(s * s * self.M + s * self.L + self.K, self.F)
-        return self.H @ W + self.D
+    @property
+    def m(self):
+        return self.F.shape[1]
+
+    @property
+    def p(self):
+        return self.H.shape[0]
 
 
 def to_dense_schur(system):
     """Eliminate the algebraic block and return the dense equivalent.
 
     The transfer function of the result is identical to the transfer
-    function of the full index-1 system. Cost is O(n1^2 n2), so keep
-    this to reference-scale systems.
+    function of the full index-1 system. Reference object for
+    verification only: cost is O(n1^2 n2), so keep this to
+    reference-scale systems; the reduction path never forms it.
     """
     k22 = system.k22_lu
     X21 = k22.solve(system.K21.toarray())  # K22^-1 K21
     XF2 = k22.solve(system.F2)  # K22^-1 F2
     K12 = system.K12
-    return DenseSchurSystem(
+    return ReducedSecondOrderModel(
         M=system.M11.toarray(),
         L=system.L11.toarray(),
         K=system.K11.toarray() - K12 @ X21,
@@ -272,9 +277,13 @@ _MODE_JITTER = 0.15
 _BACKGROUND_GAPS = (1e8, 1e9)
 _PORT2_SCALE = 1e-2
 
+# defaults of generate_synthetic, shared with ``morkit generate``
+GENERATE_SYMMETRIC = True
+GENERATE_DAMPING = (0.5, 1e-4)
 
-def generate_synthetic(n1, n2, m, p, seed, symmetric=True,
-                       proportional_damping=(0.5, 1e-4)):
+
+def generate_synthetic(n1, n2, m, p, seed, symmetric=GENERATE_SYMMETRIC,
+                       proportional_damping=GENERATE_DAMPING):
     """Generate a well-posed random test system, deterministic in `seed`.
 
     M11, K22 and the stiff part of K11 are sparse SPD by diagonal
@@ -386,6 +395,12 @@ def _read_matrix(path):
             _MM_READER.PARALLELISM = saved
 
 
+def _read_dense(path):
+    """One Matrix Market file as a float64 ndarray, whatever its layout."""
+    data = _read_matrix(path)
+    return np.asarray(data.toarray() if sp.issparse(data) else data, dtype=np.float64)
+
+
 def save_system(system, directory):
     """Write all eleven blocks as Matrix Market files plus a manifest.
 
@@ -425,13 +440,10 @@ def load_system(manifest_path):
         target = base / kv[name]
         if not target.is_file():
             raise StructuralError(f"block file for {name} not found: {target}")
-        data = _read_matrix(target)
         if name in _DENSE_BLOCKS:
-            blocks[name] = np.asarray(
-                data.toarray() if sp.issparse(data) else data, dtype=np.float64
-            )
+            blocks[name] = _read_dense(target)
         else:
-            blocks[name] = data  # canonicalized by the constructor
+            blocks[name] = _read_matrix(target)  # canonicalized by the constructor
     system = SecondOrderIndex1System(**blocks)
     declared = {k: int(kv[k]) for k in ("n1", "n2", "m", "p")}
     actual = {"n1": system.n1, "n2": system.n2, "m": system.m, "p": system.p}
@@ -441,3 +453,30 @@ def load_system(manifest_path):
         )
     validate(system)
     return system
+
+
+_ROM_BLOCKS = ("M", "L", "K", "F", "H", "D")  # each in rom_<name>.mtx
+
+
+def save_reduced_model(rom, directory):
+    """Write the six reduced matrices as dense Matrix Market files."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in _ROM_BLOCKS:
+        _write_matrix(directory / f"rom_{name}.mtx", np.asarray(getattr(rom, name)))
+    return directory
+
+
+def load_reduced_model(directory):
+    """Load a reduced model written by :func:`save_reduced_model`."""
+    directory = Path(directory)
+    blocks = {}
+    for name in _ROM_BLOCKS:
+        target = directory / f"rom_{name}.mtx"
+        if not target.is_file():
+            raise StructuralError(f"reduced-model file missing: {target}")
+        blocks[name] = _read_dense(target)
+    rom = ReducedSecondOrderModel(**blocks)
+    if rom.M.shape != rom.L.shape or rom.M.shape != rom.K.shape:
+        raise StructuralError("reduced blocks M, L, K must share a square shape")
+    return rom

@@ -183,7 +183,7 @@ def test_dense_solve_is_bitwise_scipy_solve(n, layout, kinds, rhs):
 
 
 def test_dense_solve_mixed_operands_as_in_dense_schur():
-    # DenseSchurSystem.evaluate: complex s^2 M + s L + K against a real F
+    # eval_reduced of to_dense_schur's model: complex s^2 M + s L + K against a real F
     rng = np.random.default_rng(7)
     M, L, K = (rng.standard_normal((5, 5)) for _ in range(3))
     F = rng.standard_normal((5, 2))

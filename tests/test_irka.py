@@ -18,7 +18,6 @@ from morkit.irka import (
     InterpolationData,
     IrkaConfig,
     ProjectionBasis,
-    SolveCounter,
     _perturb,
     _shift_iteration,
     back_to_index1,
@@ -30,15 +29,18 @@ from morkit.irka import (
     initial_interpolation,
     irka_first_order,
     irka_second_order_index1,
-    load_reduced_model,
     reduce,
-    save_reduced_model,
     tangential_solve_left,
     tangential_solve_right,
     update_interpolation,
 )
 from morkit.sparse import assemble_shifted_augmented
-from morkit.system import SecondOrderIndex1System, to_dense_schur
+from morkit.system import (
+    SecondOrderIndex1System,
+    load_reduced_model,
+    save_reduced_model,
+    to_dense_schur,
+)
 
 from conftest import GRID, damped_pairs, grid_ids, scalar_system
 
@@ -238,14 +240,27 @@ def _count_factorizations(monkeypatch):
     return shifts
 
 
+def _count_solves(monkeypatch):
+    """Count the right and left tangential solves build_bases makes."""
+    counts = {"right": 0, "left": 0}
+    for side in counts:
+        original = getattr(irka, f"tangential_solve_{side}")
+
+        def counting(*args, _side=side, _original=original, **kwargs):
+            counts[_side] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(irka, f"tangential_solve_{side}", counting)
+    return counts
+
+
 def test_build_bases_one_sided_counts(make_system, monkeypatch):
     system = make_system(40, 10, 2, 2, 0)
     factored = _count_factorizations(monkeypatch)
-    counter = SolveCounter()
-    basis = build_bases(system, damped_pairs(4, 2, 2, seed=1), one_sided=True,
-                        counter=counter)
-    assert counter.left == 0
-    assert counter.right == 2          # one per conjugate-pair representative
+    solves = _count_solves(monkeypatch)
+    basis = build_bases(system, damped_pairs(4, 2, 2, seed=1), one_sided=True)
+    assert solves["left"] == 0
+    assert solves["right"] == 2        # one per conjugate-pair representative
     assert len(factored) == 2
     assert basis.one_sided
     assert basis.W is basis.V
@@ -254,10 +269,10 @@ def test_build_bases_one_sided_counts(make_system, monkeypatch):
 def test_build_bases_two_sided_counts(make_system, monkeypatch):
     system = make_system(40, 10, 2, 2, 0)
     factored = _count_factorizations(monkeypatch)
-    counter = SolveCounter()
-    build_bases(system, damped_pairs(4, 2, 2, seed=1), counter=counter)
-    assert counter.right == 2
-    assert counter.left == 2
+    solves = _count_solves(monkeypatch)
+    build_bases(system, damped_pairs(4, 2, 2, seed=1))
+    assert solves["right"] == 2
+    assert solves["left"] == 2
     assert len(factored) == 2  # the LU is shared by both sides
 
 
@@ -395,6 +410,19 @@ def test_first_order_dimension_checks():
         irka_first_order(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), r=3)
 
 
+def test_first_order_cuts_a_longer_init_to_r():
+    rng = np.random.default_rng(3)
+    n = 4
+    A = rng.standard_normal((n, n)) - 4 * np.eye(n)
+    B, C = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    init = initial_interpolation(3, 1, 1)
+    result = irka_first_order(np.eye(n), A, B, C, r=1, init=init)
+    assert result.E.shape == (1, 1)
+    assert result.interpolation.r == 1
+    with pytest.raises(DimensionError):
+        irka_first_order(np.eye(n), A, B, C, r=2, init=initial_interpolation(1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # shift update
 
@@ -403,7 +431,7 @@ def test_update_scalar_companion_positive_shift(s1):
     rom = reduce(s1, ProjectionBasis(V=np.array([[1.0]]), W=np.array([[1.0]])))
     pencil = companion(rom)
     config = IrkaConfig(r=1, inner_max_iter=500, inner_tol=1e-8)
-    out = update_interpolation(pencil, config)
+    out = update_interpolation(pencil, config, initial_interpolation(1, 1, 1))
     assert out.r == 1
     assert out.shifts[0].real > 0.0
     assert abs(out.shifts[0].imag) == 0.0
@@ -419,14 +447,16 @@ def test_update_mirrors_stable_pencil_into_right_half_plane():
                                   F=rng.standard_normal((3, 1)),
                                   H=rng.standard_normal((1, 3)),
                                   D=np.zeros((1, 1)))
-    out = update_interpolation(companion(rom), IrkaConfig(r=3, inner_max_iter=200))
+    out = update_interpolation(companion(rom), IrkaConfig(r=3, inner_max_iter=200),
+                               initial_interpolation(3, 1, 1))
     assert np.all(out.shifts.real > 0.0)
 
 
 def test_update_siso_directions_are_unit(s1):
     rom = reduce(s1, ProjectionBasis(V=np.array([[1.0]]), W=np.array([[1.0]])))
     out = update_interpolation(companion(rom), IrkaConfig(r=1, inner_max_iter=500,
-                                                          inner_tol=1e-8))
+                                                          inner_tol=1e-8),
+                               initial_interpolation(1, 1, 1))
     np.testing.assert_allclose(np.abs(out.b), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.abs(out.c), 1.0, rtol=1e-12)
 
@@ -614,8 +644,7 @@ def test_save_load_reduced_model_round_trip(tmp_path, s1):
 
 def test_back_to_index1_scalar_identity(s1):
     basis = ProjectionBasis(V=np.array([[1.0]]), W=np.array([[1.0]]))
-    rom = reduce(s1, basis)
-    back = back_to_index1(rom, s1, basis)
+    back = back_to_index1(s1, basis)
     assert back.n1 == 1 and back.n2 == 1
     assert back.M11[0, 0] == pytest.approx(1.0)
     assert back.L11[0, 0] == pytest.approx(2.0)
@@ -627,7 +656,7 @@ def test_back_to_index1_scalar_identity(s1):
 def test_back_to_index1_preserves_transfer(make_system):
     system = make_system(40, 10, 2, 2, 0)
     rom, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=8))
-    back = back_to_index1(rom, system, trace.final_basis)
+    back = back_to_index1(system, trace.final_basis)
     assert back.n1 == rom.order
     assert back.n2 == system.n2
     for s in (1.0j, 50.0j, 2.0 + 500.0j):
@@ -641,4 +670,4 @@ def test_back_to_index1_checks_basis(make_system, s1):
     system = make_system(40, 10, 2, 2, 0)
     rom, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=8))
     with pytest.raises(DimensionError):
-        back_to_index1(rom, s1, trace.final_basis)
+        back_to_index1(s1, trace.final_basis)

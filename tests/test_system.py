@@ -6,7 +6,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from morkit.errors import Index1ViolationError, StructuralError
-from morkit.sparse import as_canonical_csc
+from morkit.sparse import as_canonical_csc, assemble_shifted_augmented
 from morkit.system import (
     generate_synthetic,
     load_system,
@@ -256,3 +256,16 @@ def test_loaded_blocks_need_no_second_canonicalization(tmp_path):
             for want in (getattr(once, attr), getattr(twice, attr)):
                 assert got.dtype == want.dtype, (name, attr)
                 assert got.tobytes() == want.tobytes(), (name, attr)
+
+
+def test_generated_and_loaded_systems_share_index_dtype(tmp_path):
+    system = generate_synthetic(40, 9, 2, 2, seed=5, symmetric=False)
+    loaded = load_system(save_system(system, tmp_path / "g"))
+    for name in ("M11", "L11", "K11", "K12", "K21", "K22"):
+        assert getattr(system, name).indptr.dtype == np.int32, name
+        assert getattr(system, name).indices.dtype == np.int32, name
+    for sigma in (0.0, 2.0 + 30j):
+        generated = assemble_shifted_augmented(system, sigma)
+        read_back = assemble_shifted_augmented(loaded, sigma)
+        assert generated.indptr.dtype == read_back.indptr.dtype == np.int32
+        assert generated.indices.dtype == read_back.indices.dtype == np.int32
