@@ -4,6 +4,7 @@ Everything here operates on small matrices (reduced order r, or 2r for
 companion pencils), so dense LAPACK-backed routines are appropriate.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -63,19 +64,32 @@ def orthonormalize(V, drop_tol=1e-10):
             f"cannot orthonormalize {V.shape[1]} columns of length {V.shape[0]}"
         )
     dtype = np.result_type(V.dtype, np.float64)
-    kept = []
+    complex_ = dtype.kind == "c"
+    cols = np.array(V.T, dtype=dtype, order="C")  # row j: column j, projected in place
+    norms0 = _row_norms(cols)
+    steps = np.empty_like(cols)  # projection steps q (q^H v), one row per column
+    kept, kept_h = [], []  # kept columns, and their conjugates for the inner products
     dropped = 0
-    for j in range(V.shape[1]):
-        v = V[:, j].astype(dtype, copy=True)
-        norm0 = np.linalg.norm(v)
-        for _ in range(2):  # MGS sweep plus one re-orthogonalization
-            for q in kept:
-                v -= (q.conj() @ v) * q
-        norm_v = np.linalg.norm(v)
-        if norm0 == 0.0 or norm_v <= drop_tol * norm0:
+    for j, v in enumerate(cols):
+        # the MGS sweep reached v as each kept column was finished (below);
+        # this is the re-orthogonalization pass, one kept column at a time
+        step = steps[j]
+        for q, q_h in zip(kept, kept_h):
+            np.multiply(q_h.dot(v), q, out=step)
+            np.subtract(v, step, out=v)
+        norm_v = vector_norm(v)
+        if norms0[j] == 0.0 or norm_v <= drop_tol * norms0[j]:
             dropped += 1
             continue
-        kept.append(v / norm_v)
+        q = v / norm_v
+        kept.append(q)
+        kept_h.append(q.conj() if complex_ else q)
+        # the MGS sweep of every later column against q: the same inner
+        # products (vecdot runs one BLAS dot per row) and the same updates
+        rest = cols[j + 1:]
+        if len(rest):
+            np.multiply(np.vecdot(q, rest)[:, None], q, out=steps[j + 1:])
+            np.subtract(rest, steps[j + 1:], out=rest)
     if not kept:
         raise DimensionError("orthonormalization dropped every column")
     if dropped:
@@ -87,6 +101,91 @@ def orthonormalize(V, drop_tol=1e-10):
     return np.column_stack(kept)
 
 
+def vector_norm(v):
+    """``numpy.linalg.norm`` of a 1-d float or complex vector, bitwise,
+    without its dispatch."""
+    v = v.ravel(order="K")  # a copy only if v is strided, as numpy makes
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
+def _row_norms(rows):
+    """:func:`vector_norm` of every row of a 2-d block with contiguous
+    rows, bitwise, in a few calls (vecdot runs one BLAS dot per row)."""
+    if rows.dtype.kind == "c":
+        re, im = rows.real, rows.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+# LAPACK ggev per pair of operand dtypes, and its optimal workspace per
+# (routine, n); scipy.linalg.eig looks both up on every call
+_GGEV = {}
+_GGEV_LWORK = {}
+# BLAS nrm2 per eigenvector dtype, as scipy.linalg.norm looks it up
+_NRM2 = {
+    dtype: sla.get_blas_funcs("nrm2", dtype=dtype, ilp64="preferred")
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128)
+}
+_I = np.array(1j, dtype=np.complex64)  # scipy.linalg.eig's imaginary unit
+
+
+def _eig_pencil(A, E):
+    """``scipy.linalg.eig(A, E, left=True, right=True)`` for finite square
+    operands, with its arithmetic and one ggev call, but none of its
+    per-call lookups. A pencil with an infinite or undefined eigenvalue
+    raises :class:`PencilSingularError` before any eigenvector work.
+    """
+    key = (A.dtype.char, E.dtype.char)
+    ggev = _GGEV.get(key)
+    if ggev is None:
+        ggev = _GGEV[key] = sla.get_lapack_funcs(("ggev",), (A, E))[0]
+    n = A.shape[0]
+    lwork = _GGEV_LWORK.get((ggev.typecode, n))
+    if lwork is None:
+        query = ggev(A, E, lwork=-1)
+        lwork = _GGEV_LWORK[(ggev.typecode, n)] = query[-2][0].real.astype(np.int_)
+    if ggev.typecode in "cz":
+        alpha, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork)
+    else:
+        alphar, alphai, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork)
+        alpha = alphar + _I * alphai
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         "generalized eig algorithm (ggev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    # beta == 0 is an infinite (alpha != 0) or undefined (alpha == 0) eigenvalue
+    values = alpha / beta if beta.all() else None
+    if values is None or not np.isfinite(values).all():
+        raise PencilSingularError(
+            "pencil has infinite or undefined eigenvalues (E-hat is singular)"
+        )
+    if ggev.typecode not in "cz" and values.imag.any():
+        vl = _complex_eigvecs(values, vl)
+        vr = _complex_eigvecs(values, vr)
+    nrm2 = _NRM2[vr.dtype.type]
+    real = vr.real.dtype
+    vr /= np.array([nrm2(z) for z in vr.T], dtype=real)
+    vl /= np.array([nrm2(y) for y in vl.T], dtype=real)
+    return values, vl, vr
+
+
+def _complex_eigvecs(values, v_real):
+    """Complex eigenvectors from real ggev output, filled as scipy fills them:
+    a conjugate pair shares columns i (real part) and i + 1 (imaginary part)."""
+    v = np.array(v_real, dtype=values.dtype)
+    first = values.imag > 0
+    first[:-1] |= values.imag[1:] < 0
+    for i in np.flatnonzero(first):
+        v.imag[:, i] = v_real[:, i + 1]
+        np.conj(v[:, i], v[:, i + 1])
+    return v
+
+
 def eig_generalized(A, E):
     """All eigentriplets of the pencil (A, E).
 
@@ -94,6 +193,9 @@ def eig_generalized(A, E):
     matched left/right eigenvectors (QZ); on real input the spectrum is
     closed under conjugation. A singular E makes the pencil have
     infinite eigenvalues and raises :class:`PencilSingularError`.
+    Values and vectors are bitwise what ``scipy.linalg.eig(A, E,
+    left=True, right=True)`` returns, with each eigenvector scaled by its
+    2-norm once more; NaN or Inf input raises ``ValueError`` as there.
     """
     A = np.asarray(A)
     E = np.asarray(E)
@@ -101,23 +203,18 @@ def eig_generalized(A, E):
         raise DimensionError(
             f"pencil blocks must be square and same shape, got {A.shape} and {E.shape}"
         )
-    values, vl, vr = sla.eig(A, E, left=True, right=True)
-    if not np.all(np.isfinite(values)):
-        raise PencilSingularError(
-            "pencil has infinite or undefined eigenvalues (E-hat is singular)"
-        )
-    triplets = []
-    for k in range(values.shape[0]):
-        z = vr[:, k]
-        y = vl[:, k]
-        triplets.append(
-            EigenTriplet(
-                value=complex(values[k]),
-                right=z / np.linalg.norm(z),
-                left=y / np.linalg.norm(y),
-            )
-        )
-    return triplets
+    if not (np.isfinite(A).all() and np.isfinite(E).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if A.shape[0] == 0:
+        return []
+    values, vl, vr = _eig_pencil(A, E)
+    # ggev's vectors are F-ordered: the rows of vr.T are its columns
+    right = vr / _row_norms(vr.T)
+    left = vl / _row_norms(vl.T)
+    return [
+        EigenTriplet(value, z, y)
+        for value, z, y in zip(values.tolist(), right.T, left.T)
+    ]
 
 
 def sigma_max(G):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lu
-from .dense import dense_solve, eig_generalized, orthonormalize
+from .dense import dense_solve, eig_generalized, orthonormalize, vector_norm
 from .errors import (
     ConvergenceWarning,
     DimensionError,
@@ -62,19 +62,20 @@ def pair_conjugates(shifts, order=None):
     index for a pair and -1 for a complex shift without a partner.
     """
     shifts = np.asarray(shifts, dtype=np.complex128)
-    order = range(shifts.shape[0]) if order is None else [int(i) for i in order]
-    used = np.zeros(shifts.shape[0], dtype=bool)
+    values = shifts.tolist()  # Python complex: abs() is numpy's scalar abs
+    order = range(len(values)) if order is None else [int(i) for i in order]
+    used = [False] * len(values)
     groups = []
     for i in order:
         if used[i]:
             continue
         used[i] = True
-        s = shifts[i]
+        s = values[i]
         scale = max(1.0, abs(s))
         if abs(s.imag) <= _CLOSURE_RTOL * scale:
             groups.append((i, None))
             continue
-        near = np.abs(shifts - np.conj(s)) <= _PAIR_RTOL * scale
+        near = (np.abs(shifts - s.conjugate()) <= _PAIR_RTOL * scale).tolist()
         partner = next((j for j in order if near[j] and not used[j]), -1)
         if partner >= 0:
             used[partner] = True
@@ -153,8 +154,7 @@ def _canonical_phase(vec):
     only up to complex phase; fixing the phase makes iterates (and the
     reduced model entries) deterministic.
     """
-    k = int(np.argmax(np.abs(vec)))
-    a = vec[k]
+    a = vec[np.abs(vec).argmax()]
     if a == 0:
         out = np.zeros_like(vec)
         out[0] = 1.0
@@ -163,7 +163,7 @@ def _canonical_phase(vec):
 
 
 def _unit_direction(vec):
-    norm = np.linalg.norm(vec)
+    norm = vector_norm(vec)
     if norm == 0:
         out = np.zeros_like(vec)
         out[0] = 1.0
@@ -322,7 +322,7 @@ def factor_augmented(system, sigma):
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
 
-def tangential_solve_right(system, sigma, direction, factorization=None):
+def tangential_solve_right(system, direction, factorization):
     """Right tangential solution v(sigma, b), length n1.
 
     Solves the sparse augmented system
@@ -330,38 +330,34 @@ def tangential_solve_right(system, sigma, direction, factorization=None):
         [ sigma^2 M11 + sigma L11 + K11   K12 ] [v    ]   [F1 b]
         [             K21                 K22 ] [gamma] = [F2 b]
 
-    and returns v (the auxiliary block gamma is discarded). When a
-    factorization of the untransposed augmented matrix at this shift is
-    supplied it is reused, which is how the basis builder amortizes one
-    LU across the right and left solves of a shift.
+    through `factorization`, that matrix's LU at the shift sigma
+    (:func:`factor_augmented`), and returns v (the auxiliary block gamma
+    is discarded). :func:`build_bases` shares one LU between the right
+    and the left solve of a shift.
     """
     direction = np.asarray(direction, dtype=np.complex128).ravel()
     if direction.shape[0] != system.m:
         raise DimensionError(
             f"right direction has length {direction.shape[0]}, system has m={system.m}"
         )
-    if factorization is None:
-        factorization = factor_augmented(system, sigma)
     rhs = np.concatenate([system.F1 @ direction, system.F2 @ direction])
     sol = factorization.solve(rhs)
     return sol[: system.n1]
 
 
-def tangential_solve_left(system, sigma, direction, factorization=None):
+def tangential_solve_left(system, direction, factorization):
     """Left tangential solution w(sigma, c), length n1.
 
     Solves the transpose of the right solve's augmented system (K21^T in
-    the (1,2) position) with right-hand side [H1^T c; H2^T c], through a
-    factorization of the *untransposed* matrix: the supplied one, which
-    the right solve at this shift can share, or a fresh one.
+    the (1,2) position) with right-hand side [H1^T c; H2^T c], through
+    `factorization`, the LU of the *untransposed* matrix at the shift
+    sigma (:func:`factor_augmented`).
     """
     direction = np.asarray(direction, dtype=np.complex128).ravel()
     if direction.shape[0] != system.p:
         raise DimensionError(
             f"left direction has length {direction.shape[0]}, system has p={system.p}"
         )
-    if factorization is None:
-        factorization = factor_augmented(system, sigma)
     rhs = np.concatenate([system.H1.T @ direction, system.H2.T @ direction])
     sol = factorization.solve_transposed(rhs)
     return sol[: system.n1]
@@ -439,10 +435,10 @@ def build_bases(system, interp, one_sided=False):
 
     def solve(sigma, b_row, c_row):
         fact = factor_augmented(system, sigma)
-        v = tangential_solve_right(system, sigma, b_row, factorization=fact)
+        v = tangential_solve_right(system, b_row, fact)
         if one_sided:
             return v, None
-        return v, tangential_solve_left(system, sigma, c_row, factorization=fact)
+        return v, tangential_solve_left(system, c_row, fact)
 
     return _tangential_bases(interp, solve, one_sided=one_sided)
 
@@ -573,11 +569,26 @@ class FirstOrderReduction:
     iterations: int
 
 
+def _cast_for(X, dtype):
+    """X as numpy's matmul casts it against an operand of `dtype`.
+
+    That is X itself when no cast is needed, else a C-contiguous copy in
+    the common dtype, which is what matmul casts to on every product. The
+    products are bitwise the same; the cast is made once. (A copy in X's
+    own layout would switch an F-ordered X to another BLAS kernel.)
+    """
+    common = np.result_type(X.dtype, dtype)
+    return X if common == X.dtype else np.ascontiguousarray(X, dtype=common)
+
+
 def _mirror_interpolation(triplets, B, C):
     """Next iterate from reduced eigentriplets: sigma = -lambda, tangential
     directions from the eigenvectors (b = -B^H y, c = C z)."""
     shifts = np.array([-t.value for t in triplets], dtype=np.complex128)
-    b = np.array([-(B.conj().T @ t.left) for t in triplets])
+    vectors = triplets[0].right.dtype  # one dtype for all, real or complex
+    B_h = _cast_for(B.conj().T, vectors)
+    C = _cast_for(C, vectors)
+    b = np.array([-(B_h @ t.left) for t in triplets])
     c = np.array([C @ t.right for t in triplets])
     return enforce_conjugate_closure(shifts, b, c)
 
@@ -610,9 +621,12 @@ def _dominant_initialization(E, A, B, C, r):
     stays closed under conjugation.
     """
     triplets = eig_generalized(A, E)
+    vectors = triplets[0].right.dtype
+    B_h = _cast_for(B.conj().T, vectors)
+    C = _cast_for(C, vectors)
     weights = []
     for t in triplets:
-        num = np.linalg.norm(C @ t.right) * np.linalg.norm(B.conj().T @ t.left)
+        num = vector_norm(C @ t.right) * vector_norm(B_h @ t.left)
         weights.append(num / max(abs(t.value.real), np.finfo(float).tiny))
     order = sorted(range(len(triplets)), key=lambda i: -weights[i])
     values = [t.value for t in triplets]
@@ -658,10 +672,14 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
         raise DimensionError(f"initial iterate has {init.r} shifts, fewer than r={r}")
     interp = init if init.r == r else _truncate_closed(init, r)
 
+    # the tangential directions are complex: cast B and C^T once
+    B_c = _cast_for(B, np.complex128)
+    C_t = _cast_for(C.T, np.complex128)
+
     def solve(sigma, b_row, c_row):
         Ms = sigma * E - A
         try:
-            return dense_solve(Ms, B @ b_row), dense_solve(Ms.T, C.T @ c_row)
+            return dense_solve(Ms, B_c @ b_row), dense_solve(Ms.T, C_t @ c_row)
         except SingularMatrixError as exc:
             raise ShiftCollisionError(sigma, str(exc)) from exc
 

@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from morkit import (
     IrkaConfig,
@@ -241,6 +242,7 @@ def test_criterion_7_error_vs_order_trend(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_speedup(capsys):
     system = generate_synthetic(2000, 200, 9, 9, seed=0, symmetric=True)
     with warnings.catch_warnings():

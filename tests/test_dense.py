@@ -5,12 +5,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morkit.dense import (
     dense_solve,
     eig_generalized,
     orthonormalize,
+    _row_norms,
     sigma_max,
+    vector_norm,
 )
 from morkit.errors import (
     DimensionError,
@@ -236,3 +240,222 @@ def test_dense_solve_warns_exactly_when_scipy_does(seed):
         return any(issubclass(w.category, sla.LinAlgWarning) for w in caught)
 
     assert warned(dense_solve) == warned(_scipy_solve)
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: the straightforward implementations the kernels replace
+
+
+def _reference_orthonormalize(V, drop_tol=1e-10):
+    V = np.asarray(V)
+    if V.ndim == 1:
+        V = V[:, None]
+    dtype = np.result_type(V.dtype, np.float64)
+    kept = []
+    dropped = 0
+    for j in range(V.shape[1]):
+        v = V[:, j].astype(dtype, copy=True)
+        norm0 = np.linalg.norm(v)
+        for _ in range(2):
+            for q in kept:
+                v -= (q.conj() @ v) * q
+        norm_v = np.linalg.norm(v)
+        if norm0 == 0.0 or norm_v <= drop_tol * norm0:
+            dropped += 1
+            continue
+        kept.append(v / norm_v)
+    if dropped:
+        warnings.warn(f"dropped {dropped}", RankDeficiencyWarning)
+    return np.column_stack(kept)
+
+
+def _reference_eig(A, E):
+    values, vl, vr = sla.eig(A, E, left=True, right=True)
+    return [
+        (complex(values[k]),
+         vr[:, k] / np.linalg.norm(vr[:, k]),
+         vl[:, k] / np.linalg.norm(vl[:, k]))
+        for k in range(values.shape[0])
+    ]
+
+
+def _rank_warnings(fn, V):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(V)
+    return out, sum(issubclass(w.category, RankDeficiencyWarning) for w in caught)
+
+
+def _assert_orthonormalize_matches_reference(V):
+    got, got_warned = _rank_warnings(orthonormalize, V)
+    want, want_warned = _rank_warnings(_reference_orthonormalize, V)
+    _assert_same_bytes(got, want)
+    assert got_warned == want_warned
+
+
+def _assert_eig_matches_reference(A, E):
+    got = eig_generalized(A, E)
+    want = _reference_eig(A, E)
+    assert len(got) == len(want)
+    for t, (value, right, left) in zip(got, want):
+        assert t.value == value
+        _assert_same_bytes(t.right, right)
+        _assert_same_bytes(t.left, left)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (32, 16), (220, 16)])
+@pytest.mark.parametrize("seed", range(3))
+def test_orthonormalize_is_bitwise_the_reference(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, k))
+    if kind == "complex":
+        V = V + 1j * rng.standard_normal((n, k))
+    if kind == "integer":
+        V = rng.integers(-5, 6, (n, k))
+        V[0, 0] = 1  # keep the first column nonzero
+    _assert_orthonormalize_matches_reference(V)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_orthonormalize_drops_as_the_reference(kind):
+    rng = np.random.default_rng(11)
+    V = rng.standard_normal((12, 6))
+    if kind == "complex":
+        V = V + 1j * rng.standard_normal((12, 6))
+    V[:, 2] = 0.0                          # zero column
+    V[:, 4] = 2.0 * V[:, 0] - V[:, 1]      # dependent column
+    V[:, 5] = V[:, 3] * (1.0 + 1e-13)      # dependent up to rounding
+    _assert_orthonormalize_matches_reference(V)
+    with pytest.warns(RankDeficiencyWarning, match="dropped 3"):
+        assert orthonormalize(V).shape[1] == 3
+
+
+def test_orthonormalize_single_vector_is_the_reference():
+    v = np.array([3.0, -4.0, 12.0])
+    _assert_orthonormalize_matches_reference(v)
+    _assert_orthonormalize_matches_reference(v[::-1])   # a strided view
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    k=st.integers(1, 8),
+    kind=st.sampled_from(["real", "complex", "integer"]),
+    repeat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orthonormalize_matches_the_reference_on_generated_blocks(n, k, kind, repeat, seed):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        V = rng.integers(-3, 4, (n, k))
+    else:
+        V = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, k)
+        if kind == "complex":
+            V = V + 1j * rng.standard_normal((n, k))
+    if repeat and k > 1:
+        V[:, -1] = V[:, 0]
+    if not np.any(V):
+        with pytest.raises(DimensionError):
+            orthonormalize(V)
+        return
+    _assert_orthonormalize_matches_reference(V)
+
+
+def test_vector_norms_are_numpy_norms():
+    rng = np.random.default_rng(5)
+    for v in (rng.standard_normal(33), rng.standard_normal(8) + 1j * rng.standard_normal(8),
+              rng.standard_normal((6, 5))[:, 2], np.zeros(3)):
+        assert vector_norm(v) == np.linalg.norm(v)
+    for rows in (rng.standard_normal((7, 33)), rng.standard_normal((16, 16)) * 1e-3j + 1.0,
+                 np.asfortranarray(rng.standard_normal((4, 9))).T.copy(), np.zeros((2, 3))):
+        norms = _row_norms(rows)
+        assert norms.tobytes() == np.array([np.linalg.norm(r) for r in rows]).tobytes()
+
+
+def _pencil(n, spectrum, seed):
+    """A pencil with an all-real spectrum (symmetric-definite), conjugate
+    pairs (general real) or complex entries."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    E = rng.standard_normal((n, n))
+    if spectrum == "real":
+        return A + A.T, E @ E.T + n * np.eye(n)
+    E = E + n * np.eye(n)
+    if spectrum == "complex":
+        return A + 1j * rng.standard_normal((n, n)), E
+    return A, E
+
+
+@pytest.mark.parametrize("spectrum", ["real", "pairs", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 32])
+@pytest.mark.parametrize("seed", range(3))
+def test_eig_is_bitwise_scipy_eig(spectrum, n, seed):
+    A, E = _pencil(n, spectrum, seed)
+    _assert_eig_matches_reference(A, E)
+
+
+def test_eig_companion_pencil_is_bitwise_scipy_eig():
+    # an order-2 companion pencil as update_interpolation builds it, with
+    # a transposed (F-ordered) operand
+    rng = np.random.default_rng(2)
+    M = np.diag(rng.uniform(1.0, 2.0, 4))
+    L = 0.01 * np.eye(4)
+    K = np.diag(rng.uniform(1e2, 1e6, 4))
+    Z = np.zeros((4, 4))
+    E = np.block([[Z, M], [M, L]])
+    A = np.block([[M, Z], [Z, -K]])
+    _assert_eig_matches_reference(A, E)
+    _assert_eig_matches_reference(np.asfortranarray(A), E.T)
+
+
+def test_eig_real_spectrum_gives_real_vectors():
+    A, E = _pencil(5, "real", 0)
+    for t in eig_generalized(A, E):
+        assert t.right.dtype == np.float64 and t.left.dtype == np.float64
+    A, E = _pencil(5, "pairs", 0)
+    assert all(t.right.dtype == np.complex128 for t in eig_generalized(A, E))
+
+
+def test_eig_integer_pencil_is_bitwise_scipy_eig():
+    A = np.array([[2, 1], [-3, 0]])
+    E = np.array([[1, 0], [0, 1]])
+    _assert_eig_matches_reference(A, E)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    spectrum=st.sampled_from(["real", "pairs", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eig_matches_scipy_on_generated_pencils(n, spectrum, seed):
+    A, E = _pencil(n, spectrum, seed)
+    _assert_eig_matches_reference(A, E)
+
+
+@pytest.mark.parametrize("where", ["A", "E"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eig_rejects_non_finite(where, value):
+    A, E = np.eye(3), np.eye(3)
+    (A if where == "A" else E)[1, 2] = value
+    with pytest.raises(ValueError):
+        eig_generalized(A, E)
+
+
+@pytest.mark.parametrize("E", [
+    np.diag([1.0, 0.0]),                       # infinite eigenvalue
+    np.zeros((2, 2)),                          # undefined with A singular below
+    np.array([[1.0, 1.0], [1.0, 1.0]]) * 1j,   # complex, singular
+])
+def test_eig_singular_pencils_raise(E):
+    A = np.eye(2) if E[0, 0] != 0 else np.diag([1.0, 0.0])
+    with pytest.raises(PencilSingularError):
+        eig_generalized(A, E)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3)), ((4,), (4,))])
+def test_eig_shape_errors(shapes):
+    with pytest.raises(DimensionError):
+        eig_generalized(np.ones(shapes[0]), np.ones(shapes[1]))

@@ -4,6 +4,8 @@ projection, the inner first-order loop, and the outer driver."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morkit import analysis, irka
 from morkit.errors import (
@@ -18,6 +20,7 @@ from morkit.irka import (
     InterpolationData,
     IrkaConfig,
     ProjectionBasis,
+    _mirror_interpolation,
     _perturb,
     _shift_iteration,
     back_to_index1,
@@ -29,11 +32,13 @@ from morkit.irka import (
     initial_interpolation,
     irka_first_order,
     irka_second_order_index1,
+    pair_conjugates,
     reduce,
     tangential_solve_left,
     tangential_solve_right,
     update_interpolation,
 )
+from morkit.dense import eig_generalized
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import (
     SecondOrderIndex1System,
@@ -125,54 +130,281 @@ def test_interpolation_data_shape_check():
 
 
 # ---------------------------------------------------------------------------
+# bitwise references: the straightforward closure glue of both IRKA levels
+
+
+def _reference_pair_conjugates(shifts, order=None):
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    order = range(shifts.shape[0]) if order is None else [int(i) for i in order]
+    used = np.zeros(shifts.shape[0], dtype=bool)
+    groups = []
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        s = shifts[i]
+        scale = max(1.0, abs(s))
+        if abs(s.imag) <= 1e-8 * scale:
+            groups.append((i, None))
+            continue
+        near = np.abs(shifts - np.conj(s)) <= 1e-6 * scale
+        partner = next((j for j in order if near[j] and not used[j]), -1)
+        if partner >= 0:
+            used[partner] = True
+        groups.append((i, partner))
+    return groups
+
+
+def _reference_canonical_phase(vec):
+    k = int(np.argmax(np.abs(vec)))
+    a = vec[k]
+    if a == 0:
+        out = np.zeros_like(vec)
+        out[0] = 1.0
+        return out
+    return vec * (np.abs(a) / a)
+
+
+def _reference_unit_direction(vec):
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        out = np.zeros_like(vec)
+        out[0] = 1.0
+        return out
+    return _reference_canonical_phase(vec / norm)
+
+
+def _reference_real_direction(vec):
+    rotated = _reference_canonical_phase(vec)
+    return _reference_unit_direction(rotated.real.astype(np.complex128))
+
+
+def _reference_closure(shifts, b, c):
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=np.complex128))
+    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
+    c = np.atleast_2d(np.asarray(c, dtype=np.complex128))
+    entries = []
+    order = np.lexsort((shifts.imag, shifts.real))
+    for i, j in _reference_pair_conjugates(shifts, order=order):
+        if j is None or j < 0:
+            entries.append((complex(shifts[i].real), _reference_real_direction(b[i]),
+                            _reference_real_direction(c[i])))
+            continue
+        pair = (shifts[i] + np.conj(shifts[j])) / 2.0
+        b_row = _reference_unit_direction((b[i] + np.conj(b[j])) / 2.0)
+        c_row = _reference_unit_direction((c[i] + np.conj(c[j])) / 2.0)
+        entries.append((pair, b_row, c_row))
+        entries.append((np.conj(pair), np.conj(b_row), np.conj(c_row)))
+    out_s = np.array([e[0] for e in entries], dtype=np.complex128)
+    out_b = np.array([e[1] for e in entries])
+    out_c = np.array([e[2] for e in entries])
+    order = np.lexsort((out_s.imag, out_s.real))
+    return out_s[order], out_b[order], out_c[order]
+
+
+def _reference_mirror(triplets, B, C):
+    shifts = np.array([-t.value for t in triplets], dtype=np.complex128)
+    b = np.array([-(B.conj().T @ t.left) for t in triplets])
+    c = np.array([C @ t.right for t in triplets])
+    return _reference_closure(shifts, b, c)
+
+
+def _assert_iterate_is(got, want):
+    for array, expected in zip((got.shifts, got.b, got.c), want):
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+
+
+def _noisy_iterate(r, m, p, seed, unmatched=False, zero_rows=False):
+    """A mirrored-looking iterate: conjugate pairs off by a relative 1e-9,
+    real shifts with a tiny imaginary part, optionally a complex shift
+    without a partner and all-zero direction rows."""
+    rng = np.random.default_rng(seed)
+    shifts, b, c = [], [], []
+    while len(shifts) < r:
+        s = complex(rng.uniform(1.0, 1e4), rng.uniform(1.0, 1e4))
+        bi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        ci = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        if rng.uniform() < 0.3 or len(shifts) == r - 1:
+            shifts.append(complex(s.real, 1e-12 * s.real))
+            b.append(bi)
+            c.append(ci)
+            continue
+        shifts += [s, s.conjugate() * (1.0 + 1e-9 * rng.standard_normal())]
+        b += [bi, bi.conj() * (1.0 + 1e-10)]
+        c += [ci, ci.conj()]
+    if unmatched:
+        shifts[-1] = complex(shifts[-1].real, 3.0)
+    if zero_rows:
+        b[0] = np.zeros(m)
+        c[-1] = np.zeros(p)
+    perm = rng.permutation(len(shifts))
+    return np.array(shifts)[perm], np.array(b)[perm], np.array(c)[perm]
+
+
+@pytest.mark.parametrize("unmatched", [False, True])
+@pytest.mark.parametrize("zero_rows", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_is_bitwise_the_reference(unmatched, zero_rows, seed):
+    shifts, b, c = _noisy_iterate(9, 3, 2, seed, unmatched, zero_rows)
+    assert pair_conjugates(shifts) == _reference_pair_conjugates(shifts)
+    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
+                       _reference_closure(shifts, b, c))
+
+
+def test_closure_of_strided_rows_is_bitwise_the_reference():
+    shifts, b, c = _noisy_iterate(6, 4, 4, 7, zero_rows=True)
+    b, c = np.asfortranarray(b), c[:, ::-1]
+    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
+                       _reference_closure(shifts, b, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(1, 12),
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    unmatched=st.booleans(),
+    zero_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closure_matches_the_reference_on_generated_iterates(r, m, p, unmatched, zero_rows,
+                                                               seed):
+    shifts, b, c = _noisy_iterate(r, m, p, seed, unmatched, zero_rows)
+    order = np.random.default_rng(seed).permutation(shifts.shape[0])
+    assert pair_conjugates(shifts, order) == _reference_pair_conjugates(shifts, order)
+    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
+                       _reference_closure(shifts, b, c))
+
+
+def _mirror_inputs(n, m, p, seed, spectrum):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    E = rng.standard_normal((n, n)) + n * np.eye(n)
+    if spectrum == "real":
+        A, E = A + A.T, E @ E.T
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((p, n))
+    return eig_generalized(A, E), B, C
+
+
+@pytest.mark.parametrize("spectrum", ["real", "pairs"])
+@pytest.mark.parametrize("n, m, p", [(1, 1, 1), (6, 2, 3), (16, 4, 4), (32, 4, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_mirror_is_bitwise_the_reference(spectrum, n, m, p, seed):
+    triplets, B, C = _mirror_inputs(n, m, p, seed, spectrum)
+    _assert_iterate_is(_mirror_interpolation(triplets, B, C),
+                       _reference_mirror(triplets, B, C))
+
+
+def test_mirror_with_zero_directions_is_bitwise_the_reference():
+    triplets, B, C = _mirror_inputs(8, 2, 3, 4, "pairs")
+    B[:] = 0.0
+    out = _mirror_interpolation(triplets, B, C)
+    _assert_iterate_is(out, _reference_mirror(triplets, B, C))
+    assert np.all(out.b[:, 0] == 1.0)   # zero directions become the first unit vector
+
+
+def test_mirror_with_an_unmatched_shift_is_bitwise_the_reference():
+    triplets, B, C = _mirror_inputs(7, 2, 2, 5, "pairs")
+    lone = [t for t in triplets if t.value.imag > 0][:1]
+    rest = [t for t in triplets if t.value.imag == 0.0]
+    _assert_iterate_is(_mirror_interpolation(lone + rest, B, C),
+                       _reference_mirror(lone + rest, B, C))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    spectrum=st.sampled_from(["real", "pairs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_matches_the_reference_on_generated_pencils(n, m, p, spectrum, seed):
+    triplets, B, C = _mirror_inputs(n, m, p, seed, spectrum)
+    _assert_iterate_is(_mirror_interpolation(triplets, B, C),
+                       _reference_mirror(triplets, B, C))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("vectors", ["real", "complex"])
+def test_cast_for_gives_bitwise_the_mixed_products(layout, vectors):
+    rng = np.random.default_rng(9)
+    for m, n in [(1, 1), (4, 16), (4, 32), (9, 40)]:
+        X = rng.standard_normal((m, n))
+        if layout == "F":
+            X = np.asfortranarray(X)
+        x = rng.standard_normal(n)
+        if vectors == "complex":
+            x = x + 1j * rng.standard_normal(n)
+        cast = irka._cast_for(X, x.dtype)
+        assert (cast is X) == (vectors == "real")
+        assert (cast @ x).tobytes() == (X @ x).tobytes()
+        assert (X.T @ x[:m]).tobytes() == (irka._cast_for(X.T, x.dtype) @ x[:m]).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # tangential solves
 
 
+def _right(system, sigma, direction):
+    return tangential_solve_right(system, direction, factor_augmented(system, sigma))
+
+
+def _left(system, sigma, direction):
+    return tangential_solve_left(system, direction, factor_augmented(system, sigma))
+
+
 def test_right_solve_s1(s1):
-    v = tangential_solve_right(s1, 0.0, [1.0])
+    v = _right(s1, 0.0, [1.0])
     np.testing.assert_allclose(v, [2.0 / 9.0], rtol=1e-14)
 
 
 def test_right_solve_decoupled():
     system = scalar_system(K12=0.0, K21=0.0)
-    v = tangential_solve_right(system, 0.0, [1.0])
+    v = _right(system, 0.0, [1.0])
     np.testing.assert_allclose(v, [0.2], rtol=1e-14)
 
 
 def test_right_solve_s2_annihilates(s2):
-    v = tangential_solve_right(s2, 0.0, [1.0])
+    v = _right(s2, 0.0, [1.0])
     np.testing.assert_allclose(v, [0.0], atol=1e-15)
 
 
-def test_right_solve_reuses_factorization(s1):
-    fact = factor_augmented(s1, 1.0j)
-    va = tangential_solve_right(s1, 1.0j, [1.0], factorization=fact)
-    vb = tangential_solve_right(s1, 1.0j, [1.0])
-    np.testing.assert_allclose(va, vb, rtol=1e-15)
+def test_right_solves_agree_across_factorizations(make_system):
+    system = make_system(40, 10, 2, 3, 0, symmetric=False)
+    b = np.array([0.6, -0.8j])
+    for sigma in (1.0j, 2.0, 3.0 + 40.0j):
+        va = tangential_solve_right(system, b, factor_augmented(system, sigma))
+        vb = tangential_solve_right(system, b, factor_augmented(system, sigma))
+        assert va.tobytes() == vb.tobytes()
 
 
 def test_left_solve_symmetric_equals_right(s1):
-    w = tangential_solve_left(s1, 0.0, [1.0])
+    w = _left(s1, 0.0, [1.0])
     np.testing.assert_allclose(w, [2.0 / 9.0], rtol=1e-14)
 
 
 def test_left_solve_asymmetric_output_map():
     system = scalar_system(H1=3.0)
-    w = tangential_solve_left(system, 0.0, [1.0])
+    w = _left(system, 0.0, [1.0])
     np.testing.assert_allclose(w, [2.0 / 3.0], rtol=1e-14)
 
 
 def test_left_solve_decoupled():
     system = scalar_system(K12=0.0, K21=0.0, H2=0.0)
-    w = tangential_solve_left(system, 0.0, [1.0])
+    w = _left(system, 0.0, [1.0])
     np.testing.assert_allclose(w, [0.2], rtol=1e-14)
 
 
-def test_left_solve_through_untransposed_factorization(s1):
-    fact = factor_augmented(s1, 2.0)
-    wa = tangential_solve_left(s1, 2.0, [1.0], factorization=fact)
-    wb = tangential_solve_left(s1, 2.0, [1.0])
-    np.testing.assert_allclose(wa, wb, rtol=1e-14)
+def test_left_solves_agree_across_factorizations(make_system):
+    system = make_system(40, 10, 2, 3, 0, symmetric=False)
+    c = np.array([0.48, -0.6j, 0.64])
+    for sigma in (1.0j, 2.0, 3.0 + 40.0j):
+        wa = tangential_solve_left(system, c, factor_augmented(system, sigma))
+        wb = tangential_solve_left(system, c, factor_augmented(system, sigma))
+        assert wa.tobytes() == wb.tobytes()
 
 
 @pytest.mark.parametrize("n1, n2, m, p, sym, seed", GRID[:8], ids=grid_ids()[:8])
@@ -186,15 +418,24 @@ def test_left_solve_is_the_transposed_augmented_solve(make_system, n1, n2, m, p,
     A = assemble_shifted_augmented(system, sigma).toarray()
     rhs = np.concatenate([system.H1.T @ c, system.H2.T @ c])
     expected = np.linalg.solve(A.T, rhs)[:n1]
-    w = tangential_solve_left(system, sigma, c)
+    w = _left(system, sigma, c)
     assert np.linalg.norm(w - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class _NoSolves:
+    """A factorization stand-in that fails the test if it is ever used."""
+
+    def solve(self, rhs):
+        raise AssertionError("solved before the direction was checked")
+
+    solve_transposed = solve
 
 
 def test_solve_direction_length_checked(s1):
     with pytest.raises(DimensionError):
-        tangential_solve_right(s1, 0.0, [1.0, 2.0])
+        tangential_solve_right(s1, [1.0, 2.0], _NoSolves())
     with pytest.raises(DimensionError):
-        tangential_solve_left(s1, 0.0, [1.0, 2.0])
+        tangential_solve_left(s1, [1.0, 2.0], _NoSolves())
 
 
 def test_factor_augmented_detects_collision():
