@@ -141,11 +141,13 @@ def _check_pivots(A, lu):
     # that entry's bound pass every column's bound as well
     if absdata.size and udiag.min() > scale * absdata.max():
         return
-    # U's column j holds the pivot for original column perm_c[j]
-    tiny = scale * _column_abs_max(A, absdata)[lu.perm_c]
+    # A's column k is U's column perm_c[k], so U's column j holds the
+    # pivot of A's column argsort(perm_c)[j]
+    cols = np.argsort(lu.perm_c)
+    tiny = scale * _column_abs_max(A, absdata)[cols]
     bad = np.flatnonzero(udiag <= tiny)
     if bad.size:
-        col = int(lu.perm_c[bad[0]])
+        col = int(cols[bad[0]])
         raise SingularMatrixError(
             "sparse LU produced a negligible pivot; matrix is numerically singular",
             column=col,

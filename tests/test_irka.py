@@ -1,6 +1,11 @@
 """IRKA machinery: interpolation iterates, tangential solves, bases,
 projection, the inner first-order loop, and the outer driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -48,6 +53,8 @@ from morkit.system import (
 )
 
 from conftest import GRID, damped_pairs, grid_ids, scalar_system
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +876,31 @@ def test_driver_iteration_cap_warns(make_system):
         rom, trace = irka_second_order_index1(system, config)
     assert not trace.converged
     assert trace.iterations == 1
+
+
+_FAR_SHIFT_RUN = """
+import warnings
+import morkit
+system = morkit.generate_synthetic(200, 20, 4, 4, seed=3, symmetric=False)
+config = morkit.IrkaConfig(r=20, max_iter=3, inner_tol=1e-12)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", morkit.ConvergenceWarning)
+    rom, trace = morkit.irka_second_order_index1(system, config)
+assert rom.order == 20, rom.order
+assert min(trace.final_interpolation.shifts.real) < -1e7
+"""
+
+
+def test_driver_factors_a_far_left_half_plane_shift():
+    # With one BLAS thread this reduction ends at the shift -1.09e7. The augmented matrix there is far from singular;
+    # a pivot check that compared each pivot with another column's
+    # largest entry raised ShiftCollisionError.
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAR_SHIFT_RUN], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_save_load_reduced_model_round_trip(tmp_path, s1):

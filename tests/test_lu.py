@@ -59,6 +59,19 @@ def test_pivot_small_only_beside_another_column_passes():
     np.testing.assert_array_equal(np.sort(np.abs(lu.U.diagonal())), [1.0, 1e20])
 
 
+def test_widely_scaled_columns_pass_the_pivot_check():
+    # columns scaled 1e-8 .. 1e8 around a matrix of condition number
+    # 1.45: every pivot is large against its own column, so the check
+    # must compare it with that column, which minimum degree moved
+    rng = np.random.default_rng(16)
+    n = 12
+    C = np.eye(n) + 0.1 * (rng.random((n, n)) < 0.2) * rng.standard_normal((n, n))
+    scales = np.logspace(-8, 8, n)
+    lu = factor(sp.csc_array(C * scales))
+    assert not np.array_equal(lu.perm_c, np.arange(n))
+    np.testing.assert_allclose(lu.solve(C @ np.ones(n)) * scales, 1.0, rtol=1e-12)
+
+
 def test_structurally_singular_raises():
     # an empty column makes SuperLU itself abort
     A = sp.csc_array(np.array([[1.0, 0.0], [1.0, 0.0]]))
