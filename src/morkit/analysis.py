@@ -20,6 +20,7 @@ import numpy as np
 from .dense import dense_solve, eig_generalized, sigma_max
 from .errors import MorkitError
 from .irka import companion, factor_augmented
+from .lu import ColumnOrder
 from .oracles import oracle_sampling_equivalence
 from .system import atomic_write_text, to_dense_schur
 
@@ -34,17 +35,18 @@ class TransferSample:
     G: np.ndarray
 
 
-def eval_full(system, s):
+def eval_full(system, s, order=None):
     """Evaluate the full index-1 system's transfer function at s.
 
     Solves the augmented system with all m right-hand-side columns
-    through a single factorization and assembles
+    through a single factorization, made in the column order `order`
+    (see :func:`~morkit.irka.factor_augmented`), and assembles
     ``G(s) = H1 v + H2 gamma + Da``; the algebraic contribution is kept,
     so feed-through behavior is exact.
     """
     s = complex(s)
     rhs = np.vstack([system.F1, system.F2]).astype(np.complex128)
-    sol = factor_augmented(system, s).solve(rhs)
+    sol = factor_augmented(system, s, order).solve(rhs)
     v, gamma = sol[: system.n1], sol[system.n1 :]
     return TransferSample(s=s, G=system.H1 @ v + system.H2 @ gamma + system.Da)
 
@@ -129,17 +131,21 @@ def sweep(system, rom, omegas, max_workers=None):
     back to the absolute error where the full response vanishes. Points
     are independent; ``max_workers`` > 1 (default: the MORKIT_THREADS
     environment variable, 0 meaning sequential) evaluates them in a
-    thread pool. Results are positionally ordered either way.
+    thread pool. Results are positionally ordered either way. The first
+    point is evaluated before any other, and its LU's column order
+    serves every later point, so the results do not depend on
+    ``max_workers``.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     p, m = rom.p, rom.m
     if max_workers is None:
         max_workers = _threads_from_env()
+    order = ColumnOrder()
 
     def one_point(omega):
         s = 1j * omega
         try:
-            Gf = eval_full(system, s).G
+            Gf = eval_full(system, s, order).G
             Gr = eval_reduced(rom, s).G
         except MorkitError:
             nanblock = np.full((p, m), np.nan, dtype=np.complex128)
@@ -151,11 +157,14 @@ def sweep(system, rom, omegas, max_workers=None):
             return sf, sr, diff / sf, "ok", Gf, Gr
         return sf, sr, diff, "absolute", Gf, Gr
 
+    results = [one_point(w) for w in omegas[:1]]
+    if order.cols is None:  # the first point failed: every point orders itself
+        order = None
     if max_workers and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_point, omegas))
+            results += pool.map(one_point, omegas[1:])
     else:
-        results = [one_point(w) for w in omegas]
+        results += [one_point(w) for w in omegas[1:]]
 
     sigma_full = np.array([res[0] for res in results])
     sigma_rom = np.array([res[1] for res in results])

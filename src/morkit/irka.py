@@ -309,15 +309,18 @@ def _representatives(interp):
 # tangential solves against the sparse augmented blocks
 
 
-def factor_augmented(system, sigma):
+def factor_augmented(system, sigma, order=None):
     """Sparse LU of the shifted augmented matrix at one shift.
 
-    A singular factorization means sigma collided with an eigenvalue of
-    the underlying pencil and raises :class:`ShiftCollisionError`.
+    The augmented pattern does not depend on sigma, so the factorizations
+    of one reduction or sweep share one :class:`~morkit.lu.ColumnOrder`
+    (`order`, see :func:`morkit.lu.factor`). A singular factorization
+    means sigma collided with an eigenvalue of the underlying pencil and
+    raises :class:`ShiftCollisionError`.
     """
     A = assemble_shifted_augmented(system, sigma)
     try:
-        return lu.factor(A, ordering="amd")
+        return lu.factor(A, order)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
@@ -418,14 +421,15 @@ def _tangential_bases(interp, solve, one_sided=False):
     return ProjectionBasis(V=V, W=W, one_sided=False)
 
 
-def build_bases(system, interp, one_sided=False):
+def build_bases(system, interp, one_sided=False, order=None):
     """Assemble real projection bases from one interpolation iterate.
 
     Columns come from tangential solves with the sparse augmented
     blocks (see :func:`_tangential_bases`). One sparse LU per group of
     :func:`pair_conjugates` serves both the right solve and (two-sided
     case) the transposed left solve, so a build makes one right solve
-    per group, and as many left solves when two-sided.
+    per group, and as many left solves when two-sided. The LUs are made
+    in the column order `order` (see :func:`factor_augmented`).
 
     With ``one_sided=True`` no left solves happen and W is V; the
     reduction is then a Galerkin projection, which preserves symmetry.
@@ -434,7 +438,7 @@ def build_bases(system, interp, one_sided=False):
         raise StructuralError("interpolation data is not conjugate closed")
 
     def solve(sigma, b_row, c_row):
-        fact = factor_augmented(system, sigma)
+        fact = factor_augmented(system, sigma, order)
         v = tangential_solve_right(system, b_row, fact)
         if one_sided:
             return v, None
@@ -845,6 +849,7 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
+    order = lu.ColumnOrder()  # minimum degree of the first LU, kept for the rest
     solves = {"right": 0, "left": 0}  # solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
@@ -855,7 +860,7 @@ def irka_second_order_index1(system, config):
         return out
 
     def bases(interp):
-        basis = timed("solve", build_bases, system, interp, one_sided=one_sided)
+        basis = timed("solve", build_bases, system, interp, one_sided=one_sided, order=order)
         groups = len(pair_conjugates(interp.shifts))
         solves["right"] += groups
         solves["left"] += 0 if one_sided else groups

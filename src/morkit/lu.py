@@ -3,6 +3,8 @@
 Thin, contract-enforcing layer over SuperLU. Equilibration is disabled
 so that the factorization identity ``Pr @ A @ Pc == L @ U`` holds
 exactly in terms of the returned permutations and triangular factors.
+A :class:`ColumnOrder` lets a run of factorizations of one sparsity
+pattern share the fill-reducing ordering of the first.
 """
 
 import numpy as np
@@ -14,10 +16,54 @@ from .sparse import as_canonical_csc
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 
-_ORDERINGS = {
-    "amd": "MMD_AT_PLUS_A",  # minimum degree on the pattern of A + A^T
-    "natural": "NATURAL",
-}
+
+class ColumnOrder:
+    """A fill-reducing column order shared by a run of factorizations.
+
+    With ``cols`` set, :func:`factor` factors ``P^T @ A @ P``, where
+    ``P[:, j]`` is the unit vector ``e_cols[j]``, and orders nothing
+    itself. Permuting rows and columns alike keeps SuperLU's preference
+    for the diagonal pivot: for matrices of one pattern, minimum degree
+    ordering would pick the same columns and pivots, and this order
+    skips its cost. An order made without ``cols`` is empty; the first
+    factorization through it runs minimum degree and keeps its order.
+
+    The stored entries of ``P^T @ A @ P`` are a gather of A's. The
+    gather map is kept for the last pattern seen and made again when the
+    pattern changes, as when an entry cancels to an exact zero.
+    """
+
+    def __init__(self, cols=None):
+        if cols is not None:
+            cols = np.asarray(cols)
+            if (cols.ndim != 1 or cols.dtype.kind not in "iu"
+                    or not np.array_equal(np.sort(cols), np.arange(cols.shape[0]))):
+                raise ValueError("a column order must be a permutation of 0, ..., n-1")
+        self.cols = cols
+        self._map = None  # (indptr, indices) of A, then the gather map
+
+    def permute(self, A):
+        """``P^T @ A @ P`` of canonical CSC `A`, as canonical CSC."""
+        # threads may both rebuild a stale map; each uses its own copy
+        known = self._map
+        if known is None or not (
+            np.array_equal(known[0], A.indptr) and np.array_equal(known[1], A.indices)
+        ):
+            known = self._map = (A.indptr, A.indices, *_symmetric_gather(A, self.cols))
+        gather, indices, indptr = known[2:]
+        return sp.csc_array((A.data[gather], indices, indptr), shape=A.shape)
+
+
+def _symmetric_gather(A, cols):
+    """``(gather, indices, indptr)`` of canonical CSC ``A[cols][:, cols]``,
+    whose stored entries are ``A.data[gather]``."""
+    idx = A.indices.dtype
+    positions = sp.csc_array(
+        (np.arange(1, A.nnz + 1, dtype=np.int64), A.indices, A.indptr), shape=A.shape
+    )
+    B = positions[cols][:, cols]
+    B.sort_indices()
+    return (B.data - 1).astype(idx), B.indices.astype(idx), B.indptr.astype(idx)
 
 
 class SparseLU:
@@ -34,10 +80,11 @@ class SparseLU:
         ``Pc[k, perm_c[k]] = 1``.
     """
 
-    def __init__(self, superlu, dtype, n):
+    def __init__(self, superlu, dtype, n, cols=None):
         self._superlu = superlu
         self.dtype = dtype
         self.n = n
+        self._cols = cols  # SuperLU factored P^T A P in this order, if given
 
     @property
     def L(self):
@@ -49,11 +96,19 @@ class SparseLU:
 
     @property
     def perm_r(self):
-        return self._superlu.perm_r
+        return self._composed(self._superlu.perm_r)
 
     @property
     def perm_c(self):
-        return self._superlu.perm_c
+        return self._composed(self._superlu.perm_c)
+
+    def _composed(self, perm):
+        # row and column k of P^T A P are row and column cols[k] of A
+        if self._cols is None:
+            return perm
+        out = np.empty_like(perm)
+        out[self._cols] = perm
+        return out
 
     def permutation_matrices(self):
         """Return (Pr, Pc) as sparse matrices satisfying Pr @ A @ Pc = L @ U."""
@@ -69,12 +124,21 @@ class SparseLU:
             raise DimensionError(
                 f"right-hand side has {rhs.shape[0]} rows, factorization has {self.n}"
             )
+        cols = self._cols
+        if cols is not None:
+            rhs = rhs[cols]  # P^T rhs, for (P^T A P) (P^T x) = P^T rhs
         if np.iscomplexobj(rhs) and not np.issubdtype(self.dtype, np.complexfloating):
             # real factorization, complex right-hand side: solve parts separately
             real = self._superlu.solve(np.ascontiguousarray(rhs.real), trans=trans)
             imag = self._superlu.solve(np.ascontiguousarray(rhs.imag), trans=trans)
-            return real + 1j * imag
-        return self._superlu.solve(rhs.astype(self.dtype, copy=False), trans=trans)
+            x = real + 1j * imag
+        else:
+            x = self._superlu.solve(rhs.astype(self.dtype, copy=False), trans=trans)
+        if cols is None:
+            return x
+        out = np.empty_like(x)
+        out[cols] = x
+        return out
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a dense vector or block of vectors."""
@@ -85,16 +149,20 @@ class SparseLU:
         return self._solve(rhs, "T")
 
 
-def factor(A, ordering="amd"):
+def factor(A, order=None):
     """Factor a square sparse matrix as ``Pr @ A @ Pc = L @ U``.
 
     Parameters
     ----------
     A : sparse matrix
         Square, real or complex.
-    ordering : {"amd", "natural"}
-        Fill-reducing column ordering; "amd" applies minimum degree to
-        the pattern of A + A^T, "natural" keeps the given order.
+    order : None, array of int or ColumnOrder
+        None applies SuperLU's minimum degree ordering to the pattern of
+        A + A^T. An array or a :class:`ColumnOrder` with ``cols`` factors
+        ``P^T A P`` in that column order instead; an empty
+        :class:`ColumnOrder` is given the order minimum degree chose.
+        The permutations, solves and pivot check are those of A either
+        way.
 
     Raises
     ------
@@ -105,25 +173,26 @@ def factor(A, ordering="amd"):
     """
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"cannot factor non-square matrix of shape {A.shape}")
-    try:
-        permc_spec = _ORDERINGS[ordering]
-    except KeyError:
-        raise ValueError(
-            f"unknown ordering {ordering!r}, expected one of {sorted(_ORDERINGS)}"
-        ) from None
+    if order is not None and not isinstance(order, ColumnOrder):
+        order = ColumnOrder(order)
+    cols = None if order is None else order.cols
     A = as_canonical_csc(A)
     n = A.shape[0]
+    if cols is not None and cols.shape[0] != n:
+        raise DimensionError(f"column order of length {cols.shape[0]} for a matrix of order {n}")
     try:
         superlu = spla.splu(
-            A,
-            permc_spec=permc_spec,
+            A if cols is None else order.permute(A),
+            permc_spec="MMD_AT_PLUS_A" if cols is None else "NATURAL",
             diag_pivot_thresh=PIVOT_TOL,
             options={"Equil": False},
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"sparse LU breakdown: {exc}") from exc
-    lu = SparseLU(superlu, A.dtype, n)
+    lu = SparseLU(superlu, A.dtype, n, cols)
     _check_pivots(A, lu)
+    if order is not None and cols is None:
+        order.cols = np.argsort(lu.perm_c)
     return lu
 
 

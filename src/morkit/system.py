@@ -85,7 +85,7 @@ class SecondOrderIndex1System:
     def k22_lu(self):
         """Retained sparse LU of the algebraic block K22."""
         try:
-            return lu.factor(self.K22, ordering="amd")
+            return lu.factor(self.K22)
         except SingularMatrixError as exc:
             raise Index1ViolationError(
                 f"K22 is singular, system is not index 1 ({exc})", column=exc.column

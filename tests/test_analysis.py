@@ -18,6 +18,7 @@ from morkit.irka import (
     irka_second_order_index1,
     reduce,
 )
+from morkit.lu import ColumnOrder
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -108,9 +109,22 @@ def test_sweep_threaded_matches_sequential(make_system):
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.logspace(1, 4, 16)
     seq = sweep(system, rom, omegas, max_workers=1)
-    par = sweep(system, rom, omegas, max_workers=4)
-    np.testing.assert_array_equal(seq.sigma_full, par.sigma_full)
-    np.testing.assert_array_equal(seq.rel_err, par.rel_err)
+    for workers in (2, 4):
+        par = sweep(system, rom, omegas, max_workers=workers)
+        assert par.to_csv() == seq.to_csv()
+        assert par.G_full.tobytes() == seq.G_full.tobytes()
+
+
+def test_sweep_factors_every_point_in_the_first_points_order(make_system):
+    system = make_system(120, 25, 2, 2, 0, symmetric=False)
+    I = np.eye(120)
+    rom = reduce(system, ProjectionBasis(V=I, W=I))
+    omegas = np.logspace(1, 4, 6)
+    order = ColumnOrder()
+    full = [eval_full(system, 1j * w, order).G for w in omegas]
+    for workers in (1, 2):
+        result = sweep(system, rom, omegas, max_workers=workers)
+        assert result.G_full.tobytes() == np.stack(full).tobytes()
 
 
 def test_sweep_csv_shape(s1):

@@ -4,6 +4,7 @@ projection, the inner first-order loop, and the outer driver."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from morkit.dense import eig_generalized
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import (
     SecondOrderIndex1System,
+    generate_synthetic,
     load_reduced_model,
     save_reduced_model,
     to_dense_schur,
@@ -480,9 +482,9 @@ def _count_factorizations(monkeypatch):
     shifts = []
     original = irka.factor_augmented
 
-    def counting(system, sigma):
+    def counting(system, sigma, order=None):
         shifts.append(sigma)
-        return original(system, sigma)
+        return original(system, sigma, order)
 
     monkeypatch.setattr(irka, "factor_augmented", counting)
     return shifts
@@ -878,7 +880,54 @@ def test_driver_iteration_cap_warns(make_system):
     assert trace.iterations == 1
 
 
-_FAR_SHIFT_RUN = """
+def test_driver_factors_in_one_column_order(make_system, monkeypatch):
+    # the first LU of a reduction runs minimum degree and fills the
+    # order; every later one, in every outer iteration, reuses it
+    calls = []
+
+    def spy(system, sigma, order=None):
+        calls.append((order, order is not None and order.cols is not None))
+        return factor_augmented(system, sigma, order)
+
+    monkeypatch.setattr(irka, "factor_augmented", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        irka_second_order_index1(make_system(40, 10, 2, 2, 0), IrkaConfig(r=4, max_iter=3))
+    assert len(calls) > 4
+    assert len({id(order) for order, _ in calls}) == 1
+    assert [filled for _, filled in calls] == [False] + [True] * (len(calls) - 1)
+
+
+def test_driver_repeats_its_bytes_on_one_system_object(make_system):
+    # the column order belongs to one call: a second reduction of the
+    # same object orders its first LU afresh and repeats the first run
+    system = make_system(120, 25, 2, 2, 0, symmetric=False)
+    config = IrkaConfig(r=6, max_iter=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        (rom_a, trace_a), (rom_b, trace_b) = (
+            irka_second_order_index1(system, config) for _ in range(2))
+    assert trace_a.format() == trace_b.format()
+    for name in "MLKFHD":
+        assert getattr(rom_a, name).tobytes() == getattr(rom_b, name).tobytes()
+
+
+_FAR_SHIFT = -10910447.895162921
+
+
+def test_augmented_matrix_at_a_far_left_half_plane_shift_factors():
+    # the mimo-inner seed-3 system at a shift an r=20 reduction once
+    # reached: the matrix is far from singular, but a pivot check that
+    # compared each pivot with another column's largest entry raised
+    # ShiftCollisionError
+    system = generate_synthetic(200, 20, 4, 4, seed=3, symmetric=False)
+    A = assemble_shifted_augmented(system, _FAR_SHIFT)
+    rhs = np.ones(A.shape[0])
+    x = factor_augmented(system, _FAR_SHIFT).solve(rhs)
+    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+_R20_RUN = """
 import warnings
 import morkit
 system = morkit.generate_synthetic(200, 20, 4, 4, seed=3, symmetric=False)
@@ -887,18 +936,16 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", morkit.ConvergenceWarning)
     rom, trace = morkit.irka_second_order_index1(system, config)
 assert rom.order == 20, rom.order
-assert min(trace.final_interpolation.shifts.real) < -1e7
 """
 
 
-def test_driver_factors_a_far_left_half_plane_shift():
-    # With one BLAS thread this reduction ends at the shift -1.09e7. The augmented matrix there is far from singular;
-    # a pivot check that compared each pivot with another column's
-    # largest entry raised ShiftCollisionError.
+def test_driver_completes_the_mimo_inner_r20_reduction():
+    # with one BLAS thread and the old pivot check, this reduction
+    # reached the shift above and raised ShiftCollisionError
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FAR_SHIFT_RUN], env=env,
+    proc = subprocess.run([sys.executable, "-c", _R20_RUN], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from morkit.errors import DimensionError, SingularMatrixError
-from morkit.lu import _column_abs_max, factor
+from morkit.lu import ColumnOrder, _column_abs_max, factor
 from morkit.sparse import assemble_shifted_augmented
 
 from conftest import GRID, grid_ids
@@ -20,7 +20,7 @@ def _random_square(n, seed, density=0.25):
 
 def test_worked_2x2_example():
     A = sp.csc_array(np.array([[5.0, 1.0], [1.0, 2.0]]))
-    lu = factor(A, ordering="natural")
+    lu = factor(A, order=np.arange(2))
     np.testing.assert_array_equal(lu.L.toarray(), [[1.0, 0.0], [0.2, 1.0]])
     np.testing.assert_array_equal(lu.U.toarray(), [[5.0, 1.0], [0.0, 1.8]])
     np.testing.assert_array_equal(lu.perm_r, [0, 1])
@@ -85,18 +85,24 @@ def test_non_square_rejected():
 
 
 def test_unknown_ordering_rejected():
-    A = sp.eye_array(2, format="csc")
-    with pytest.raises(ValueError):
-        factor(A, ordering="rcm")
-    with pytest.raises(ValueError):
-        factor(A, ordering="colamd")
+    A = sp.eye_array(3, format="csc")
+    for order in ("rcm", [0, 1, 1], [0.0, 1.0, 2.0], [[0, 1, 2]], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            factor(A, order=order)
+    with pytest.raises(DimensionError):
+        factor(A, order=[1, 0])
+
+
+def _order(ordering, n, seed):
+    return {"amd": None, "natural": np.arange(n),
+            "shuffled": np.random.default_rng(seed).permutation(n)}[ordering]
 
 
 @pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2), (60, 3)])
-@pytest.mark.parametrize("ordering", ["amd", "natural"])
+@pytest.mark.parametrize("ordering", ["amd", "natural", "shuffled"])
 def test_permuted_factorization_identity(n, seed, ordering):
     A = _random_square(n, seed)
-    lu = factor(A, ordering=ordering)
+    lu = factor(A, order=_order(ordering, n, seed))
     Pr, Pc = lu.permutation_matrices()
     residual = abs(Pr @ A @ Pc - lu.L @ lu.U).max()
     assert residual <= 1e-12 * abs(A).max()
@@ -202,3 +208,71 @@ def test_column_abs_max_matches_sparse_max(dtype):
     got = _column_abs_max(A, np.abs(A.data))
     assert got.tobytes() == want.tobytes()
     assert got[0] == got[2] == got[5] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_solves_in_a_given_order_match_a_dense_solve(dtype):
+    rng = np.random.default_rng(7)
+    n = 40
+    A = _random_square(n, 7).astype(dtype)
+    if dtype == np.complex128:
+        A = A + 1j * _random_square(n, 8)
+    lu = factor(A, order=rng.permutation(n))
+    dense = A.toarray()
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(dense, rhs),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(lu.solve_transposed(rhs), np.linalg.solve(dense.T, rhs),
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_negligible_pivot_names_its_original_column_in_any_order():
+    # columns 0 and 2 agree to within eps; whichever is eliminated
+    # second gets a negligible pivot, and the error names that column
+    eps = np.finfo(np.float64).eps
+    A = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
+                               [0.0, 1.0, 0.0, 0.0],
+                               [1.0, 0.0, 1.0 + eps, 0.0],
+                               [0.0, 0.0, 0.0, 1.0]]))
+    for order, column in (([0, 1, 2, 3], 2), ([1, 2, 3, 0], 0), ([3, 0, 1, 2], 2)):
+        with pytest.raises(SingularMatrixError) as err:
+            factor(A, order=order)
+        assert err.value.column == column
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_reused_order_keeps_the_default_fill_and_pivots(make_system, symmetric):
+    # the order of the first factorization, applied to the augmented
+    # matrices at other shifts, reproduces minimum degree's permutations
+    # and fill there; every pivot stays on the diagonal
+    system = make_system(200, 40, 2, 2, 4, symmetric=symmetric)
+    order = ColumnOrder()
+    factor(assemble_shifted_augmented(system, 3.0 + 40.0j), order)
+    assert order.cols is not None
+    for sigma in (0.5, 12.0 - 700.0j, 2e3 + 9e3j, -1.76e7):
+        A = assemble_shifted_augmented(system, sigma)
+        default, reused = factor(A), factor(A, order)
+        np.testing.assert_array_equal(reused.perm_c, default.perm_c)
+        np.testing.assert_array_equal(reused.perm_r, default.perm_r)
+        np.testing.assert_array_equal(reused.perm_r, reused.perm_c)
+        assert reused.L.nnz + reused.U.nnz == default.L.nnz + default.U.nnz
+
+
+def test_column_order_follows_a_changed_pattern():
+    # an entry that cancels to an exact zero drops out of the pattern;
+    # the order then permutes the new pattern, not the stale one
+    rng = np.random.default_rng(3)
+    n = 30
+    order = ColumnOrder(rng.permutation(n))
+    A = _random_square(n, 3)
+    B = A.copy()
+    B.data[5] = 0.0
+    B.eliminate_zeros()
+    for M in (A, B, A):
+        P = order.permute(M)
+        assert P.has_canonical_format
+        np.testing.assert_array_equal(
+            P.toarray(), M.toarray()[order.cols][:, order.cols])
+        x = factor(M, order).solve(np.ones(n))
+        np.testing.assert_allclose(M @ x, np.ones(n), rtol=1e-12)

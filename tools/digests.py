@@ -11,9 +11,26 @@ a 12-point ``sweep`` against the full model and the bytes of
 directory next to this one, with one BLAS thread (output bytes depend on
 the thread count). To check that a change keeps outputs byte-identical,
 run this script in a checkout of the parent commit and in the changed
-tree and ``diff`` the two outputs. The systems and digests are the 14
-recorded in CHANGES.md for the lean-kernels change (dense solve,
-augmented assembly and pivot check).
+tree and ``diff`` the two outputs. The systems are the 14 of the
+lean-kernels change (dense solve, augmented assembly and pivot check).
+Their digests changed once since, when the factorizations of a reduction
+and of a sweep began to share one column order (only the chain's stayed;
+``tools/equivalence.py`` checked that change). The current record::
+
+    synth150-s0 cae5fc14af5ea052
+    synth150-s1 b8dbab0b10ff8ef8
+    synth150-s2 cfddd95a237652f7
+    synth150-s3 f9fd5e8cf8ac7bc1
+    synth150-s4 9285ec2715621fdd
+    mimo-inner-s0 cece4ce928a84e47
+    mimo-inner-s1 d3c9a1ea9a662453
+    mimo-inner-s2 8d41a78ab74fca10
+    mimo-inner-s3 e709f32bac11790b
+    nonsym200-s0 c92b312ac94ac3c9
+    nonsym200-s1 1681a64176781220
+    nonsym200-s2 e1381ca70ca2ce11
+    synth-fill-s0 e490fe26edb91809
+    chain5000-s0 81b1f91accf7389c
 
 The systems:
 
