@@ -28,19 +28,23 @@ class ColumnOrder:
     skips its cost. An order made without ``cols`` is empty; the first
     factorization through it runs minimum degree and keeps its order.
 
-    The stored entries of ``P^T @ A @ P`` are a gather of A's. The
-    gather map is kept for the last pattern seen and made again when the
-    pattern changes, as when an entry cancels to an exact zero.
+    ``inverse`` is the inverse permutation: column k of A becomes
+    column ``inverse[k]``. The stored entries of ``P^T @ A @ P`` are a
+    gather of A's. The gather map is kept for the last pattern seen and
+    made again when the pattern changes, as when an entry cancels to an
+    exact zero.
     """
 
     def __init__(self, cols=None):
+        self.cols = self.inverse = None
+        self._map = None  # (indptr, indices) of A, then the gather map
         if cols is not None:
             cols = np.asarray(cols)
             if (cols.ndim != 1 or cols.dtype.kind not in "iu"
                     or not np.array_equal(np.sort(cols), np.arange(cols.shape[0]))):
                 raise ValueError("a column order must be a permutation of 0, ..., n-1")
-        self.cols = cols
-        self._map = None  # (indptr, indices) of A, then the gather map
+            self.cols, self.inverse = cols, np.empty_like(cols)
+            self.inverse[cols] = np.arange(cols.shape[0])
 
     def permute(self, A):
         """``P^T @ A @ P`` of canonical CSC `A`, as canonical CSC."""
@@ -80,11 +84,11 @@ class SparseLU:
         ``Pc[k, perm_c[k]] = 1``.
     """
 
-    def __init__(self, superlu, dtype, n, cols=None):
+    def __init__(self, superlu, dtype, n, order=None):
         self._superlu = superlu
         self.dtype = dtype
         self.n = n
-        self._cols = cols  # SuperLU factored P^T A P in this order, if given
+        self._order = order  # SuperLU factored P^T A P in this order, if given
 
     @property
     def L(self):
@@ -103,12 +107,8 @@ class SparseLU:
         return self._composed(self._superlu.perm_c)
 
     def _composed(self, perm):
-        # row and column k of P^T A P are row and column cols[k] of A
-        if self._cols is None:
-            return perm
-        out = np.empty_like(perm)
-        out[self._cols] = perm
-        return out
+        # row and column k of A are row and column inverse[k] of P^T A P
+        return perm if self._order is None else perm[self._order.inverse]
 
     def permutation_matrices(self):
         """Return (Pr, Pc) as sparse matrices satisfying Pr @ A @ Pc = L @ U."""
@@ -124,9 +124,9 @@ class SparseLU:
             raise DimensionError(
                 f"right-hand side has {rhs.shape[0]} rows, factorization has {self.n}"
             )
-        cols = self._cols
-        if cols is not None:
-            rhs = rhs[cols]  # P^T rhs, for (P^T A P) (P^T x) = P^T rhs
+        order = self._order
+        if order is not None:  # (P^T A P) (P^T x) = P^T rhs; take beats fancy indexing
+            rhs = np.take(rhs, order.cols, axis=0)
         if np.iscomplexobj(rhs) and not np.issubdtype(self.dtype, np.complexfloating):
             # real factorization, complex right-hand side: solve parts separately
             real = self._superlu.solve(np.ascontiguousarray(rhs.real), trans=trans)
@@ -134,11 +134,7 @@ class SparseLU:
             x = real + 1j * imag
         else:
             x = self._superlu.solve(rhs.astype(self.dtype, copy=False), trans=trans)
-        if cols is None:
-            return x
-        out = np.empty_like(x)
-        out[cols] = x
-        return out
+        return x if order is None else np.take(x, order.inverse, axis=0)
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a dense vector or block of vectors."""
@@ -189,10 +185,11 @@ def factor(A, order=None):
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"sparse LU breakdown: {exc}") from exc
-    lu = SparseLU(superlu, A.dtype, n, cols)
+    lu = SparseLU(superlu, A.dtype, n, None if cols is None else order)
     _check_pivots(A, lu)
     if order is not None and cols is None:
-        order.cols = np.argsort(lu.perm_c)
+        # copies: SuperLU's own arrays would keep this LU alive
+        order.cols, order.inverse = np.argsort(lu.perm_c), lu.perm_c.copy()
     return lu
 
 

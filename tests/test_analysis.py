@@ -1,7 +1,11 @@
 """Transfer evaluation, dual-route equivalence, sweeps, stability, timing."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from morkit.analysis import (
     eval_full,
@@ -19,6 +23,7 @@ from morkit.irka import (
     reduce,
 )
 from morkit.lu import ColumnOrder
+from morkit.sparse import assemble_shifted_augmented
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -125,6 +130,36 @@ def test_sweep_factors_every_point_in_the_first_points_order(make_system):
     for workers in (1, 2):
         result = sweep(system, rom, omegas, max_workers=workers)
         assert result.G_full.tobytes() == np.stack(full).tobytes()
+
+
+def test_threaded_sweep_through_a_changing_pattern_matches_sequential(make_system):
+    # at omega = 10 the (0, 1) entries of S11 cancel to exact zeros
+    # (-100 * 0.5 + 50, no damping there), so the points share one
+    # column order over two patterns; more workers than cores and a
+    # short switch interval give a racing gather-map rebuild its chance
+    base = make_system(40, 10, 2, 2, 0)
+    M, K = base.M11.toarray(), base.K11.toarray()
+    assert M[0, 1] == K[0, 1] == 0.0
+    M[0, 1] = M[1, 0] = 0.5
+    K[0, 1] = K[1, 0] = 50.0
+    system = dataclasses.replace(
+        base, M11=sp.csc_array(M), K11=sp.csc_array(K),
+        L11=sp.diags_array(base.L11.diagonal(), format="csc"))
+    assert assemble_shifted_augmented(system, 10j).nnz == (
+        assemble_shifted_augmented(system, 11j).nnz - 2)
+    I = np.eye(40)
+    rom = reduce(system, ProjectionBasis(V=I, W=I))
+    omegas = np.tile([9.0, 10.0, 11.0, 10.0], 6)
+    seq = sweep(system, rom, omegas, max_workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = sweep(system, rom, omegas, max_workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert par.G_full.tobytes() == seq.G_full.tobytes()
+    exact = np.stack([eval_full(system, 1j * w).G for w in omegas])
+    np.testing.assert_allclose(seq.G_full, exact, rtol=1e-12)
 
 
 def test_sweep_csv_shape(s1):
