@@ -318,9 +318,8 @@ def factor_augmented(system, sigma, order=None):
     means sigma collided with an eigenvalue of the underlying pencil and
     raises :class:`ShiftCollisionError`.
     """
-    A = assemble_shifted_augmented(system, sigma)
     try:
-        return lu.factor(A, order)
+        return lu.factor(assemble_shifted_augmented(system, sigma), order)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 

@@ -53,7 +53,10 @@ class ColumnOrder:
         if known is None or not (
             np.array_equal(known[0], A.indptr) and np.array_equal(known[1], A.indices)
         ):
-            known = self._map = (A.indptr, A.indices, *_symmetric_gather(A, self.cols))
+            # one block for the pattern and its map: a block this large is
+            # mapped, not carved from the heap, and leaves no hole when freed
+            block = np.concatenate([A.indptr, A.indices, *_symmetric_gather(A, self.cols)])
+            known = self._map = np.split(block, np.cumsum([A.shape[0] + 1, A.nnz, A.nnz, A.nnz]))
         gather, indices, indptr = known[2:]
         return sp.csc_array((A.data[gather], indices, indptr), shape=A.shape)
 
@@ -62,12 +65,13 @@ def _symmetric_gather(A, cols):
     """``(gather, indices, indptr)`` of canonical CSC ``A[cols][:, cols]``,
     whose stored entries are ``A.data[gather]``."""
     idx = A.indices.dtype
-    positions = sp.csc_array(
-        (np.arange(1, A.nnz + 1, dtype=np.int64), A.indices, A.indptr), shape=A.shape
-    )
+    # 1-based, so that no position is an explicit zero indexing could drop
+    positions = sp.csc_array((np.arange(1, A.nnz + 1, dtype=idx), A.indices, A.indptr),
+                             shape=A.shape)
     B = positions[cols][:, cols]
     B.sort_indices()
-    return (B.data - 1).astype(idx), B.indices.astype(idx), B.indptr.astype(idx)
+    B.data -= 1
+    return tuple(x.astype(idx, copy=False) for x in (B.data, B.indices, B.indptr))
 
 
 class SparseLU:
@@ -134,7 +138,12 @@ class SparseLU:
             x = real + 1j * imag
         else:
             x = self._superlu.solve(rhs.astype(self.dtype, copy=False), trans=trans)
-        return x if order is None else np.take(x, order.inverse, axis=0)
+        if order is None:
+            return x
+        # the permuted right-hand side is ours; reusing it saves an
+        # allocation, which mode="raise" would make again as a buffer
+        out = rhs if rhs.dtype == x.dtype else None
+        return np.take(x, order.inverse, axis=0, out=out, mode="clip")
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a dense vector or block of vectors."""
@@ -174,34 +183,38 @@ def factor(A, order=None):
     cols = None if order is None else order.cols
     A = as_canonical_csc(A)
     n = A.shape[0]
-    if cols is not None and cols.shape[0] != n:
-        raise DimensionError(f"column order of length {cols.shape[0]} for a matrix of order {n}")
+    if cols is not None:
+        if cols.shape[0] != n:
+            raise DimensionError(f"column order of length {cols.shape[0]} for a matrix of order {n}")
+        A = order.permute(A)  # frees the caller's values if nothing else holds them
     try:
         superlu = spla.splu(
-            A if cols is None else order.permute(A),
+            A,
             permc_spec="MMD_AT_PLUS_A" if cols is None else "NATURAL",
             diag_pivot_thresh=PIVOT_TOL,
             options={"Equil": False},
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"sparse LU breakdown: {exc}") from exc
-    lu = SparseLU(superlu, A.dtype, n, None if cols is None else order)
-    _check_pivots(A, lu)
+    _check_pivots(A, superlu, cols)
     if order is not None and cols is None:
         # copies: SuperLU's own arrays would keep this LU alive
-        order.cols, order.inverse = np.argsort(lu.perm_c), lu.perm_c.copy()
-    return lu
+        perm_c = superlu.perm_c
+        order.cols, order.inverse = np.argsort(perm_c).astype(perm_c.dtype), perm_c.copy()
+    return SparseLU(superlu, A.dtype, n, None if cols is None else order)
 
 
-def _check_pivots(A, lu):
+def _check_pivots(A, superlu, cols=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
-    A pivot is negligible when ``|u_jj| <= eps * n * colmax``, colmax the
-    largest modulus in its column of `A` (canonical CSC). The pivots are
-    read off SuperLU's own U, whose diagonal needs no sorted copy.
+    `superlu` factors canonical CSC `A`. A pivot is negligible when
+    ``|u_jj| <= eps * n * colmax``, colmax the largest modulus in its
+    column of `A`. The pivots are read off SuperLU's own U, whose
+    diagonal needs no sorted copy. When `A` is ``P^T A0 P`` in the column
+    order `cols`, the error names the column of A0.
     """
-    udiag = np.abs(lu._superlu.U.diagonal())
-    scale = np.finfo(np.float64).eps * lu.n
+    udiag = np.abs(superlu.U.diagonal())
+    scale = np.finfo(np.float64).eps * A.shape[0]
     absdata = np.abs(A.data[: A.nnz])
     # every column maximum is at most the largest entry, so pivots above
     # that entry's bound pass every column's bound as well
@@ -209,14 +222,14 @@ def _check_pivots(A, lu):
         return
     # A's column k is U's column perm_c[k], so U's column j holds the
     # pivot of A's column argsort(perm_c)[j]
-    cols = np.argsort(lu.perm_c)
-    tiny = scale * _column_abs_max(A, absdata)[cols]
+    pivot_cols = np.argsort(superlu.perm_c)
+    tiny = scale * _column_abs_max(A, absdata)[pivot_cols]
     bad = np.flatnonzero(udiag <= tiny)
     if bad.size:
-        col = int(cols[bad[0]])
+        col = pivot_cols[bad[0]]
         raise SingularMatrixError(
             "sparse LU produced a negligible pivot; matrix is numerically singular",
-            column=col,
+            column=int(col if cols is None else cols[col]),
         )
 
 
