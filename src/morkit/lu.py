@@ -53,8 +53,8 @@ class ColumnOrder:
         if known is None or not (
             np.array_equal(known[0], A.indptr) and np.array_equal(known[1], A.indices)
         ):
-            # one block for the pattern and its map: a block this large is
-            # mapped, not carved from the heap, and leaves no hole when freed
+            # one block for the pattern and its map: a large block is mapped
+            # rather than carved from the heap, so freeing it leaves no hole
             block = np.concatenate([A.indptr, A.indices, *_symmetric_gather(A, self.cols)])
             known = self._map = np.split(block, np.cumsum([A.shape[0] + 1, A.nnz, A.nnz, A.nnz]))
         gather, indices, indptr = known[2:]
@@ -142,7 +142,7 @@ class SparseLU:
             return x
         # the permuted right-hand side is ours; reusing it saves an
         # allocation, which mode="raise" would make again as a buffer
-        out = rhs if rhs.dtype == x.dtype else None
+        out = rhs if rhs.dtype == x.dtype and not np.may_share_memory(rhs, x) else None
         return np.take(x, order.inverse, axis=0, out=out, mode="clip")
 
     def solve(self, rhs):

@@ -203,7 +203,7 @@ def compare(parent_path, change_path):
     parent = json.loads(Path(parent_path).read_text())
     change = json.loads(Path(change_path).read_text())
     failed = False
-    header = (f"{'system':<18}{'verdict':>14}{'order':>8}{'iters':>8}{'shift diff':>12}"
+    header = (f"{'system':<18}{'verdict':>11}{'order':>9}{'iters':>7}{'shift diff':>12}"
               f"{'rom diff':>11}{'resid (p/c)':>20}{'sweep err (p -> c)':>24}  rule")
     print(header)
     for name, p in parent["systems"].items():
@@ -218,14 +218,17 @@ def compare(parent_path, change_path):
         both = p["converged"] and c["converged"]
         if both and not c["sweep_max_err"] <= SWEEP_ERR_FACTOR * p["sweep_max_err"]:
             problems.append(f"sweep error above {SWEEP_ERR_FACTOR:g}x the parent's")
-        if _absolute_failures(p):
-            problems.append("parent: " + ", ".join(_absolute_failures(p)))
-        failed |= any(not text.startswith("parent:") for text in problems)
+        failed |= bool(problems)
+        parent_problems = _absolute_failures(p)
+        if parent_problems:  # reported, not held against the change
+            problems.append("parent: " + ", ".join(parent_problems))
         verdict = "/".join("conv" if e["converged"] else "cap" for e in (p, c))
-        resid = max(x for x in (c["right_residual"], c["left_residual"]) if x is not None)
-        resid_p = max(x for x in (p["right_residual"], p["left_residual"]) if x is not None)
+        resid_p, resid = (
+            max(x for x in (e["right_residual"], e["left_residual"]) if x is not None)
+            for e in (p, c)
+        )
         print(
-            f"{name:<18}{verdict:>14}{p['order']:>4}/{c['order']:<3}"
+            f"{name:<18}{verdict:>11}{p['order']:>5}/{c['order']:<3}"
             f"{p['iterations']:>4}/{c['iterations']:<3}"
             f"{_matched_shift_difference(_shifts(p), _shifts(c)):>12.2e}"
             f"{_transfer_difference(_rom_transfer(p), _rom_transfer(c)):>11.2e}"
