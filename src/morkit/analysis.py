@@ -265,11 +265,14 @@ def speedup_report(system, rom, omegas, repetitions=3):
     Runs the full-system and reduced-model frequency sweeps
     ``repetitions`` times each (one untimed warm-up pass apiece) and
     reports the median wall time per sweep. At least 3 repetitions are
-    required so the median means something.
+    required so the median means something. The full passes factor as
+    :func:`sweep` does: the first point's LU orders the rest, of every
+    pass.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    order = ColumnOrder()
 
     def median_pass_seconds(evaluate):
         times = []
@@ -286,6 +289,6 @@ def speedup_report(system, rom, omegas, repetitions=3):
         order=rom.order,
         points=omegas.shape[0],
         repetitions=repetitions,
-        full_seconds=median_pass_seconds(lambda s: eval_full(system, s)),
+        full_seconds=median_pass_seconds(lambda s: eval_full(system, s, order)),
         rom_seconds=median_pass_seconds(lambda s: eval_reduced(rom, s)),
     )

@@ -310,11 +310,13 @@ def _representatives(interp):
 
 
 def factor_augmented(system, sigma, order=None):
-    """Sparse LU of the shifted augmented matrix at one shift.
+    """LU of the shifted augmented matrix at one shift.
 
-    The augmented pattern does not depend on sigma, so the factorizations
-    of one reduction or sweep share one :class:`~morkit.lu.ColumnOrder`
-    (`order`, see :func:`morkit.lu.factor`). A singular factorization
+    The matrix is float64 at a real shift and complex128 otherwise. The
+    augmented pattern does not depend on sigma, so the factorizations of
+    one reduction or sweep share one :class:`~morkit.lu.ColumnOrder`
+    (`order`, see :func:`morkit.lu.factor`): its first LU's fill decides
+    whether the rest are sparse or dense. A singular factorization
     means sigma collided with an eigenvalue of the underlying pencil and
     raises :class:`ShiftCollisionError`.
     """
@@ -782,6 +784,8 @@ class IterationTrace:
     final_order: int = 0
     final_interpolation: InterpolationData | None = None
     final_basis: ProjectionBasis | None = None
+    lu_route: str | None = None  # ColumnOrder.route of the reduction's LUs
+    lu_fill: float | None = None  # nnz(L+U) / n^2 of its first LU
 
     @property
     def iterations(self):
@@ -801,6 +805,8 @@ class IterationTrace:
             f"requested_order {self.requested_order}",
             f"one_sided {str(self.one_sided).lower()}",
         ]
+        if self.lu_route is not None:
+            lines.append(f"lu_route {self.lu_route} fill {self.lu_fill:.17g}")
         for rec in self.records:
             lines.append(f"iteration {rec.iteration}")
             lines.append(f"  metric {rec.metric:.17g}")
@@ -848,7 +854,7 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    order = lu.ColumnOrder()  # minimum degree of the first LU, kept for the rest
+    order = lu.ColumnOrder()  # the first LU's minimum degree and fill serve the rest
     solves = {"right": 0, "left": 0}  # solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
@@ -891,6 +897,7 @@ def irka_second_order_index1(system, config):
     trace.final_order = rom.order
     trace.final_interpolation = interp
     trace.final_basis = basis
+    trace.lu_route, trace.lu_fill = order.route, order.fill
     if not trace.converged:
         warnings.warn(
             f"IRKA hit the iteration cap ({config.max_iter}) with shift movement "

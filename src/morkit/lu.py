@@ -4,17 +4,20 @@ Thin, contract-enforcing layer over SuperLU. Equilibration is disabled
 so that the factorization identity ``Pr @ A @ Pc == L @ U`` holds
 exactly in terms of the returned permutations and triangular factors.
 A :class:`ColumnOrder` lets a run of factorizations of one sparsity
-pattern share the fill-reducing ordering of the first.
+pattern share the fill-reducing ordering of the first, and, when that
+first LU filled in to near-dense, factor the rest with dense LAPACK.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
 from .sparse import as_canonical_csc
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
+DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of an order's first LU from which the rest go dense
 
 
 class ColumnOrder:
@@ -33,10 +36,16 @@ class ColumnOrder:
     gather of A's. The gather map is kept for the last pattern seen and
     made again when the pattern changes, as when an entry cancels to an
     exact zero.
+
+    ``fill`` is ``nnz(L + U) / n^2`` of the factorization that chose the
+    order (None for an order given as ``cols``). From :data:`DENSE_FILL`
+    on, sparse elimination saves too little over dense to pay for its
+    indexing, so later factorizations through the order run LAPACK
+    ``getrf`` on the dense matrix instead (``route`` is then "dense").
     """
 
     def __init__(self, cols=None):
-        self.cols = self.inverse = None
+        self.cols = self.inverse = self.fill = None
         self._map = None  # (indptr, indices) of A, then the gather map
         if cols is not None:
             cols = np.asarray(cols)
@@ -45,6 +54,14 @@ class ColumnOrder:
                 raise ValueError("a column order must be a permutation of 0, ..., n-1")
             self.cols, self.inverse = cols, np.empty_like(cols)
             self.inverse[cols] = np.arange(cols.shape[0])
+
+    @property
+    def route(self):
+        """"dense" or "sparse" for the factorizations after the first,
+        None before the first."""
+        if self.fill is None:
+            return None
+        return "dense" if self.fill >= DENSE_FILL else "sparse"
 
     def permute(self, A):
         """``P^T @ A @ P`` of canonical CSC `A`, as canonical CSC."""
@@ -77,6 +94,10 @@ def _symmetric_gather(A, cols):
 class SparseLU:
     """LU factorization ``Pr @ A @ Pc = L @ U`` of a square sparse matrix.
 
+    The factors are SuperLU's or, on the dense route, LAPACK's
+    (:class:`_DenseLU`); both answer ``solve(rhs, trans)``, ``L``, ``U``,
+    ``perm_r`` and ``perm_c`` alike.
+
     Attributes
     ----------
     n : int
@@ -88,27 +109,27 @@ class SparseLU:
         ``Pc[k, perm_c[k]] = 1``.
     """
 
-    def __init__(self, superlu, dtype, n, order=None):
-        self._superlu = superlu
+    def __init__(self, factors, dtype, n, order=None):
+        self._factors = factors
         self.dtype = dtype
         self.n = n
-        self._order = order  # SuperLU factored P^T A P in this order, if given
+        self._order = order  # the factors are of P^T A P in this order, if given
 
     @property
     def L(self):
-        return as_canonical_csc(self._superlu.L)
+        return as_canonical_csc(self._factors.L)
 
     @property
     def U(self):
-        return as_canonical_csc(self._superlu.U)
+        return as_canonical_csc(self._factors.U)
 
     @property
     def perm_r(self):
-        return self._composed(self._superlu.perm_r)
+        return self._composed(self._factors.perm_r)
 
     @property
     def perm_c(self):
-        return self._composed(self._superlu.perm_c)
+        return self._composed(self._factors.perm_c)
 
     def _composed(self, perm):
         # row and column k of A are row and column inverse[k] of P^T A P
@@ -133,11 +154,11 @@ class SparseLU:
             rhs = np.take(rhs, order.cols, axis=0)
         if np.iscomplexobj(rhs) and not np.issubdtype(self.dtype, np.complexfloating):
             # real factorization, complex right-hand side: solve parts separately
-            real = self._superlu.solve(np.ascontiguousarray(rhs.real), trans=trans)
-            imag = self._superlu.solve(np.ascontiguousarray(rhs.imag), trans=trans)
+            real = self._factors.solve(np.ascontiguousarray(rhs.real), trans=trans)
+            imag = self._factors.solve(np.ascontiguousarray(rhs.imag), trans=trans)
             x = real + 1j * imag
         else:
-            x = self._superlu.solve(rhs.astype(self.dtype, copy=False), trans=trans)
+            x = self._factors.solve(rhs.astype(self.dtype, copy=False), trans=trans)
         if order is None:
             return x
         # the permuted right-hand side is ours; reusing it saves an
@@ -154,6 +175,55 @@ class SparseLU:
         return self._solve(rhs, "T")
 
 
+class _DenseLU:
+    """LAPACK ``?getrf`` factors ``A = P L U`` of a dense Fortran-order
+    matrix, behind the part of SuperLU's interface that :class:`SparseLU`
+    uses; the column permutation is the identity."""
+
+    def __init__(self, lu, piv):
+        self._lu, self._piv = lu, piv  # piv: row i was swapped with row piv[i]
+        self._getrs = lapack.get_lapack_funcs("getrs", (lu,))
+
+    def solve(self, rhs, trans="N"):
+        x, _ = self._getrs(self._lu, self._piv, rhs, trans={"N": 0, "T": 1}[trans])
+        return x
+
+    @property
+    def L(self):
+        L = _triangle_csc(self._lu, lower=True)
+        L.data[L.indptr[:-1]] = 1.0  # each column starts at its unit diagonal
+        return L
+
+    @property
+    def U(self):
+        return _triangle_csc(self._lu, lower=False)
+
+    @property
+    def perm_r(self):
+        rows = np.arange(self._piv.shape[0])  # row i of L U is row rows[i] of A
+        for i, j in enumerate(self._piv):
+            rows[i], rows[j] = rows[j], rows[i]
+        return np.argsort(rows).astype(self._piv.dtype)
+
+    @property
+    def perm_c(self):
+        return np.arange(self._piv.shape[0], dtype=self._piv.dtype)
+
+
+def _triangle_csc(a, lower):
+    """The lower or upper triangle of square `a`, diagonal included, as
+    CSC storing every entry of the triangle (zeros too), as dense
+    factors hold them."""
+    n = a.shape[0]
+    # column j of a is row j of a.T; its triangle is rows j.. or ..j
+    keep = np.tri(n, dtype=bool)
+    if lower:
+        keep = keep.T
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
+    rows = np.nonzero(keep)[1].astype(np.int32)
+    return sp.csc_array((a.T[keep], rows, indptr), shape=(n, n))
+
+
 def factor(A, order=None):
     """Factor a square sparse matrix as ``Pr @ A @ Pc = L @ U``.
 
@@ -165,9 +235,11 @@ def factor(A, order=None):
         None applies SuperLU's minimum degree ordering to the pattern of
         A + A^T. An array or a :class:`ColumnOrder` with ``cols`` factors
         ``P^T A P`` in that column order instead; an empty
-        :class:`ColumnOrder` is given the order minimum degree chose.
-        The permutations, solves and pivot check are those of A either
-        way.
+        :class:`ColumnOrder` is given the order minimum degree chose and
+        that factorization's fill. A :class:`ColumnOrder` whose route is
+        "dense" factors A with LAPACK ``getrf`` (classical partial
+        pivoting) and uses no column order. The permutations, solves and
+        pivot check are those of A either way.
 
     Raises
     ------
@@ -183,9 +255,11 @@ def factor(A, order=None):
     cols = None if order is None else order.cols
     A = as_canonical_csc(A)
     n = A.shape[0]
+    if cols is not None and cols.shape[0] != n:
+        raise DimensionError(f"column order of length {cols.shape[0]} for a matrix of order {n}")
+    if order is not None and order.route == "dense":
+        return _factor_dense(A)
     if cols is not None:
-        if cols.shape[0] != n:
-            raise DimensionError(f"column order of length {cols.shape[0]} for a matrix of order {n}")
         A = order.permute(A)  # frees the caller's values if nothing else holds them
     try:
         superlu = spla.splu(
@@ -196,33 +270,45 @@ def factor(A, order=None):
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"sparse LU breakdown: {exc}") from exc
-    _check_pivots(A, superlu, cols)
+    # SuperLU's own U, whose diagonal needs no sorted copy
+    _check_pivots(A, superlu.U.diagonal(), superlu.perm_c, cols)
     if order is not None and cols is None:
         # copies: SuperLU's own arrays would keep this LU alive
         perm_c = superlu.perm_c
         order.cols, order.inverse = np.argsort(perm_c).astype(perm_c.dtype), perm_c.copy()
+        order.fill = (superlu.L.nnz + superlu.U.nnz - n) / n**2  # L's unit diagonal is stored
     return SparseLU(superlu, A.dtype, n, None if cols is None else order)
 
 
-def _check_pivots(A, superlu, cols=None):
+def _factor_dense(A):
+    """:func:`factor`'s dense route: LAPACK ``getrf`` on canonical CSC `A`."""
+    getrf = lapack.get_lapack_funcs("getrf", (A.data,))
+    lu, piv, info = getrf(A.toarray(order="F"), overwrite_a=True)
+    if info > 0:  # U[info-1, info-1] is exactly zero
+        raise SingularMatrixError("dense LU met an exactly zero pivot", column=int(info - 1))
+    _check_pivots(A, np.diagonal(lu), None)
+    return SparseLU(_DenseLU(lu, piv), A.dtype, A.shape[0])
+
+
+def _check_pivots(A, pivots, perm_c=None, cols=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
-    `superlu` factors canonical CSC `A`. A pivot is negligible when
-    ``|u_jj| <= eps * n * colmax``, colmax the largest modulus in its
-    column of `A`. The pivots are read off SuperLU's own U, whose
-    diagonal needs no sorted copy. When `A` is ``P^T A0 P`` in the column
-    order `cols`, the error names the column of A0.
+    `pivots` is U's diagonal of a factorization of canonical CSC `A` in
+    which A's column k is U's column ``perm_c[k]`` (k itself when
+    `perm_c` is None). A pivot is negligible when ``|u_jj| <= eps * n *
+    colmax``, colmax the largest modulus in its column of `A`. When `A`
+    is ``P^T A0 P`` in the column order `cols`, the error names the
+    column of A0.
     """
-    udiag = np.abs(superlu.U.diagonal())
+    udiag = np.abs(pivots)
     scale = np.finfo(np.float64).eps * A.shape[0]
     absdata = np.abs(A.data[: A.nnz])
     # every column maximum is at most the largest entry, so pivots above
     # that entry's bound pass every column's bound as well
     if absdata.size and udiag.min() > scale * absdata.max():
         return
-    # A's column k is U's column perm_c[k], so U's column j holds the
-    # pivot of A's column argsort(perm_c)[j]
-    pivot_cols = np.argsort(superlu.perm_c)
+    # U's column j holds the pivot of A's column argsort(perm_c)[j]
+    pivot_cols = np.arange(A.shape[1]) if perm_c is None else np.argsort(perm_c)
     tiny = scale * _column_abs_max(A, absdata)[pivot_cols]
     bad = np.flatnonzero(udiag <= tiny)
     if bad.size:

@@ -43,20 +43,27 @@ def assemble_shifted_augmented(system, sigma):
 
     Returns
     -------
-    scipy.sparse.csc_array of complex128, shape (n1+n2, n1+n2)
-        Canonical, as the system's blocks are; entries of the shifted
-        block that cancel to zero are dropped, explicit zeros of the
-        other blocks are kept.
+    scipy.sparse.csc_array, shape (n1+n2, n1+n2)
+        float64 at a real sigma, whose values are the real parts of the
+        complex128 matrix the same sigma with a zero imaginary part
+        would give; complex128 otherwise. Canonical, as the system's
+        blocks are; entries of the shifted block that cancel to zero are
+        dropped, explicit zeros of the other blocks are kept.
     """
     sigma = complex(sigma)
-    M11, L11, K11 = system.M11, system.L11, system.K11
-    S11 = (sigma * sigma) * M11 + sigma * L11 + K11.astype(COMPLEX_DTYPE)
-    return _stack_block_columns(((S11, system.K21), (system.K12, system.K22)), system.n1)
+    if sigma.imag == 0.0:  # real arithmetic is exact here, and cheaper to factor
+        sigma, K11 = sigma.real, system.K11
+    else:
+        K11 = system.K11.astype(COMPLEX_DTYPE)
+    S11 = (sigma * sigma) * system.M11 + sigma * system.L11 + K11
+    # the other blocks are float64, as the system stores every sparse block
+    return _stack_block_columns(
+        ((S11, system.K21), (system.K12, system.K22)), system.n1, S11.dtype)
 
 
-def _stack_block_columns(block_columns, n_top):
-    """Complex CSC matrix of block columns, each a (top, bottom) pair of
-    canonical CSC blocks whose tops have `n_top` rows.
+def _stack_block_columns(block_columns, n_top, dtype):
+    """CSC matrix of `dtype` from block columns, each a (top, bottom) pair
+    of canonical CSC blocks whose tops have `n_top` rows.
 
     Each column holds the top block's entries, then the bottom block's
     moved down by `n_top`: the arrays ``sp.bmat(..., format="csc")``
@@ -67,7 +74,7 @@ def _stack_block_columns(block_columns, n_top):
     n_rows = n_top + block_columns[0][1].shape[0]
     n_cols = sum(top.shape[1] for top, _ in block_columns)
     idx = sp.get_index_dtype([b.indptr for b in blocks], maxval=max(nnz, n_rows, n_cols))
-    data = np.empty(nnz, COMPLEX_DTYPE)
+    data = np.empty(nnz, dtype)
     indices = np.empty(nnz, idx)
     indptr = np.zeros(n_cols + 1, idx)
     col = start = 0

@@ -59,6 +59,28 @@ def scalar_system(F2=0.0, H2=0.0, Da=0.0, K12=1.0, K21=1.0, H1=1.0, K22=2.0):
     )
 
 
+def chain_system(n1, n2, symmetric, seed=0):
+    """A mass-spring chain with n2 massless connectors, each tied to two
+    neighbouring masses, and two ports. The LU of its augmented matrix
+    fills in far below ``morkit.lu.DENSE_FILL``, so the factorizations
+    sharing its column order stay sparse (generated systems go dense)."""
+    rng = np.random.default_rng(seed)
+    M11 = sp.diags_array(rng.uniform(1.0, 2.0, n1))
+    k = rng.uniform(1.0, 3.0, n1 + 1)
+    K11 = sp.diags_array([k[:-1] + k[1:], -k[1:-1], -k[1:-1]], offsets=[0, 1, -1])
+    cols = np.arange(n2) * (n1 // n2)
+    K12 = sp.csc_array((np.concatenate([-np.ones(n2), -np.ones(n2)]),
+                        (np.concatenate([cols, cols + 1]), np.tile(np.arange(n2), 2))),
+                       shape=(n1, n2))
+    K21 = K12.T if symmetric else 0.5 * K12.T
+    return SecondOrderIndex1System(
+        M11=M11, L11=0.01 * M11 + 1e-3 * K11, K11=K11, K12=K12, K21=K21,
+        K22=sp.diags_array(np.full(n2, 3.0)),
+        F1=rng.standard_normal((n1, 2)), F2=np.zeros((n2, 2)),
+        H1=rng.standard_normal((2, n1)), H2=np.zeros((2, n2)), Da=np.zeros((2, 2)),
+    )
+
+
 @pytest.fixture
 def s1():
     return scalar_system()

@@ -22,8 +22,11 @@ from morkit.irka import (
     irka_second_order_index1,
     reduce,
 )
+from morkit import lu as lu_module
 from morkit.lu import ColumnOrder
 from morkit.sparse import assemble_shifted_augmented
+
+from conftest import chain_system
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -132,14 +135,14 @@ def test_sweep_factors_every_point_in_the_first_points_order(make_system):
         assert result.G_full.tobytes() == np.stack(full).tobytes()
 
 
-def test_threaded_sweep_through_a_changing_pattern_matches_sequential(make_system):
+def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
     # at omega = 10 the (0, 1) entries of S11 cancel to exact zeros
     # (-100 * 0.5 + 50, no damping there), so the points share one
     # column order over two patterns; more workers than cores and a
-    # short switch interval give a racing gather-map rebuild its chance
-    base = make_system(40, 10, 2, 2, 0)
+    # short switch interval give a racing gather-map rebuild its chance.
+    # The chain's LUs stay sparse, so every point goes through the map.
+    base = chain_system(200, 20, symmetric=True)
     M, K = base.M11.toarray(), base.K11.toarray()
-    assert M[0, 1] == K[0, 1] == 0.0
     M[0, 1] = M[1, 0] = 0.5
     K[0, 1] = K[1, 0] = 50.0
     system = dataclasses.replace(
@@ -147,7 +150,10 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential(make_syste
         L11=sp.diags_array(base.L11.diagonal(), format="csc"))
     assert assemble_shifted_augmented(system, 10j).nnz == (
         assemble_shifted_augmented(system, 11j).nnz - 2)
-    I = np.eye(40)
+    order = ColumnOrder()
+    eval_full(system, 9j, order)
+    assert order.route == "sparse"
+    I = np.eye(200)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.tile([9.0, 10.0, 11.0, 10.0], 6)
     seq = sweep(system, rom, omegas, max_workers=1)
@@ -224,6 +230,26 @@ def test_speedup_report_smoke(make_system):
     table = report.format_table()
     assert "full (n1=40, n2=10)" in table
     assert f"reduced (r={rom.order})" in table
+
+
+@pytest.mark.parametrize("kind", ["generated", "chain"])
+def test_speedup_report_orders_only_its_first_factorization(make_system, monkeypatch, kind):
+    # the full passes factor as sweep does: minimum degree runs once, in
+    # the warm-up pass's first point, and every later point of every
+    # pass reuses its order (sparse) or skips SuperLU (dense)
+    system = make_system(40, 10, 2, 2, 0) if kind == "generated" else chain_system(200, 20, True)
+    rom = reduce(system, ProjectionBasis(V=np.eye(system.n1), W=np.eye(system.n1)))
+    orderings = []
+    splu = lu_module.spla.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        orderings.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(lu_module.spla, "splu", spy)
+    speedup_report(system, rom, np.logspace(1, 4, 5), repetitions=3)
+    assert orderings[0] == "MMD_AT_PLUS_A"
+    assert orderings[1:] == ([] if kind == "generated" else ["NATURAL"] * 19)
 
 
 def test_speedup_report_requires_enough_repetitions(s1):

@@ -45,6 +45,7 @@ from morkit.irka import (
     update_interpolation,
 )
 from morkit.dense import eig_generalized
+from morkit.lu import DENSE_FILL
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import (
     SecondOrderIndex1System,
@@ -54,7 +55,7 @@ from morkit.system import (
     to_dense_schur,
 )
 
-from conftest import GRID, damped_pairs, grid_ids, scalar_system
+from conftest import GRID, chain_system, damped_pairs, grid_ids, scalar_system
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -828,6 +829,23 @@ def test_driver_trace_structure(make_system):
     text = trace.format()
     assert "seconds" not in text
     assert trace.format(include_timings=True) != text
+
+
+@pytest.mark.parametrize("kind, route", [("generated", "dense"), ("chain", "sparse")])
+def test_trace_records_the_factorization_route_once(make_system, kind, route):
+    # one deterministic line: the route of the reduction's later LUs and
+    # the fill of its first, which chose it
+    system = make_system(40, 10, 2, 2, 0) if kind == "generated" else chain_system(200, 20, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        _, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
+    assert trace.lu_route == route
+    assert (trace.lu_fill >= DENSE_FILL) == (route == "dense")
+    lines = trace.format().splitlines()
+    assert [line for line in lines if line.startswith("lu_route")] == [
+        f"lu_route {route} fill {trace.lu_fill:.17g}"]
+    assert lines[3].startswith("lu_route")
+    assert trace.format(include_timings=True).splitlines()[3] == lines[3]
 
 
 def test_driver_retries_a_singular_update_once(make_system, monkeypatch):

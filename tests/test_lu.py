@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
-from morkit.lu import ColumnOrder, _column_abs_max, factor
+from morkit.irka import factor_augmented
+from morkit.lu import DENSE_FILL, ColumnOrder, _column_abs_max, _DenseLU, factor
 from morkit.sparse import assemble_shifted_augmented
+from morkit.system import generate_synthetic
 
-from conftest import GRID, grid_ids
+from conftest import GRID, chain_system, grid_ids
 
 
 def _random_square(n, seed, density=0.25):
@@ -241,15 +246,26 @@ def test_negligible_pivot_names_its_original_column_in_any_order():
         assert err.value.column == column
 
 
+def _dense(A):
+    """A's LU on the dense route, as through an order whose first LU
+    filled in completely."""
+    order = ColumnOrder()
+    order.fill = 1.0
+    lu = factor(A, order)
+    assert isinstance(lu._factors, _DenseLU)
+    return lu
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
-def test_reused_order_keeps_the_default_fill_and_pivots(make_system, symmetric):
+def test_reused_order_keeps_the_default_fill_and_pivots(symmetric):
     # the order of the first factorization, applied to the augmented
     # matrices at other shifts, reproduces minimum degree's permutations
     # and fill there; every pivot stays on the diagonal
-    system = make_system(200, 40, 2, 2, 4, symmetric=symmetric)
+    system = chain_system(400, 40, symmetric)
     order = ColumnOrder()
     factor(assemble_shifted_augmented(system, 3.0 + 40.0j), order)
     assert order.cols is not None
+    assert order.route == "sparse" and order.fill < DENSE_FILL / 10
     for sigma in (0.5, 12.0 - 700.0j, 2e3 + 9e3j, -1.76e7):
         A = assemble_shifted_augmented(system, sigma)
         default, reused = factor(A), factor(A, order)
@@ -276,3 +292,134 @@ def test_column_order_follows_a_changed_pattern():
             P.toarray(), M.toarray()[order.cols][:, order.cols])
         x = factor(M, order).solve(np.ones(n))
         np.testing.assert_allclose(M @ x, np.ones(n), rtol=1e-12)
+
+
+def test_fill_threshold_chooses_the_route(monkeypatch):
+    # the first LU's measured fill against DENSE_FILL: from the threshold
+    # on the later LUs are dense, below it they stay sparse
+    system = generate_synthetic(60, 12, 2, 2, seed=3)
+    A = assemble_shifted_augmented(system, 2.0 + 30.0j)
+    first = ColumnOrder()
+    lu = factor(A, first)
+    assert first.fill == (lu.L.nnz + lu.U.nnz - lu.n) / lu.n**2
+    for threshold, route in ((first.fill, "dense"), (np.nextafter(first.fill, 1.0), "sparse")):
+        monkeypatch.setattr(lu_module, "DENSE_FILL", threshold)
+        order = ColumnOrder()
+        factor(A, order)
+        assert order.route == route
+        later = factor(assemble_shifted_augmented(system, 5.0), order)
+        assert isinstance(later._factors, _DenseLU) == (route == "dense")
+    banded = ColumnOrder()
+    factor(assemble_shifted_augmented(chain_system(400, 40, True), 1.0), banded)
+    assert banded.route == "sparse"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2)])
+def test_dense_route_factorization_identity(n, seed, dtype):
+    A = _random_square(n, seed).astype(dtype)
+    if dtype == np.complex128:
+        A = A + 1j * _random_square(n, seed + 10)
+    lu = _dense(A)
+    assert lu.dtype == dtype
+    Pr, Pc = lu.permutation_matrices()
+    np.testing.assert_array_equal(lu.perm_c, np.arange(n))
+    np.testing.assert_array_equal(np.sort(lu.perm_r), np.arange(n))
+    assert abs(Pr @ A @ Pc - lu.L @ lu.U).max() <= 1e-12 * abs(A).max()
+    assert np.all(lu.L.diagonal() == 1.0)
+    assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
+
+
+def test_dense_route_pivots_rows():
+    # a zero leading entry forces a row swap, which perm_r must record
+    A = sp.csc_array(np.array([[0.0, 2.0, 1.0], [3.0, 1.0, 0.0], [1.0, 0.0, 4.0]]))
+    lu = _dense(A)
+    assert not np.array_equal(lu.perm_r, np.arange(3))
+    Pr, Pc = lu.permutation_matrices()
+    np.testing.assert_allclose((Pr @ A @ Pc).toarray(), (lu.L @ lu.U).toarray(), atol=1e-15)
+
+
+@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("factor_dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("rhs_dtype", [np.float64, np.complex128])
+def test_solves_match_a_dense_solve_on_both_routes(route, factor_dtype, rhs_dtype):
+    rng = np.random.default_rng(11)
+    n = 40
+    A = _random_square(n, 11).astype(factor_dtype)
+    if factor_dtype == np.complex128:
+        A = A + 1j * _random_square(n, 12)
+    lu = factor(A) if route == "sparse" else _dense(A)
+    dense = A.toarray()
+    for shape in ((n,), (n, 3)):
+        rhs = rng.standard_normal(shape).astype(rhs_dtype)
+        if rhs_dtype == np.complex128:
+            rhs = rhs + 1j * rng.standard_normal(shape)
+        x, xt = lu.solve(rhs), lu.solve_transposed(rhs)
+        assert x.shape == xt.shape == shape
+        assert x.dtype == xt.dtype == np.result_type(factor_dtype, rhs_dtype)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(xt, np.linalg.solve(dense.T, rhs), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
+    # columns 0 and 2 agree to within eps: column 2, eliminated second,
+    # gets the negligible pivot; an exactly zero pivot is named as well
+    eps = np.finfo(np.float64).eps
+    near = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
+                                  [0.0, 1.0, 0.0, 0.0],
+                                  [1.0, 0.0, 1.0 + eps, 0.0],
+                                  [0.0, 0.0, 0.0, 1.0]], dtype=dtype))
+    exact = sp.csc_array(np.array([[2.0, 1.0, 0.0],
+                                   [0.0, 1.0, 1.0],
+                                   [2.0, 2.0, 1.0]], dtype=dtype))
+    run = (lambda A: factor(A, np.arange(A.shape[0]))) if route == "sparse" else _dense
+    with pytest.raises(SingularMatrixError) as err:
+        run(near)
+    assert err.value.column == 2
+    if route == "dense":  # SuperLU stops at an exact zero without naming it
+        with pytest.raises(SingularMatrixError) as err:
+            run(exact)
+        assert err.value.column == 2
+
+
+def test_dense_route_pivot_check_is_relative_to_the_column():
+    # the pivot 1.0 is negligible against the other column, not its own
+    A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
+    np.testing.assert_array_equal(np.abs(_dense(A).U.diagonal()), [1e20, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n1=st.integers(4, 60),
+    n2=st.integers(1, 15),
+    m=st.integers(1, 3),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    symmetric=st.booleans(),
+    shared=st.booleans(),
+    re=st.floats(-1e4, 1e4),
+    im=st.sampled_from([0.0, 1.0, -30.0, 2e3]),
+)
+def test_augmented_solves_agree_with_a_dense_solve_on_every_route(
+    n1, n2, m, p, seed, symmetric, shared, re, im
+):
+    # whichever arithmetic and route factor_augmented takes (float64 or
+    # complex, SuperLU or LAPACK), its solves are those of the matrix
+    if symmetric:
+        p = m
+    system = generate_synthetic(n1, n2, m, p, seed=seed, symmetric=symmetric)
+    sigma = complex(re, im)
+    order = None
+    if shared:  # a first LU elsewhere gives the order and measures the fill
+        order = ColumnOrder()
+        factor_augmented(system, 7.0 + 300.0j, order)
+    lu = factor_augmented(system, sigma, order)
+    assert lu.dtype == (np.float64 if im == 0.0 else np.complex128)
+    A = assemble_shifted_augmented(system, sigma).toarray().astype(np.complex128)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((A.shape[0], 2)) + 1j * rng.standard_normal((A.shape[0], 2))
+    for got, matrix in ((lu.solve(rhs), A), (lu.solve_transposed(rhs), A.T)):
+        want = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -48,7 +48,7 @@ def test_is_symmetric_rectangular_is_false():
 
 def test_augmented_sigma_zero_is_stiffness(s1):
     A = assemble_shifted_augmented(s1, 0.0)
-    assert A.dtype == np.complex128
+    assert A.dtype == np.float64
     np.testing.assert_array_equal(A.toarray(), [[5.0, 1.0], [1.0, 2.0]])
 
 
@@ -57,14 +57,19 @@ def test_augmented_sigma_j(s1):
     np.testing.assert_allclose(A.toarray(), [[4.0 + 2.0j, 1.0], [1.0, 2.0]], atol=0.0)
 
 
-def _bmat_reference(system, sigma):
+def _bmat_reference(system, sigma, dtype=None):
     """The shifted augmented matrix by the plain block route: every block
-    made canonical complex CSC, stacked by ``sp.bmat``, canonicalized."""
+    made canonical CSC of `dtype` (default: float64 at a real sigma,
+    complex128 otherwise), stacked by ``sp.bmat``, canonicalized."""
     sigma = complex(sigma)
-    S11 = (sigma * sigma) * system.M11 + sigma * system.L11 + system.K11.astype(np.complex128)
+    if dtype is None:
+        dtype = np.float64 if sigma.imag == 0.0 else np.complex128
+    if dtype == np.float64:
+        sigma = sigma.real
+    S11 = (sigma * sigma) * system.M11 + sigma * system.L11 + system.K11.astype(dtype)
     blocks = [[S11, system.K12], [system.K21, system.K22]]
     out = sp.bmat(
-        [[as_canonical_csc(b, dtype=np.complex128) for b in row] for row in blocks],
+        [[as_canonical_csc(b, dtype=dtype) for b in row] for row in blocks],
         format="csc",
     )
     return as_canonical_csc(out)
@@ -112,3 +117,21 @@ def test_augmented_is_bytewise_the_bmat_route(kind, sigma):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype, attr
         assert a.tobytes() == b.tobytes(), attr
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 7e3, complex(-1.76e7, 0.0)])
+@pytest.mark.parametrize("kind", ["awkward-int32", "generated"])
+def test_real_shift_assembles_the_real_parts_of_the_complex_route(kind, sigma):
+    # float64 arithmetic at a real shift is exact: its values are the
+    # real parts of the complex route's, bit for bit, on the same pattern
+    if kind.startswith("awkward"):
+        system = _awkward_system(np.int32)
+    else:
+        system = generate_synthetic(30, 8, 2, 3, seed=4, symmetric=False)
+    got = assemble_shifted_augmented(system, sigma)
+    assert got.dtype == np.float64
+    want = _bmat_reference(system, sigma, dtype=np.complex128)
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == np.ascontiguousarray(want.data.real).tobytes()
+    assert not want.data.imag.any()

@@ -13,24 +13,27 @@ the thread count). To check that a change keeps outputs byte-identical,
 run this script in a checkout of the parent commit and in the changed
 tree and ``diff`` the two outputs. The systems are the 14 of the
 lean-kernels change (dense solve, augmented assembly and pivot check).
-Their digests changed once since, when the factorizations of a reduction
-and of a sweep began to share one column order (only the chain's stayed;
-``tools/equivalence.py`` checked that change). The current record::
+Their digests changed twice since, each time checked by
+``tools/equivalence.py``: when the factorizations of a reduction and of a
+sweep began to share one column order (only the chain's stayed), and when
+real shifts began to be factored in float64 and near-dense fill to switch
+later factorizations to LAPACK (all 14 changed; the trace now carries a
+``lu_route`` line). The current record::
 
-    synth150-s0 cae5fc14af5ea052
-    synth150-s1 b8dbab0b10ff8ef8
-    synth150-s2 cfddd95a237652f7
-    synth150-s3 f9fd5e8cf8ac7bc1
-    synth150-s4 9285ec2715621fdd
-    mimo-inner-s0 cece4ce928a84e47
-    mimo-inner-s1 d3c9a1ea9a662453
-    mimo-inner-s2 8d41a78ab74fca10
-    mimo-inner-s3 e709f32bac11790b
-    nonsym200-s0 c92b312ac94ac3c9
-    nonsym200-s1 1681a64176781220
-    nonsym200-s2 e1381ca70ca2ce11
-    synth-fill-s0 e490fe26edb91809
-    chain5000-s0 81b1f91accf7389c
+    synth150-s0 69ee34e7d2557444
+    synth150-s1 121bfff4c0df9a66
+    synth150-s2 213335866977a7b0
+    synth150-s3 c822756cf997086e
+    synth150-s4 463e188449bbf479
+    mimo-inner-s0 0b6d56c9f3ee9863
+    mimo-inner-s1 f9acb4e874b18628
+    mimo-inner-s2 a3fb9a4698394fa9
+    mimo-inner-s3 cabe70d1c5025d1b
+    nonsym200-s0 beff69881e68245a
+    nonsym200-s1 1b2d4e49113eb724
+    nonsym200-s2 a8376e6286d076fe
+    synth-fill-s0 7d83f0a767207fc7
+    chain5000-s0 52d5099408e3767c
 
 The systems:
 
