@@ -20,7 +20,7 @@ import numpy as np
 from .dense import dense_solve, eig_generalized, sigma_max
 from .errors import MorkitError
 from .irka import companion, factor_augmented
-from .lu import ColumnOrder
+from .lu import Route
 from .oracles import oracle_sampling_equivalence
 from .system import atomic_write_text, to_dense_schur
 
@@ -35,18 +35,18 @@ class TransferSample:
     G: np.ndarray
 
 
-def eval_full(system, s, order=None):
+def eval_full(system, s, route=None):
     """Evaluate the full index-1 system's transfer function at s.
 
     Solves the augmented system with all m right-hand-side columns
-    through a single factorization, made in the column order `order`
-    (see :func:`~morkit.irka.factor_augmented`), and assembles
+    through a single factorization, which takes the route `route` (see
+    :func:`~morkit.irka.factor_augmented`), and assembles
     ``G(s) = H1 v + H2 gamma + Da``; the algebraic contribution is kept,
     so feed-through behavior is exact.
     """
     s = complex(s)
     rhs = np.vstack([system.F1, system.F2]).astype(np.complex128)
-    sol = factor_augmented(system, s, order).solve(rhs)
+    sol = factor_augmented(system, s, route).solve(rhs)
     v, gamma = sol[: system.n1], sol[system.n1 :]
     return TransferSample(s=s, G=system.H1 @ v + system.H2 @ gamma + system.Da)
 
@@ -118,10 +118,9 @@ def _threads_from_env():
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    if not raw.isdecimal():  # digits only: no sign, no fraction
+        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def sweep(system, rom, omegas, max_workers=None):
@@ -132,20 +131,20 @@ def sweep(system, rom, omegas, max_workers=None):
     are independent; ``max_workers`` > 1 (default: the MORKIT_THREADS
     environment variable, 0 meaning sequential) evaluates them in a
     thread pool. Results are positionally ordered either way. The first
-    point is evaluated before any other, and its LU's column order
-    serves every later point, so the results do not depend on
+    point is evaluated before any other, and its LU's fill picks the
+    route of every later point, so the results do not depend on
     ``max_workers``.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     p, m = rom.p, rom.m
     if max_workers is None:
         max_workers = _threads_from_env()
-    order = ColumnOrder()
+    route = Route()
 
     def one_point(omega):
         s = 1j * omega
         try:
-            Gf = eval_full(system, s, order).G
+            Gf = eval_full(system, s, route).G
             Gr = eval_reduced(rom, s).G
         except MorkitError:
             nanblock = np.full((p, m), np.nan, dtype=np.complex128)
@@ -158,8 +157,8 @@ def sweep(system, rom, omegas, max_workers=None):
         return sf, sr, diff, "absolute", Gf, Gr
 
     results = [one_point(w) for w in omegas[:1]]
-    if order.cols is None:  # the first point failed: every point orders itself
-        order = None
+    if route.fill is None:  # the first point failed: every point goes sparse
+        route = None
     if max_workers and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results += pool.map(one_point, omegas[1:])
@@ -266,13 +265,13 @@ def speedup_report(system, rom, omegas, repetitions=3):
     ``repetitions`` times each (one untimed warm-up pass apiece) and
     reports the median wall time per sweep. At least 3 repetitions are
     required so the median means something. The full passes factor as
-    :func:`sweep` does: the first point's LU orders the rest, of every
-    pass.
+    :func:`sweep` does: the first point's LU picks the route of the
+    rest, of every pass.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    order = ColumnOrder()
+    route = Route()
 
     def median_pass_seconds(evaluate):
         times = []
@@ -289,6 +288,6 @@ def speedup_report(system, rom, omegas, repetitions=3):
         order=rom.order,
         points=omegas.shape[0],
         repetitions=repetitions,
-        full_seconds=median_pass_seconds(lambda s: eval_full(system, s, order)),
+        full_seconds=median_pass_seconds(lambda s: eval_full(system, s, route)),
         rom_seconds=median_pass_seconds(lambda s: eval_reduced(rom, s)),
     )

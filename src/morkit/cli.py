@@ -65,7 +65,13 @@ def _irka_config(args, file_kv):
     for name, cast in _SETTINGS.items():
         value = getattr(args, name)
         if value is None and name in file_kv:
-            value = cast(file_kv[name])
+            try:
+                value = cast(file_kv[name])
+            except ValueError:
+                raise MorkitError(
+                    f"setting {name} in {args.config} is not a valid {cast.__name__}: "
+                    f"{file_kv[name]!r}"
+                ) from None
         if value is not None:
             given[name] = value
     if "r" not in given:
@@ -84,6 +90,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
     return value
 
 
@@ -302,8 +315,8 @@ def build_parser():
                      metavar=("INPUT", "OUTPUT"))
     ana.add_argument("--benchmark", type=_positive_int, default=0,
                      help="also time full vs reduced sweeps (repetitions)")
-    ana.add_argument("--workers", type=int, default=None,
-                     help="parallel sweep workers (default: MORKIT_THREADS)")
+    ana.add_argument("--workers", type=_non_negative_int, default=None,
+                     help="parallel sweep workers, 0 or 1 sequential (default: MORKIT_THREADS)")
     ana.add_argument("--out", required=True)
     ana.set_defaults(func=cmd_analyze)
 

@@ -309,19 +309,19 @@ def _representatives(interp):
 # tangential solves against the sparse augmented blocks
 
 
-def factor_augmented(system, sigma, order=None):
+def factor_augmented(system, sigma, route=None):
     """LU of the shifted augmented matrix at one shift.
 
     The matrix is float64 at a real shift and complex128 otherwise. The
     augmented pattern does not depend on sigma, so the factorizations of
-    one reduction or sweep share one :class:`~morkit.lu.ColumnOrder`
-    (`order`, see :func:`morkit.lu.factor`): its first LU's fill decides
+    one reduction or sweep share one :class:`~morkit.lu.Route`
+    (`route`, see :func:`morkit.lu.factor`): its first LU's fill decides
     whether the rest are sparse or dense. A singular factorization
     means sigma collided with an eigenvalue of the underlying pencil and
     raises :class:`ShiftCollisionError`.
     """
     try:
-        return lu.factor(assemble_shifted_augmented(system, sigma), order)
+        return lu.factor(assemble_shifted_augmented(system, sigma), route)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
@@ -422,15 +422,15 @@ def _tangential_bases(interp, solve, one_sided=False):
     return ProjectionBasis(V=V, W=W, one_sided=False)
 
 
-def build_bases(system, interp, one_sided=False, order=None):
+def build_bases(system, interp, one_sided=False, route=None):
     """Assemble real projection bases from one interpolation iterate.
 
     Columns come from tangential solves with the sparse augmented
     blocks (see :func:`_tangential_bases`). One sparse LU per group of
     :func:`pair_conjugates` serves both the right solve and (two-sided
     case) the transposed left solve, so a build makes one right solve
-    per group, and as many left solves when two-sided. The LUs are made
-    in the column order `order` (see :func:`factor_augmented`).
+    per group, and as many left solves when two-sided. The LUs take the
+    route `route` (see :func:`factor_augmented`).
 
     With ``one_sided=True`` no left solves happen and W is V; the
     reduction is then a Galerkin projection, which preserves symmetry.
@@ -439,7 +439,7 @@ def build_bases(system, interp, one_sided=False, order=None):
         raise StructuralError("interpolation data is not conjugate closed")
 
     def solve(sigma, b_row, c_row):
-        fact = factor_augmented(system, sigma, order)
+        fact = factor_augmented(system, sigma, route)
         v = tangential_solve_right(system, b_row, fact)
         if one_sided:
             return v, None
@@ -784,7 +784,7 @@ class IterationTrace:
     final_order: int = 0
     final_interpolation: InterpolationData | None = None
     final_basis: ProjectionBasis | None = None
-    lu_route: str | None = None  # ColumnOrder.route of the reduction's LUs
+    lu_route: str | None = None  # Route.kind of the reduction's LUs
     lu_fill: float | None = None  # nnz(L+U) / n^2 of its first LU
 
     @property
@@ -854,7 +854,7 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    order = lu.ColumnOrder()  # the first LU's minimum degree and fill serve the rest
+    route = lu.Route()  # the first LU's fill picks the route of the rest
     solves = {"right": 0, "left": 0}  # solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
@@ -865,7 +865,7 @@ def irka_second_order_index1(system, config):
         return out
 
     def bases(interp):
-        basis = timed("solve", build_bases, system, interp, one_sided=one_sided, order=order)
+        basis = timed("solve", build_bases, system, interp, one_sided=one_sided, route=route)
         groups = len(pair_conjugates(interp.shifts))
         solves["right"] += groups
         solves["left"] += 0 if one_sided else groups
@@ -897,7 +897,7 @@ def irka_second_order_index1(system, config):
     trace.final_order = rom.order
     trace.final_interpolation = interp
     trace.final_basis = basis
-    trace.lu_route, trace.lu_fill = order.route, order.fill
+    trace.lu_route, trace.lu_fill = route.kind, route.fill
     if not trace.converged:
         warnings.warn(
             f"IRKA hit the iteration cap ({config.max_iter}) with shift movement "

@@ -434,6 +434,14 @@ def load_system(manifest_path):
     for key in ("n1", "n2", "m", "p") + _SPARSE_BLOCKS + _DENSE_BLOCKS:
         if key not in kv:
             raise StructuralError(f"manifest is missing field {key!r}")
+    declared = {}
+    for key in ("n1", "n2", "m", "p"):
+        try:
+            declared[key] = int(kv[key])
+        except ValueError:
+            raise StructuralError(
+                f"manifest field {key} in {manifest_path} must be an integer, got {kv[key]!r}"
+            ) from None
     base = manifest_path.parent
     blocks = {}
     for name in _SPARSE_BLOCKS + _DENSE_BLOCKS:
@@ -445,7 +453,6 @@ def load_system(manifest_path):
         else:
             blocks[name] = _read_matrix(target)  # canonicalized by the constructor
     system = SecondOrderIndex1System(**blocks)
-    declared = {k: int(kv[k]) for k in ("n1", "n2", "m", "p")}
     actual = {"n1": system.n1, "n2": system.n2, "m": system.m, "p": system.p}
     if declared != actual:
         raise StructuralError(

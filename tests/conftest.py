@@ -63,7 +63,7 @@ def chain_system(n1, n2, symmetric, seed=0):
     """A mass-spring chain with n2 massless connectors, each tied to two
     neighbouring masses, and two ports. The LU of its augmented matrix
     fills in far below ``morkit.lu.DENSE_FILL``, so the factorizations
-    sharing its column order stay sparse (generated systems go dense)."""
+    sharing its route stay sparse (generated systems go dense)."""
     rng = np.random.default_rng(seed)
     M11 = sp.diags_array(rng.uniform(1.0, 2.0, n1))
     k = rng.uniform(1.0, 3.0, n1 + 1)

@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 from morkit.analysis import (
+    THREADS_ENV,
+    _threads_from_env,
     eval_full,
     eval_reduced,
     schur_equivalence_check,
@@ -23,7 +25,7 @@ from morkit.irka import (
     reduce,
 )
 from morkit import lu as lu_module
-from morkit.lu import ColumnOrder
+from morkit.lu import Route
 from morkit.sparse import assemble_shifted_augmented
 
 from conftest import chain_system
@@ -123,13 +125,14 @@ def test_sweep_threaded_matches_sequential(make_system):
         assert par.G_full.tobytes() == seq.G_full.tobytes()
 
 
-def test_sweep_factors_every_point_in_the_first_points_order(make_system):
+def test_sweep_routes_every_point_by_the_first_points_fill(make_system):
     system = make_system(120, 25, 2, 2, 0, symmetric=False)
     I = np.eye(120)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.logspace(1, 4, 6)
-    order = ColumnOrder()
-    full = [eval_full(system, 1j * w, order).G for w in omegas]
+    route = Route()
+    full = [eval_full(system, 1j * w, route).G for w in omegas]
+    assert route.kind == "dense"
     for workers in (1, 2):
         result = sweep(system, rom, omegas, max_workers=workers)
         assert result.G_full.tobytes() == np.stack(full).tobytes()
@@ -138,9 +141,9 @@ def test_sweep_factors_every_point_in_the_first_points_order(make_system):
 def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
     # at omega = 10 the (0, 1) entries of S11 cancel to exact zeros
     # (-100 * 0.5 + 50, no damping there), so the points share one
-    # column order over two patterns; more workers than cores and a
-    # short switch interval give a racing gather-map rebuild its chance.
-    # The chain's LUs stay sparse, so every point goes through the map.
+    # route over two patterns; more workers than cores and a short
+    # switch interval give racing threads their chance. The chain's LUs
+    # stay sparse, so every point orders its own pattern.
     base = chain_system(200, 20, symmetric=True)
     M, K = base.M11.toarray(), base.K11.toarray()
     M[0, 1] = M[1, 0] = 0.5
@@ -150,9 +153,9 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
         L11=sp.diags_array(base.L11.diagonal(), format="csc"))
     assert assemble_shifted_augmented(system, 10j).nnz == (
         assemble_shifted_augmented(system, 11j).nnz - 2)
-    order = ColumnOrder()
-    eval_full(system, 9j, order)
-    assert order.route == "sparse"
+    route = Route()
+    eval_full(system, 9j, route)
+    assert route.kind == "sparse"
     I = np.eye(200)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.tile([9.0, 10.0, 11.0, 10.0], 6)
@@ -166,6 +169,16 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
     assert par.G_full.tobytes() == seq.G_full.tobytes()
     exact = np.stack([eval_full(system, 1j * w).G for w in omegas])
     np.testing.assert_allclose(seq.G_full, exact, rtol=1e-12)
+
+
+def test_thread_count_from_the_environment(monkeypatch):
+    for raw, workers in (("", 0), (" 0 ", 0), ("3", 3)):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        assert _threads_from_env() == workers
+    for raw in ("abc", "-5", "2.5"):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            _threads_from_env()
 
 
 def test_sweep_csv_shape(s1):
@@ -233,10 +246,11 @@ def test_speedup_report_smoke(make_system):
 
 
 @pytest.mark.parametrize("kind", ["generated", "chain"])
-def test_speedup_report_orders_only_its_first_factorization(make_system, monkeypatch, kind):
-    # the full passes factor as sweep does: minimum degree runs once, in
-    # the warm-up pass's first point, and every later point of every
-    # pass reuses its order (sparse) or skips SuperLU (dense)
+def test_speedup_report_routes_every_pass_by_its_first_factorization(
+        make_system, monkeypatch, kind):
+    # the full passes factor as sweep does: the warm-up pass's first
+    # point measures the fill, and every later point of every pass runs
+    # SuperLU with minimum degree (sparse) or skips SuperLU (dense)
     system = make_system(40, 10, 2, 2, 0) if kind == "generated" else chain_system(200, 20, True)
     rom = reduce(system, ProjectionBasis(V=np.eye(system.n1), W=np.eye(system.n1)))
     orderings = []
@@ -248,8 +262,7 @@ def test_speedup_report_orders_only_its_first_factorization(make_system, monkeyp
 
     monkeypatch.setattr(lu_module.spla, "splu", spy)
     speedup_report(system, rom, np.logspace(1, 4, 5), repetitions=3)
-    assert orderings[0] == "MMD_AT_PLUS_A"
-    assert orderings[1:] == ([] if kind == "generated" else ["NATURAL"] * 19)
+    assert orderings == ["MMD_AT_PLUS_A"] * (1 if kind == "generated" else 20)
 
 
 def test_speedup_report_requires_enough_repetitions(s1):

@@ -172,6 +172,18 @@ def test_reduce_settings_file_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "rom").exists()
 
 
+def test_reduce_settings_file_names_a_malformed_value(tmp_path, capsys):
+    manifest = _generate(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = ten\n")
+    rc = main(["reduce", "--manifest", str(manifest), "--config", str(cfg),
+               "--out", str(tmp_path / "rom")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "setting r in" in err and str(cfg) in err and "'ten'" in err
+    assert not (tmp_path / "rom").exists()
+
+
 def test_reduce_settings_file_and_defaults_fill_unset_flags(tmp_path):
     manifest = _generate(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -230,6 +242,25 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
                    "--points", "40", "--out", str(tmp_path / name)])
         assert rc == 0
     assert _dir_bytes(tmp_path / "anaA") == _dir_bytes(tmp_path / "anaB")
+
+
+def test_analyze_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch):
+    # a negative --workers is a usage error; a malformed MORKIT_THREADS
+    # stops the run instead of sweeping sequentially
+    manifest = _generate(tmp_path)
+    rom_dir = tmp_path / "rom"
+    assert main(["reduce", "--manifest", str(manifest), "--r", "3",
+                 "--out", str(rom_dir)]) == 0
+    analyze = ["analyze", "--manifest", str(manifest), "--rom", str(rom_dir),
+               "--points", "5", "--out", str(tmp_path / "ana")]
+    with pytest.raises(SystemExit) as err:
+        main(analyze + ["--workers", "-5"])
+    assert err.value.code != 0
+    monkeypatch.setenv("MORKIT_THREADS", "abc")
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert "MORKIT_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "ana" / "sweep.csv").exists()
 
 
 def test_analyze_channel_csv(tmp_path):

@@ -483,9 +483,9 @@ def _count_factorizations(monkeypatch):
     shifts = []
     original = irka.factor_augmented
 
-    def counting(system, sigma, order=None):
+    def counting(system, sigma, route=None):
         shifts.append(sigma)
-        return original(system, sigma, order)
+        return original(system, sigma, route)
 
     monkeypatch.setattr(irka, "factor_augmented", counting)
     return shifts
@@ -898,27 +898,27 @@ def test_driver_iteration_cap_warns(make_system):
     assert trace.iterations == 1
 
 
-def test_driver_factors_in_one_column_order(make_system, monkeypatch):
-    # the first LU of a reduction runs minimum degree and fills the
-    # order; every later one, in every outer iteration, reuses it
+def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch):
+    # the first LU of a reduction measures the fill; every later one,
+    # in every outer iteration, takes the route that fill picked
     calls = []
 
-    def spy(system, sigma, order=None):
-        calls.append((order, order is not None and order.cols is not None))
-        return factor_augmented(system, sigma, order)
+    def spy(system, sigma, route=None):
+        calls.append((route, route is not None and route.kind is not None))
+        return factor_augmented(system, sigma, route)
 
     monkeypatch.setattr(irka, "factor_augmented", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         irka_second_order_index1(make_system(40, 10, 2, 2, 0), IrkaConfig(r=4, max_iter=3))
     assert len(calls) > 4
-    assert len({id(order) for order, _ in calls}) == 1
-    assert [filled for _, filled in calls] == [False] + [True] * (len(calls) - 1)
+    assert len({id(route) for route, _ in calls}) == 1
+    assert [routed for _, routed in calls] == [False] + [True] * (len(calls) - 1)
 
 
 def test_driver_repeats_its_bytes_on_one_system_object(make_system):
-    # the column order belongs to one call: a second reduction of the
-    # same object orders its first LU afresh and repeats the first run
+    # the route belongs to one call: a second reduction of the same
+    # object measures its first LU afresh and repeats the first run
     system = make_system(120, 25, 2, 2, 0, symmetric=False)
     config = IrkaConfig(r=6, max_iter=4)
     with warnings.catch_warnings():

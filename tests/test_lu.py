@@ -1,5 +1,7 @@
 """Sparse LU: factorization identity, solves, singularity reporting."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import DENSE_FILL, ColumnOrder, _column_abs_max, _DenseLU, factor
+from morkit.lu import Route, _column_abs_max, _DenseLU, factor
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
@@ -24,12 +26,14 @@ def _random_square(n, seed, density=0.25):
 
 
 def test_worked_2x2_example():
+    # minimum degree puts column 1 first; the threshold keeps its
+    # diagonal pivot 2, so L U factors [[2, 1], [1, 5]]
     A = sp.csc_array(np.array([[5.0, 1.0], [1.0, 2.0]]))
-    lu = factor(A, order=np.arange(2))
-    np.testing.assert_array_equal(lu.L.toarray(), [[1.0, 0.0], [0.2, 1.0]])
-    np.testing.assert_array_equal(lu.U.toarray(), [[5.0, 1.0], [0.0, 1.8]])
-    np.testing.assert_array_equal(lu.perm_r, [0, 1])
-    np.testing.assert_array_equal(lu.perm_c, [0, 1])
+    lu = factor(A)
+    np.testing.assert_array_equal(lu.L.toarray(), [[1.0, 0.0], [0.5, 1.0]])
+    np.testing.assert_array_equal(lu.U.toarray(), [[2.0, 1.0], [0.0, 4.5]])
+    np.testing.assert_array_equal(lu.perm_r, [1, 0])
+    np.testing.assert_array_equal(lu.perm_c, [1, 0])
 
 
 def test_identity_factors_to_identity():
@@ -89,25 +93,10 @@ def test_non_square_rejected():
         factor(sp.csc_array(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
 
 
-def test_unknown_ordering_rejected():
-    A = sp.eye_array(3, format="csc")
-    for order in ("rcm", [0, 1, 1], [0.0, 1.0, 2.0], [[0, 1, 2]], [1, 2, 3]):
-        with pytest.raises(ValueError):
-            factor(A, order=order)
-    with pytest.raises(DimensionError):
-        factor(A, order=[1, 0])
-
-
-def _order(ordering, n, seed):
-    return {"amd": None, "natural": np.arange(n),
-            "shuffled": np.random.default_rng(seed).permutation(n)}[ordering]
-
-
 @pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2), (60, 3)])
-@pytest.mark.parametrize("ordering", ["amd", "natural", "shuffled"])
-def test_permuted_factorization_identity(n, seed, ordering):
+def test_permuted_factorization_identity(n, seed):
     A = _random_square(n, seed)
-    lu = factor(A, order=_order(ordering, n, seed))
+    lu = factor(A)
     Pr, Pc = lu.permutation_matrices()
     residual = abs(Pr @ A @ Pc - lu.L @ lu.U).max()
     assert residual <= 1e-12 * abs(A).max()
@@ -215,83 +204,30 @@ def test_column_abs_max_matches_sparse_max(dtype):
     assert got[0] == got[2] == got[5] == 0.0
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_solves_in_a_given_order_match_a_dense_solve(dtype):
-    rng = np.random.default_rng(7)
-    n = 40
-    A = _random_square(n, 7).astype(dtype)
-    if dtype == np.complex128:
-        A = A + 1j * _random_square(n, 8)
-    lu = factor(A, order=rng.permutation(n))
-    dense = A.toarray()
-    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
-                rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-        np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(dense, rhs),
-                                   rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(lu.solve_transposed(rhs), np.linalg.solve(dense.T, rhs),
-                                   rtol=1e-12, atol=1e-14)
-
-
 def test_negligible_pivot_names_its_original_column_in_any_order():
-    # columns 0 and 2 agree to within eps; whichever is eliminated
-    # second gets a negligible pivot, and the error names that column
+    # columns 0 and 2 agree to within eps; whichever minimum degree
+    # eliminates second gets a negligible pivot, and in every
+    # arrangement of the matrix the error names one of those two
     eps = np.finfo(np.float64).eps
-    A = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
-                               [0.0, 1.0, 0.0, 0.0],
-                               [1.0, 0.0, 1.0 + eps, 0.0],
-                               [0.0, 0.0, 0.0, 1.0]]))
-    for order, column in (([0, 1, 2, 3], 2), ([1, 2, 3, 0], 0), ([3, 0, 1, 2], 2)):
+    A = np.array([[1.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0],
+                  [1.0, 0.0, 1.0 + eps, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]])
+    for cols in itertools.permutations(range(4)):
+        cols = list(cols)
         with pytest.raises(SingularMatrixError) as err:
-            factor(A, order=order)
-        assert err.value.column == column
+            factor(sp.csc_array(A[cols][:, cols]))
+        assert err.value.column in (cols.index(0), cols.index(2))
 
 
 def _dense(A):
-    """A's LU on the dense route, as through an order whose first LU
+    """A's LU on the dense route, as through a route whose first LU
     filled in completely."""
-    order = ColumnOrder()
-    order.fill = 1.0
-    lu = factor(A, order)
+    route = Route()
+    route.fill = 1.0
+    lu = factor(A, route)
     assert isinstance(lu._factors, _DenseLU)
     return lu
-
-
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_reused_order_keeps_the_default_fill_and_pivots(symmetric):
-    # the order of the first factorization, applied to the augmented
-    # matrices at other shifts, reproduces minimum degree's permutations
-    # and fill there; every pivot stays on the diagonal
-    system = chain_system(400, 40, symmetric)
-    order = ColumnOrder()
-    factor(assemble_shifted_augmented(system, 3.0 + 40.0j), order)
-    assert order.cols is not None
-    assert order.route == "sparse" and order.fill < DENSE_FILL / 10
-    for sigma in (0.5, 12.0 - 700.0j, 2e3 + 9e3j, -1.76e7):
-        A = assemble_shifted_augmented(system, sigma)
-        default, reused = factor(A), factor(A, order)
-        np.testing.assert_array_equal(reused.perm_c, default.perm_c)
-        np.testing.assert_array_equal(reused.perm_r, default.perm_r)
-        np.testing.assert_array_equal(reused.perm_r, reused.perm_c)
-        assert reused.L.nnz + reused.U.nnz == default.L.nnz + default.U.nnz
-
-
-def test_column_order_follows_a_changed_pattern():
-    # an entry that cancels to an exact zero drops out of the pattern;
-    # the order then permutes the new pattern, not the stale one
-    rng = np.random.default_rng(3)
-    n = 30
-    order = ColumnOrder(rng.permutation(n))
-    A = _random_square(n, 3)
-    B = A.copy()
-    B.data[5] = 0.0
-    B.eliminate_zeros()
-    for M in (A, B, A):
-        P = order.permute(M)
-        assert P.has_canonical_format
-        np.testing.assert_array_equal(
-            P.toarray(), M.toarray()[order.cols][:, order.cols])
-        x = factor(M, order).solve(np.ones(n))
-        np.testing.assert_allclose(M @ x, np.ones(n), rtol=1e-12)
 
 
 def test_fill_threshold_chooses_the_route(monkeypatch):
@@ -299,19 +235,19 @@ def test_fill_threshold_chooses_the_route(monkeypatch):
     # on the later LUs are dense, below it they stay sparse
     system = generate_synthetic(60, 12, 2, 2, seed=3)
     A = assemble_shifted_augmented(system, 2.0 + 30.0j)
-    first = ColumnOrder()
+    first = Route()
     lu = factor(A, first)
     assert first.fill == (lu.L.nnz + lu.U.nnz - lu.n) / lu.n**2
-    for threshold, route in ((first.fill, "dense"), (np.nextafter(first.fill, 1.0), "sparse")):
+    for threshold, kind in ((first.fill, "dense"), (np.nextafter(first.fill, 1.0), "sparse")):
         monkeypatch.setattr(lu_module, "DENSE_FILL", threshold)
-        order = ColumnOrder()
-        factor(A, order)
-        assert order.route == route
-        later = factor(assemble_shifted_augmented(system, 5.0), order)
-        assert isinstance(later._factors, _DenseLU) == (route == "dense")
-    banded = ColumnOrder()
+        route = Route()
+        factor(A, route)
+        assert route.kind == kind
+        later = factor(assemble_shifted_augmented(system, 5.0), route)
+        assert isinstance(later._factors, _DenseLU) == (kind == "dense")
+    banded = Route()
     factor(assemble_shifted_augmented(chain_system(400, 40, True), 1.0), banded)
-    assert banded.route == "sparse"
+    assert banded.kind == "sparse"
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -364,8 +300,10 @@ def test_solves_match_a_dense_solve_on_both_routes(route, factor_dtype, rhs_dtyp
 @pytest.mark.parametrize("route", ["sparse", "dense"])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
-    # columns 0 and 2 agree to within eps: column 2, eliminated second,
-    # gets the negligible pivot; an exactly zero pivot is named as well
+    # columns 0 and 2 agree to within eps; the one eliminated second
+    # gets the negligible pivot: column 0 after minimum degree, column 2
+    # in the dense route's natural order. An exactly zero pivot is named
+    # as well
     eps = np.finfo(np.float64).eps
     near = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
                                   [0.0, 1.0, 0.0, 0.0],
@@ -374,10 +312,10 @@ def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
     exact = sp.csc_array(np.array([[2.0, 1.0, 0.0],
                                    [0.0, 1.0, 1.0],
                                    [2.0, 2.0, 1.0]], dtype=dtype))
-    run = (lambda A: factor(A, np.arange(A.shape[0]))) if route == "sparse" else _dense
+    run = factor if route == "sparse" else _dense
     with pytest.raises(SingularMatrixError) as err:
         run(near)
-    assert err.value.column == 2
+    assert err.value.column == (0 if route == "sparse" else 2)
     if route == "dense":  # SuperLU stops at an exact zero without naming it
         with pytest.raises(SingularMatrixError) as err:
             run(exact)
@@ -411,11 +349,11 @@ def test_augmented_solves_agree_with_a_dense_solve_on_every_route(
         p = m
     system = generate_synthetic(n1, n2, m, p, seed=seed, symmetric=symmetric)
     sigma = complex(re, im)
-    order = None
-    if shared:  # a first LU elsewhere gives the order and measures the fill
-        order = ColumnOrder()
-        factor_augmented(system, 7.0 + 300.0j, order)
-    lu = factor_augmented(system, sigma, order)
+    route = None
+    if shared:  # a first LU elsewhere measures the fill and picks the route
+        route = Route()
+        factor_augmented(system, 7.0 + 300.0j, route)
+    lu = factor_augmented(system, sigma, route)
     assert lu.dtype == (np.float64 if im == 0.0 else np.complex128)
     A = assemble_shifted_augmented(system, sigma).toarray().astype(np.complex128)
     rng = np.random.default_rng(seed)

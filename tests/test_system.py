@@ -121,6 +121,15 @@ def test_manifest_missing_field_is_named(tmp_path, s1):
         load_system(manifest)
 
 
+def test_manifest_malformed_dimension_is_named(tmp_path, s1):
+    manifest = save_system(s1, tmp_path / "sys")
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join("n1 = twenty" if line.startswith("n1 ") else line
+                                   for line in lines) + "\n")
+    with pytest.raises(StructuralError, match=r"n1 in .*manifest\.txt.*'twenty'"):
+        load_system(manifest)
+
+
 def test_load_rejects_missing_manifest(tmp_path):
     with pytest.raises(StructuralError):
         load_system(tmp_path / "nope" / "manifest.txt")

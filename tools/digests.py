@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of 14 seeded reductions.
+"""Byte-identity digests of 15 seeded reductions.
 
     python3 tools/digests.py > digests.txt
 
@@ -11,14 +11,17 @@ a 12-point ``sweep`` against the full model and the bytes of
 directory next to this one, with one BLAS thread (output bytes depend on
 the thread count). To check that a change keeps outputs byte-identical,
 run this script in a checkout of the parent commit and in the changed
-tree and ``diff`` the two outputs. The systems are the 14 of the
+tree and ``diff`` the two outputs. The first 14 systems are those of the
 lean-kernels change (dense solve, augmented assembly and pivot check).
 Their digests changed twice since, each time checked by
 ``tools/equivalence.py``: when the factorizations of a reduction and of a
 sweep began to share one column order (only the chain's stayed), and when
 real shifts began to be factored in float64 and near-dense fill to switch
 later factorizations to LAPACK (all 14 changed; the trace now carries a
-``lu_route`` line). The current record::
+``lu_route`` line). Dropping the shared column order again, so that every
+sparse factorization runs minimum degree itself, kept every digest; the
+two-sided chain was added then, equal before and after. The current
+record::
 
     synth150-s0 69ee34e7d2557444
     synth150-s1 121bfff4c0df9a66
@@ -34,6 +37,7 @@ later factorizations to LAPACK (all 14 changed; the trace now carries a
     nonsym200-s2 a8376e6286d076fe
     synth-fill-s0 7d83f0a767207fc7
     chain5000-s0 52d5099408e3767c
+    chain5000-s0-2s 72f0ce6c7338d0b4
 
 The systems:
 
@@ -45,7 +49,10 @@ The systems:
   r = 10, two-sided;
 * ``synth-fill-s0`` and ``chain5000-s0``: the benchmark's synth-fill
   workload and a 5,000-mass chain from its generator (r = 10, at most
-  three outer iterations).
+  three outer iterations);
+* ``chain5000-s0-2s``: the same chain reduced two-sided, the one case
+  whose left solves all go through SuperLU's transposed solve (the other
+  two-sided systems take the dense route after their first LU).
 """
 
 import hashlib
@@ -90,6 +97,8 @@ def cases():
     out.append(("synth-fill-s0", *_workload("synth-fill", 0)))
     out.append(("chain5000-s0", lambda: generate_chain(5000, 2, 0),
                 morkit.IrkaConfig(r=10, max_iter=3)))
+    out.append(("chain5000-s0-2s", lambda: generate_chain(5000, 2, 0),
+                morkit.IrkaConfig(r=10, max_iter=3, force_one_sided=False)))
     return out
 
 

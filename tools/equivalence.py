@@ -6,7 +6,7 @@
 
 ``dump`` imports the library from ``DIR/src`` (default: the checkout this
 script sits in), with one BLAS thread. It reduces the two golden CLI cases
-of ``tests/test_golden.py`` and the 14 systems of ``tools/digests.py``, and
+of ``tests/test_golden.py`` and the 15 systems of ``tools/digests.py``, and
 runs acceptance criteria 1-3 from ``DIR/tests``. ``compare`` checks the
 change's dump against the rule below, prints a report of both, and exits
 1 if the change breaks the rule.
