@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-identity digests of 15 seeded reductions.
+"""Byte-identity digests of 16 seeded reductions.
 
     python3 tools/digests.py > digests.txt
 
@@ -20,8 +20,9 @@ real shifts began to be factored in float64 and near-dense fill to switch
 later factorizations to LAPACK (all 14 changed; the trace now carries a
 ``lu_route`` line). Dropping the shared column order again, so that every
 sparse factorization runs minimum degree itself, kept every digest; the
-two-sided chain was added then, equal before and after. The current
-record::
+two-sided chain was added then, equal before and after. The
+benchmark-sized chain was added next, so that a change to its rounding
+shows here too. The current record::
 
     synth150-s0 69ee34e7d2557444
     synth150-s1 121bfff4c0df9a66
@@ -38,6 +39,7 @@ record::
     synth-fill-s0 7d83f0a767207fc7
     chain5000-s0 52d5099408e3767c
     chain5000-s0-2s 72f0ce6c7338d0b4
+    chain50000-s0 6cf7b1f76cf377a9
 
 The systems:
 
@@ -52,7 +54,9 @@ The systems:
   three outer iterations);
 * ``chain5000-s0-2s``: the same chain reduced two-sided, the one case
   whose left solves all go through SuperLU's transposed solve (the other
-  two-sided systems take the dense route after their first LU).
+  two-sided systems take the dense route after their first LU);
+* ``chain50000-s0``: the benchmark's chain-sparse system (50,000 masses,
+  r = 10, at most three outer iterations).
 """
 
 import hashlib
@@ -99,6 +103,8 @@ def cases():
                 morkit.IrkaConfig(r=10, max_iter=3)))
     out.append(("chain5000-s0-2s", lambda: generate_chain(5000, 2, 0),
                 morkit.IrkaConfig(r=10, max_iter=3, force_one_sided=False)))
+    out.append(("chain50000-s0", lambda: generate_chain(50_000, 2, 0),
+                morkit.IrkaConfig(r=10, max_iter=3)))
     return out
 
 
