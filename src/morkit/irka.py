@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
-from .sparse import assemble_shifted_augmented
+from .sparse import ShiftedBand, assemble_shifted_augmented
 from .system import ReducedSecondOrderModel, SecondOrderIndex1System, validate
 
 DEFAULT_FREQ_RANGE = (10.0, 1.0e4)
@@ -316,11 +316,18 @@ def factor_augmented(system, sigma, route=None):
     augmented pattern does not depend on sigma, so the factorizations of
     one reduction or sweep share one :class:`~morkit.lu.Route`
     (`route`, see :func:`morkit.lu.factor`): its first LU's fill decides
-    whether the rest are sparse or dense. A singular factorization
-    means sigma collided with an eigenvalue of the underlying pencil and
-    raises :class:`ShiftCollisionError`.
+    whether the rest are sparse, banded or dense. On the band route the
+    blocks are scattered straight into band storage through index maps
+    kept in ``route.scatter``, with no CSC assembly. A singular
+    factorization means sigma collided with an eigenvalue of the
+    underlying pencil and raises :class:`ShiftCollisionError`.
     """
     try:
+        if route is not None and route.kind == "band":
+            scatter = route.scatter
+            if scatter is None or scatter.system is not system:
+                scatter = route.scatter = ShiftedBand(system, route.order)
+            return lu.factor(scatter(sigma), route)
         return lu.factor(assemble_shifted_augmented(system, sigma), route)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
@@ -774,7 +781,10 @@ class IterationTrace:
 
     ``format()`` emits a stable plain-text form intended for
     diff-based regression; timing lines are opt-in because wall-clock
-    values are the one part of a run that is not reproducible.
+    values are the one part of a run that is not reproducible. Its
+    ``lu_route`` line names the route of the reduction's later LUs and
+    the fill of its first (:class:`~morkit.lu.Route`); on the band route
+    it ends with the band's integer widths, ``kl <kl> ku <ku>``.
     """
 
     requested_order: int
@@ -786,6 +796,7 @@ class IterationTrace:
     final_basis: ProjectionBasis | None = None
     lu_route: str | None = None  # Route.kind of the reduction's LUs
     lu_fill: float | None = None  # nnz(L+U) / n^2 of its first LU
+    lu_band: tuple | None = None  # (kl, ku) of the band route's RCM order
 
     @property
     def iterations(self):
@@ -806,7 +817,10 @@ class IterationTrace:
             f"one_sided {str(self.one_sided).lower()}",
         ]
         if self.lu_route is not None:
-            lines.append(f"lu_route {self.lu_route} fill {self.lu_fill:.17g}")
+            line = f"lu_route {self.lu_route} fill {self.lu_fill:.17g}"
+            if self.lu_band is not None:
+                line += " kl {} ku {}".format(*self.lu_band)
+            lines.append(line)
         for rec in self.records:
             lines.append(f"iteration {rec.iteration}")
             lines.append(f"  metric {rec.metric:.17g}")
@@ -898,6 +912,8 @@ def irka_second_order_index1(system, config):
     trace.final_interpolation = interp
     trace.final_basis = basis
     trace.lu_route, trace.lu_fill = route.kind, route.fill
+    if route.kind == "band":
+        trace.lu_band = (route.kl, route.ku)
     if not trace.converged:
         warnings.warn(
             f"IRKA hit the iteration cap ({config.max_iter}) with shift movement "

@@ -28,7 +28,7 @@ from morkit import lu as lu_module
 from morkit.lu import Route
 from morkit.sparse import assemble_shifted_augmented
 
-from conftest import chain_system
+from conftest import chain_system, grid_system
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -138,13 +138,15 @@ def test_sweep_routes_every_point_by_the_first_points_fill(make_system):
         assert result.G_full.tobytes() == np.stack(full).tobytes()
 
 
-def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
-    # at omega = 10 the (0, 1) entries of S11 cancel to exact zeros
-    # (-100 * 0.5 + 50, no damping there), so the points share one
-    # route over two patterns; more workers than cores and a short
-    # switch interval give racing threads their chance. The chain's LUs
-    # stay sparse, so every point orders its own pattern.
-    base = chain_system(200, 20, symmetric=True)
+def _threaded_sweep_through_a_changing_pattern(base, kind):
+    """Sweep `base`, made to change its pattern with omega, sequentially
+    and in racing threads, on the route `kind` its first point picks.
+
+    At omega = 10 the (0, 1) entries of S11 cancel to exact zeros
+    (-100 * 0.5 + 50, no damping there), so the points share one route
+    over two patterns; more workers than cores and a short switch
+    interval give racing threads their chance.
+    """
     M, K = base.M11.toarray(), base.K11.toarray()
     M[0, 1] = M[1, 0] = 0.5
     K[0, 1] = K[1, 0] = 50.0
@@ -155,8 +157,8 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
         assemble_shifted_augmented(system, 11j).nnz - 2)
     route = Route()
     eval_full(system, 9j, route)
-    assert route.kind == "sparse"
-    I = np.eye(200)
+    assert route.kind == kind
+    I = np.eye(system.n1)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.tile([9.0, 10.0, 11.0, 10.0], 6)
     seq = sweep(system, rom, omegas, max_workers=1)
@@ -169,6 +171,17 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
     assert par.G_full.tobytes() == seq.G_full.tobytes()
     exact = np.stack([eval_full(system, 1j * w).G for w in omegas])
     np.testing.assert_allclose(seq.G_full, exact, rtol=1e-12)
+
+
+def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
+    # the chain's LUs go banded: the threads share one set of index maps
+    # into band storage, which holds the cancelled entries as zeros
+    _threaded_sweep_through_a_changing_pattern(chain_system(200, 20, symmetric=True), "band")
+
+
+def test_threaded_sweep_on_the_sparse_route_matches_sequential():
+    # the grid's LUs stay sparse, so every point orders its own pattern
+    _threaded_sweep_through_a_changing_pattern(grid_system(20), "sparse")
 
 
 def test_thread_count_from_the_environment(monkeypatch):
@@ -245,13 +258,16 @@ def test_speedup_report_smoke(make_system):
     assert f"reduced (r={rom.order})" in table
 
 
-@pytest.mark.parametrize("kind", ["generated", "chain"])
+@pytest.mark.parametrize("kind", ["generated", "chain", "grid"])
 def test_speedup_report_routes_every_pass_by_its_first_factorization(
         make_system, monkeypatch, kind):
     # the full passes factor as sweep does: the warm-up pass's first
     # point measures the fill, and every later point of every pass runs
-    # SuperLU with minimum degree (sparse) or skips SuperLU (dense)
-    system = make_system(40, 10, 2, 2, 0) if kind == "generated" else chain_system(200, 20, True)
+    # SuperLU with minimum degree (sparse: the grid) or skips SuperLU
+    # (dense: the generated system; band: the chain)
+    system = {"generated": lambda: make_system(40, 10, 2, 2, 0),
+              "chain": lambda: chain_system(200, 20, True),
+              "grid": lambda: grid_system(20)}[kind]()
     rom = reduce(system, ProjectionBasis(V=np.eye(system.n1), W=np.eye(system.n1)))
     orderings = []
     splu = lu_module.spla.splu
@@ -262,7 +278,7 @@ def test_speedup_report_routes_every_pass_by_its_first_factorization(
 
     monkeypatch.setattr(lu_module.spla, "splu", spy)
     speedup_report(system, rom, np.logspace(1, 4, 5), repetitions=3)
-    assert orderings == ["MMD_AT_PLUS_A"] * (1 if kind == "generated" else 20)
+    assert orderings == ["MMD_AT_PLUS_A"] * (20 if kind == "grid" else 1)
 
 
 def test_speedup_report_requires_enough_repetitions(s1):

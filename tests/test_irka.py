@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morkit import analysis, irka
+from morkit import lu as lu_module
 from morkit.errors import (
     ConvergenceWarning,
     DimensionError,
@@ -55,7 +56,7 @@ from morkit.system import (
     to_dense_schur,
 )
 
-from conftest import GRID, chain_system, damped_pairs, grid_ids, scalar_system
+from conftest import GRID, chain_system, damped_pairs, grid_ids, grid_system, scalar_system
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -831,19 +832,24 @@ def test_driver_trace_structure(make_system):
     assert trace.format(include_timings=True) != text
 
 
-@pytest.mark.parametrize("kind, route", [("generated", "dense"), ("chain", "sparse")])
+@pytest.mark.parametrize("kind, route", [("generated", "dense"), ("chain", "band"),
+                                         ("grid", "sparse")])
 def test_trace_records_the_factorization_route_once(make_system, kind, route):
     # one deterministic line: the route of the reduction's later LUs and
-    # the fill of its first, which chose it
-    system = make_system(40, 10, 2, 2, 0) if kind == "generated" else chain_system(200, 20, True)
+    # the fill of its first, which chose it; on the band route also the
+    # integer bandwidths of its RCM order
+    system = {"generated": lambda: make_system(40, 10, 2, 2, 0),
+              "chain": lambda: chain_system(200, 20, True),
+              "grid": lambda: grid_system(20)}[kind]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         _, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
     assert trace.lu_route == route
     assert (trace.lu_fill >= DENSE_FILL) == (route == "dense")
+    band = " kl 2 ku 2" if route == "band" else ""
     lines = trace.format().splitlines()
     assert [line for line in lines if line.startswith("lu_route")] == [
-        f"lu_route {route} fill {trace.lu_fill:.17g}"]
+        f"lu_route {route} fill {trace.lu_fill:.17g}{band}"]
     assert lines[3].startswith("lu_route")
     assert trace.format(include_timings=True).splitlines()[3] == lines[3]
 
@@ -1009,3 +1015,26 @@ def test_back_to_index1_checks_basis(make_system, s1):
     rom, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=8))
     with pytest.raises(DimensionError):
         back_to_index1(s1, trace.final_basis)
+
+
+def test_band_route_reduces_the_chain_as_the_sparse_route_does(monkeypatch):
+    # the two routes differ only in the rounding of their LUs: the same
+    # two-sided reduction of a nonsymmetric chain ends at the same shifts
+    # and the same reduced model, to rounding
+    system = chain_system(200, 20, symmetric=False)
+    config = IrkaConfig(r=4, max_iter=3, force_one_sided=False)
+    runs = []
+    for band_fill in (lu_module.BAND_FILL, 0):  # 0: no band is cheap enough
+        monkeypatch.setattr(lu_module, "BAND_FILL", band_fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            runs.append(irka_second_order_index1(system, config))
+    (rom_b, trace_b), (rom_s, trace_s) = runs
+    assert (trace_b.lu_route, trace_s.lu_route) == ("band", "sparse")
+    assert trace_b.left_solves == trace_s.left_solves > 0
+    np.testing.assert_allclose(np.sort_complex(trace_b.final_interpolation.shifts),
+                               np.sort_complex(trace_s.final_interpolation.shifts), rtol=1e-9)
+    for s in (3j, 30j, 300j):
+        np.testing.assert_allclose(analysis.eval_reduced(rom_b, s).G,
+                                   analysis.eval_reduced(rom_s, s).G,
+                                   rtol=1e-9)

@@ -1,21 +1,24 @@
-"""Sparse LU: factorization identity, solves, singularity reporting."""
+"""Sparse LU: factorization identity, solves, singularity reporting, routes."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import Route, _column_abs_max, _DenseLU, factor
+from morkit.lu import Route, _BandLU, _column_abs_max, _DenseLU, factor
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
-from conftest import GRID, chain_system, grid_ids
+from conftest import GRID, chain_system, grid_ids, grid_laplacian
 
 
 def _random_square(n, seed, density=0.25):
@@ -230,14 +233,30 @@ def _dense(A):
     return lu
 
 
+def _band(A):
+    """A's LU on the band route, in the reverse Cuthill-McKee order of
+    its pattern, as through a route whose first LU chose the band."""
+    route = Route()
+    route.fill = 0.0
+    pattern = abs(sp.csr_array(A)) + abs(sp.csr_array(A)).T
+    route.order = reverse_cuthill_mckee(sp.csr_array(pattern), symmetric_mode=True)
+    lu = factor(A, route)
+    assert isinstance(lu._factors, _BandLU)
+    return lu
+
+
+ROUTES = {"sparse": factor, "dense": _dense, "band": _band}
+
+
 def test_fill_threshold_chooses_the_route(monkeypatch):
     # the first LU's measured fill against DENSE_FILL: from the threshold
-    # on the later LUs are dense, below it they stay sparse
+    # on the later LUs are dense, below it they are banded or sparse
     system = generate_synthetic(60, 12, 2, 2, seed=3)
     A = assemble_shifted_augmented(system, 2.0 + 30.0j)
     first = Route()
     lu = factor(A, first)
     assert first.fill == (lu.L.nnz + lu.U.nnz - lu.n) / lu.n**2
+    monkeypatch.setattr(lu_module, "BAND_FILL", 0)  # no band is that cheap
     for threshold, kind in ((first.fill, "dense"), (np.nextafter(first.fill, 1.0), "sparse")):
         monkeypatch.setattr(lu_module, "DENSE_FILL", threshold)
         route = Route()
@@ -248,6 +267,32 @@ def test_fill_threshold_chooses_the_route(monkeypatch):
     banded = Route()
     factor(assemble_shifted_augmented(chain_system(400, 40, True), 1.0), banded)
     assert banded.kind == "sparse"
+
+
+def test_band_threshold_chooses_the_route():
+    # below DENSE_FILL, the RCM band's storage against BAND_FILL times the
+    # first LU's fill: a chain goes banded, a 2-D grid Laplacian (band
+    # about sqrt(n) wide) stays on SuperLU; generated systems go dense
+    chain = assemble_shifted_augmented(chain_system(400, 40, True), 2.0 + 30.0j)
+    generated = assemble_shifted_augmented(generate_synthetic(60, 12, 2, 2, seed=3), 1.0)
+    for A, kind, later in ((chain, "band", _BandLU), (grid_laplacian(40), "sparse", spla.SuperLU),
+                           (generated, "dense", _DenseLU)):
+        route = Route()
+        first = factor(A, route)
+        assert route.kind == kind
+        assert (route.order is not None) == (kind == "band")
+        if kind == "band":
+            fill_nnz = first.L.nnz + first.U.nnz - first.n
+            assert (2 * route.kl + route.ku + 1) * first.n <= lu_module.BAND_FILL * fill_nnz
+        assert isinstance(factor(A, route)._factors, later)
+
+
+def test_band_route_measures_the_chains_rcm_band():
+    route = Route()
+    factor(assemble_shifted_augmented(chain_system(400, 40, True), 3.0), route)
+    assert route.kind == "band"
+    assert (route.kl, route.ku) == (2, 2)
+    np.testing.assert_array_equal(np.sort(route.order), np.arange(440))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -275,7 +320,7 @@ def test_dense_route_pivots_rows():
     np.testing.assert_allclose((Pr @ A @ Pc).toarray(), (lu.L @ lu.U).toarray(), atol=1e-15)
 
 
-@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("route", ["sparse", "dense", "band"])
 @pytest.mark.parametrize("factor_dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("rhs_dtype", [np.float64, np.complex128])
 def test_solves_match_a_dense_solve_on_both_routes(route, factor_dtype, rhs_dtype):
@@ -284,7 +329,7 @@ def test_solves_match_a_dense_solve_on_both_routes(route, factor_dtype, rhs_dtyp
     A = _random_square(n, 11).astype(factor_dtype)
     if factor_dtype == np.complex128:
         A = A + 1j * _random_square(n, 12)
-    lu = factor(A) if route == "sparse" else _dense(A)
+    lu = ROUTES[route](A)
     dense = A.toarray()
     for shape in ((n,), (n, 3)):
         rhs = rng.standard_normal(shape).astype(rhs_dtype)
@@ -297,13 +342,15 @@ def test_solves_match_a_dense_solve_on_both_routes(route, factor_dtype, rhs_dtyp
         np.testing.assert_allclose(xt, np.linalg.solve(dense.T, rhs), rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("route", ["sparse", "dense"])
+@pytest.mark.parametrize("route", ["sparse", "dense", "band"])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
     # columns 0 and 2 agree to within eps; the one eliminated second
     # gets the negligible pivot: column 0 after minimum degree, column 2
-    # in the dense route's natural order. An exactly zero pivot is named
-    # as well
+    # in the dense route's natural order, column 0 again in the band
+    # route's RCM order (2, 0, 3, 1). An exactly zero pivot is named as
+    # well: the last column eliminated, 2 in natural order and 0 in the
+    # RCM order (2, 1, 0)
     eps = np.finfo(np.float64).eps
     near = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
                                   [0.0, 1.0, 0.0, 0.0],
@@ -312,20 +359,76 @@ def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
     exact = sp.csc_array(np.array([[2.0, 1.0, 0.0],
                                    [0.0, 1.0, 1.0],
                                    [2.0, 2.0, 1.0]], dtype=dtype))
-    run = factor if route == "sparse" else _dense
+    run = ROUTES[route]
     with pytest.raises(SingularMatrixError) as err:
         run(near)
-    assert err.value.column == (0 if route == "sparse" else 2)
-    if route == "dense":  # SuperLU stops at an exact zero without naming it
+    assert err.value.column == (2 if route == "dense" else 0)
+    if route != "sparse":  # SuperLU stops at an exact zero without naming it
         with pytest.raises(SingularMatrixError) as err:
             run(exact)
-        assert err.value.column == 2
+        assert err.value.column == (2 if route == "dense" else 0)
+        assert "exactly zero" in str(err.value)
 
 
 def test_dense_route_pivot_check_is_relative_to_the_column():
     # the pivot 1.0 is negligible against the other column, not its own
     A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
     np.testing.assert_array_equal(np.abs(_dense(A).U.diagonal()), [1e20, 1.0])
+
+
+def test_band_route_pivot_check_is_relative_to_the_column():
+    # as on the dense route, through the RCM order (1, 0) of the columns
+    A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
+    lu = _band(A)
+    np.testing.assert_array_equal(np.abs(lu.U.diagonal()), [1.0, 1e20])
+    np.testing.assert_array_equal(lu.perm_c, [1, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2)])
+def test_band_route_factorization_identity(n, seed, dtype):
+    # L, U and the permutations are built from the band factors when
+    # first read, and only then
+    A = _random_square(n, seed).astype(dtype)
+    if dtype == np.complex128:
+        A = A + 1j * _random_square(n, seed + 10)
+    lu = _band(A)
+    assert lu.dtype == dtype
+    lu.solve(np.ones(n))
+    assert "_triangular" not in vars(lu._factors)
+    Pr, Pc = lu.permutation_matrices()
+    np.testing.assert_array_equal(np.sort(lu.perm_r), np.arange(n))
+    np.testing.assert_array_equal(np.sort(lu.perm_c), np.arange(n))
+    assert abs(Pr @ A @ Pc - lu.L @ lu.U).max() <= 1e-12 * abs(A).max()
+    assert np.all(lu.L.diagonal() == 1.0)
+    assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
+    # the factors store the whole band: kl + 1 entries of each column of
+    # L and kl + ku + 1 of U, less the corners
+    kl, ku = lu._factors._kl, lu._factors._ku
+    assert lu.L.nnz == sum(min(kl, n - 1 - j) + 1 for j in range(n))
+    assert lu.U.nnz == sum(min(kl + ku, j) + 1 for j in range(n))
+
+
+def test_band_route_pivots_rows_through_a_zero_diagonal():
+    # a tridiagonal matrix whose leading diagonal entry (and another
+    # inside the band) is zero: gbtrf must swap rows, which perm_r
+    # records once L is built from its deferred interchanges
+    A = sp.csc_array(np.array([[0.0, 2.0, 0.0, 0.0, 0.0],
+                               [3.0, 1.0, 1.0, 0.0, 0.0],
+                               [0.0, 1.0, 4.0, 2.0, 0.0],
+                               [0.0, 0.0, 5.0, 0.0, 1.0],
+                               [0.0, 0.0, 0.0, 1.0, 2.0]]))
+    route = Route()
+    route.fill, route.order = 0.0, np.arange(5, dtype=np.int32)  # already banded
+    lu = factor(A, route)
+    assert np.count_nonzero(lu._factors._piv != np.arange(5)) >= 2
+    assert not np.array_equal(lu.perm_r, np.arange(5))
+    Pr, Pc = lu.permutation_matrices()
+    np.testing.assert_allclose((Pr @ A @ Pc).toarray(), (lu.L @ lu.U).toarray(), atol=1e-15)
+    rhs = np.arange(1.0, 6.0)
+    np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(A.toarray(), rhs), rtol=1e-14)
+    np.testing.assert_allclose(lu.solve_transposed(rhs), np.linalg.solve(A.toarray().T, rhs),
+                               rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,3 +464,42 @@ def test_augmented_solves_agree_with_a_dense_solve_on_every_route(
     for got, matrix in ((lu.solve(rhs), A), (lu.solve_transposed(rhs), A.T)):
         want = np.linalg.solve(matrix, rhs)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 50),
+    kl=st.integers(0, 4),
+    ku=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    complex_values=st.booleans(),
+)
+def test_band_route_recovers_a_scrambled_band(n, kl, ku, seed, complex_values):
+    # a full band of random values, its rows and columns scrambled by one
+    # random permutation: the route's RCM order takes it back to a band
+    # no wider than the original, and its solves are the matrix's
+    rng = np.random.default_rng(seed)
+    kl, ku = min(kl, n - 1), min(ku, n - 1)
+    offsets = range(-kl, ku + 1)
+    diagonals = [rng.standard_normal(n - abs(k)) for k in offsets]
+    if complex_values:
+        diagonals = [d + 1j * rng.standard_normal(d.shape) for d in diagonals]
+    # well conditioned, yet the diagonal is not always the largest entry
+    # of its column, so rows get swapped
+    diagonals[kl] = diagonals[kl] + 3.0 * np.sign(diagonals[kl].real)
+    band = sp.diags_array(diagonals, offsets=list(offsets), shape=(n, n)).toarray()
+    scramble = rng.permutation(n)
+    A = sp.csc_array(band[scramble][:, scramble])
+    route = Route()
+    # however small or filled in, the matrix takes the band route
+    with mock.patch.multiple(lu_module, DENSE_FILL=np.inf, BAND_FILL=np.inf):
+        factor(A, route)
+        assert route.kind == "band"
+        lu = factor(A, route)
+    assert max(route.kl, route.ku) <= max(kl, ku)
+    assert isinstance(lu._factors, _BandLU)
+    dense = A.toarray()
+    rhs = rng.standard_normal((n, 2))
+    for got, matrix in ((lu.solve(rhs), dense), (lu.solve_transposed(rhs), dense.T)):
+        want = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

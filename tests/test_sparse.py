@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, is_symmetric
+from morkit.sparse import (
+    BandMatrix,
+    ShiftedBand,
+    as_canonical_csc,
+    assemble_shifted_augmented,
+    is_symmetric,
+)
 from morkit.system import SecondOrderIndex1System, generate_synthetic
 
 
@@ -135,3 +141,38 @@ def test_real_shift_assembles_the_real_parts_of_the_complex_route(kind, sigma):
     assert got.indices.tobytes() == want.indices.tobytes()
     assert got.data.tobytes() == np.ascontiguousarray(want.data.real).tobytes()
     assert not want.data.imag.any()
+
+
+def _unband(band):
+    """B = A[order][:, order] as a dense array, from band storage."""
+    n, kl, ku = band.n, band.kl, band.ku
+    B = np.zeros((n, n), dtype=band.data.dtype)
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            B[i, j] = band.data[kl + ku + i - j, j]
+    return B
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 3j, 0.25 - 4j, 1e3 + 2e4j])
+@pytest.mark.parametrize("kind", ["awkward-int32", "awkward-int64", "generated"])
+def test_shifted_band_is_the_assembled_matrix_in_band_storage(kind, sigma):
+    # scattered straight from the blocks, in any order of the rows and
+    # columns: the values of the CSC assembly, the same dtype, and the
+    # moduli the pivot check reads. Entries that cancel at this sigma
+    # stay inside the band as zeros
+    if kind.startswith("awkward"):
+        system = _awkward_system(np.int32 if kind.endswith("32") else np.int64)
+    else:
+        system = generate_synthetic(30, 8, 2, 3, seed=4, symmetric=False)
+    A = assemble_shifted_augmented(system, sigma)
+    order = np.random.default_rng(7).permutation(A.shape[0]).astype(np.int32)
+    band = ShiftedBand(system, order)(sigma)
+    assert band.data.dtype == A.dtype and band.data.flags.f_contiguous
+    want = A.toarray()[order][:, order]
+    np.testing.assert_array_equal(_unband(band), want)
+    csc = BandMatrix.from_csc(A, order)
+    assert csc.kl <= band.kl and csc.ku <= band.ku
+    np.testing.assert_array_equal(_unband(csc), want)
+    for b in (band, csc):
+        assert b.abs_max == np.abs(want).max()
+        np.testing.assert_array_equal(b.column_abs_max(), np.abs(want).max(axis=0))

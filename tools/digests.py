@@ -22,7 +22,9 @@ later factorizations to LAPACK (all 14 changed; the trace now carries a
 sparse factorization runs minimum degree itself, kept every digest; the
 two-sided chain was added then, equal before and after. The
 benchmark-sized chain was added next, so that a change to its rounding
-shows here too. The current record::
+shows here too. The three chains' digests changed when their later
+factorizations moved from SuperLU to LAPACK's banded LU, checked by
+``tools/equivalence.py``; the other 13 stayed. The current record::
 
     synth150-s0 69ee34e7d2557444
     synth150-s1 121bfff4c0df9a66
@@ -37,9 +39,9 @@ shows here too. The current record::
     nonsym200-s1 1b2d4e49113eb724
     nonsym200-s2 a8376e6286d076fe
     synth-fill-s0 7d83f0a767207fc7
-    chain5000-s0 52d5099408e3767c
-    chain5000-s0-2s 72f0ce6c7338d0b4
-    chain50000-s0 6cf7b1f76cf377a9
+    chain5000-s0 77c8285e46880e9c
+    chain5000-s0-2s 35da079478d3f40a
+    chain50000-s0 7db41e99cb27f444
 
 The systems:
 
@@ -53,8 +55,9 @@ The systems:
   workload and a 5,000-mass chain from its generator (r = 10, at most
   three outer iterations);
 * ``chain5000-s0-2s``: the same chain reduced two-sided, the one case
-  whose left solves all go through SuperLU's transposed solve (the other
-  two-sided systems take the dense route after their first LU);
+  whose left solves go through the band route's transposed solve
+  (``?gbtrs``; the other two-sided systems take the dense route after
+  their first LU);
 * ``chain50000-s0``: the benchmark's chain-sparse system (50,000 masses,
   r = 10, at most three outer iterations).
 """
