@@ -50,7 +50,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionError, SingularMatrixError
 from .sparse import BandMatrix, as_canonical_csc, bandwidths, inverse_order
@@ -100,6 +99,9 @@ class Route:
     def _measure_band(self, A, fill_nnz):
         """Order canonical CSC `A`'s pattern by RCM and take the band
         route if its storage is at most BAND_FILL * `fill_nnz`."""
+        # imported here, so that runs that go dense never load it (1 MB)
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         ones = np.ones(A.nnz, dtype=np.int8)
         pattern = sp.csr_array((ones, A.indices, A.indptr), shape=A.shape)  # A^T
         order = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
