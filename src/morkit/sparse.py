@@ -125,7 +125,7 @@ class BandMatrix:
     def from_csc(cls, A, order):
         """The band of canonical CSC `A` in `order`, as narrow as A's
         stored entries allow."""
-        i, j = _band_coordinates(A, order)
+        i, j = _band_coordinates(A, inverse_order(order))
         kl, ku = _bandwidths(i, j)
         data = _band_zeros(kl, ku, A.shape[0], A.dtype)
         data[kl + ku + i - j, j] = A.data
@@ -151,15 +151,10 @@ class ShiftedBand:
         n1 = system.n1
         self.n = n1 + system.n2
         rank = inverse_order(order)
-
-        def coordinates(block, row0, col0):  # block's entries in B = A[order][:, order]
-            return (rank[block.indices + row0].astype(np.intp),
-                    rank[_csc_columns(block) + col0].astype(np.intp))
-
         shifted = [system.M11, system.L11, system.K11]
         fixed = [(system.K12, 0, n1), (system.K21, n1, 0), (system.K22, n1, n1)]
-        coords = [coordinates(b, 0, 0) for b in shifted]
-        coords += [coordinates(*f) for f in fixed]
+        coords = [_band_coordinates(b, rank) for b in shifted]
+        coords += [_band_coordinates(b, rank, row0, col0) for b, row0, col0 in fixed]
         self.kl, self.ku = _bandwidths(*(np.concatenate(c) for c in zip(*coords)))
         ldab = 2 * self.kl + self.ku + 1
         at = [(self.kl + self.ku + i - j) + j * ldab for i, j in coords]  # Fortran-order flat
@@ -211,13 +206,15 @@ class ShiftedBand:
 
 def bandwidths(A, order):
     """(kl, ku) of canonical CSC `A` with rows and columns taken in `order`."""
-    return _bandwidths(*_band_coordinates(A, order))
+    return _bandwidths(*_band_coordinates(A, inverse_order(order)))
 
 
-def _band_coordinates(A, order):
-    """Row and column in A[order][:, order] of every stored entry of CSC `A`."""
-    rank = inverse_order(order)
-    return rank[A.indices], rank[_csc_columns(A)]
+def _band_coordinates(block, rank, row0=0, col0=0):
+    """Row and column in B = A[order][:, order] (``rank``: the inverse of
+    `order`) of every stored entry of CSC `block`, which sits at
+    (`row0`, `col0`) in A."""
+    cols = np.repeat(np.arange(col0, col0 + block.shape[1]), np.diff(block.indptr))
+    return rank[block.indices + row0].astype(np.intp), rank[cols].astype(np.intp)
 
 
 def inverse_order(order):
@@ -227,14 +224,9 @@ def inverse_order(order):
     return rank
 
 
-def _csc_columns(A):
-    """Column index of every stored entry of CSC `A`."""
-    return np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype), np.diff(A.indptr))
-
-
 def _bandwidths(i, j):
     """(kl, ku): the most any (i, j) lies below and above the diagonal."""
-    d = np.asarray(i, dtype=np.intp) - j
+    d = i - j
     return (max(int(d.max()), 0), max(-int(d.min()), 0)) if d.size else (0, 0)
 
 

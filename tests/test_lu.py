@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
 from morkit.lu import Route, _BandLU, _column_abs_max, _DenseLU, factor
-from morkit.sparse import assemble_shifted_augmented
+from morkit.sparse import as_canonical_csc, assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
 from conftest import GRID, chain_system, grid_ids, grid_laplacian
@@ -238,8 +237,7 @@ def _band(A):
     its pattern, as through a route whose first LU chose the band."""
     route = Route()
     route.fill = 0.0
-    pattern = abs(sp.csr_array(A)) + abs(sp.csr_array(A)).T
-    route.order = reverse_cuthill_mckee(sp.csr_array(pattern), symmetric_mode=True)
+    route._measure_band(as_canonical_csc(A), fill_nnz=np.inf)  # any band will do
     lu = factor(A, route)
     assert isinstance(lu._factors, _BandLU)
     return lu
