@@ -93,6 +93,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
 def _non_negative_int(text):
     value = int(text)
     if value < 0:
@@ -309,7 +316,7 @@ def build_parser():
     ana.add_argument("--manifest", required=True)
     ana.add_argument("--rom", required=True, help="directory written by reduce")
     ana.add_argument("--points", type=_positive_int, default=200)
-    ana.add_argument("--freq", type=float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
+    ana.add_argument("--freq", type=_positive_float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
                      metavar=("LO", "HI"))
     ana.add_argument("--channel", type=int, nargs=2, default=None,
                      metavar=("INPUT", "OUTPUT"))
@@ -326,7 +333,7 @@ def build_parser():
     ver.add_argument("--r", type=_positive_int, default=4,
                      help="order for the interpolation spot-check")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--freq", type=float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
+    ver.add_argument("--freq", type=_positive_float, nargs=2, default=list(irka.DEFAULT_FREQ_RANGE),
                      metavar=("LO", "HI"))
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -41,7 +41,7 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
-from .sparse import ShiftedBand, assemble_shifted_augmented
+from .sparse import ShiftedAugmented, assemble_shifted_augmented
 from .system import ReducedSecondOrderModel, SecondOrderIndex1System, validate
 
 DEFAULT_FREQ_RANGE = (10.0, 1.0e4)
@@ -209,6 +209,17 @@ def enforce_conjugate_closure(shifts, b, c):
     return InterpolationData(out_s[order], out_b[order], out_c[order])
 
 
+def _check_settings(freq_range, **tolerances):
+    """Reject, naming it, a tolerance or a `freq_range` bound that is not
+    positive and finite, and a range whose low end exceeds its high end."""
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    lo, hi = freq_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        raise ValueError(f"freq_range must satisfy 0 < lo <= hi < inf, got {freq_range}")
+
+
 def initial_interpolation(r, m, p, freq_range=DEFAULT_FREQ_RANGE, seed=0):
     """Starting iterate: log-spaced real shifts across a frequency band.
 
@@ -216,9 +227,8 @@ def initial_interpolation(r, m, p, freq_range=DEFAULT_FREQ_RANGE, seed=0):
     the positive real axis); directions are seeded pseudo-random real
     unit vectors, so the whole iterate is deterministic in `seed`.
     """
+    _check_settings(freq_range)
     lo, hi = freq_range
-    if not (0.0 < lo <= hi):
-        raise ValueError(f"frequency range must satisfy 0 < lo <= hi, got {freq_range}")
     if min(r, m, p) < 1:
         raise DimensionError("r, m and p must all be at least 1")
     shifts = np.logspace(math.log10(lo), math.log10(hi), r).astype(np.complex128)
@@ -312,23 +322,26 @@ def _representatives(interp):
 def factor_augmented(system, sigma, route=None):
     """LU of the shifted augmented matrix at one shift.
 
-    The matrix is float64 at a real shift and complex128 otherwise. The
-    augmented pattern does not depend on sigma, so the factorizations of
-    one reduction or sweep share one :class:`~morkit.lu.Route`
-    (`route`, see :func:`morkit.lu.factor`): its first LU's fill decides
-    whether the rest are sparse, banded or dense. On the band route the
-    blocks are scattered straight into band storage through index maps
-    kept in ``route.scatter``, with no CSC assembly. A singular
-    factorization means sigma collided with an eigenvalue of the
-    underlying pencil and raises :class:`ShiftCollisionError`.
+    The matrix is float64 at a real shift and complex128 otherwise. Its
+    pattern does not depend on sigma (entries that cancel are stored as
+    zeros), so the factorizations of one reduction or sweep share one
+    :class:`~morkit.lu.Route` (`route`, see :func:`morkit.lu.factor`):
+    its first LU's fill decides whether the rest are sparse, banded or
+    dense, and ``route.scatter`` keeps the run's one index map
+    (:class:`~morkit.sparse.ShiftedAugmented`), which scatters each
+    shift into CSC or band storage. A singular factorization means
+    sigma collided with an eigenvalue of the underlying pencil and
+    raises :class:`ShiftCollisionError`.
     """
     try:
-        if route is not None and route.kind == "band":
-            scatter = route.scatter
-            if scatter is None or scatter.system is not system:
-                scatter = route.scatter = ShiftedBand(system, route.order)
-            return lu.factor(scatter(sigma), route)
-        return lu.factor(assemble_shifted_augmented(system, sigma), route)
+        if route is None:
+            return lu.factor(assemble_shifted_augmented(system, sigma))
+        shifted = route.scatter
+        if shifted is None or shifted.system is not system:
+            shifted = route.scatter = ShiftedAugmented(system)
+        if route.kind == "band":
+            return lu.factor(shifted.band(sigma, route.order), route)
+        return lu.factor(shifted.csc(sigma), route)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
@@ -557,11 +570,7 @@ class IrkaConfig:
             raise ValueError(f"reduced order must be positive, got r={self.r}")
         if self.max_iter < 1 or self.inner_max_iter < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.shift_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        lo, hi = self.freq_range
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"invalid frequency range {self.freq_range}")
+        _check_settings(self.freq_range, shift_tol=self.shift_tol, inner_tol=self.inner_tol)
 
 
 # ---------------------------------------------------------------------------

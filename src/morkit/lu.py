@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import BandMatrix, as_canonical_csc, bandwidths, inverse_order
+from .sparse import BandMatrix, as_canonical_csc, band_layout, column_abs_max, inverse_order
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a route's first LU from which the rest go dense
@@ -76,9 +76,9 @@ class Route:
     ``order`` stays None).
 
     ``scatter`` is free for the caller that assembles the run's
-    matrices: :func:`morkit.irka.factor_augmented` keeps there the index
-    maps of its blocks into band storage
-    (:class:`~morkit.sparse.ShiftedBand`).
+    matrices: :func:`morkit.irka.factor_augmented` keeps there its one
+    index map (:class:`~morkit.sparse.ShiftedAugmented`), which scatters
+    every shift into CSC, or into band storage on the band route.
     """
 
     def __init__(self):
@@ -105,7 +105,7 @@ class Route:
         ones = np.ones(A.nnz, dtype=np.int8)
         pattern = sp.csr_array((ones, A.indices, A.indptr), shape=A.shape)  # A^T
         order = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
-        kl, ku = bandwidths(A, order)
+        _, kl, ku = band_layout(A, order)
         if (2 * kl + ku + 1) * A.shape[0] <= BAND_FILL * fill_nnz:
             self.order, self.kl, self.ku = order, kl, ku
 
@@ -396,7 +396,7 @@ def _factor_band(band):
                                   column=int(order[info - 1]))
     # B's column j, pivoted by U[j, j], is A's column order[j]
     _check_pivots(band, lub[kl + ku], order)
-    return SparseLU(_BandLU(lub, piv, band), lub.dtype, band.n)
+    return SparseLU(_BandLU(lub, piv, band), lub.dtype, lub.shape[1])
 
 
 def _check_pivots(A, pivots, pivot_cols=None):
@@ -419,7 +419,7 @@ def _check_pivots(A, pivots, pivot_cols=None):
         abs_max = absdata.max(initial=0.0)
 
         def pivot_colmax():
-            return _column_abs_max(A, absdata)[pivot_cols]
+            return column_abs_max(A, absdata)[pivot_cols]
     # every column maximum is at most the largest entry, so pivots above
     # that entry's bound pass every column's bound as well
     if udiag.min() > scale * abs_max:
@@ -431,13 +431,3 @@ def _check_pivots(A, pivots, pivot_cols=None):
             column=int(pivot_cols[bad[0]]),
         )
 
-
-def _column_abs_max(A, absdata):
-    """Largest of `absdata` (the moduli of canonical CSC `A`'s stored
-    entries) in each column of `A`, 0 in empty columns."""
-    starts = A.indptr[:-1]
-    filled = np.flatnonzero(A.indptr[1:] > starts)
-    colmax = np.zeros(A.shape[1])
-    if filled.size:
-        colmax[filled] = np.maximum.reduceat(absdata, starts[filled])
-    return colmax

@@ -6,12 +6,14 @@ duplicate entries summed. Values are float64 or complex128. The one
 exception is :class:`BandMatrix`, LAPACK's band storage of a matrix whose
 rows and columns were reordered into a band, which the band route of
 :mod:`morkit.lu` factors.
+
+The shifted augmented matrix has one assembler, :class:`ShiftedAugmented`:
+one index map per system, from which every shift's matrix is scattered
+into CSC or band storage, on one pattern whatever the shift.
 """
 
 import numpy as np
 import scipy.sparse as sp
-
-COMPLEX_DTYPE = np.complex128
 
 
 def as_canonical_csc(A, dtype=None):
@@ -42,31 +44,91 @@ def assemble_shifted_augmented(system, sigma):
         [            K21                  K22 ]
 
     It drives the right tangential solves; the left solves use its
-    transpose through the same factorization.
-
-    Returns
-    -------
-    scipy.sparse.csc_array, shape (n1+n2, n1+n2)
-        float64 at a real sigma, whose values are the real parts of the
-        complex128 matrix the same sigma with a zero imaginary part
-        would give; complex128 otherwise. Canonical, as the system's
-        blocks are; entries of the shifted block that cancel to zero are
-        dropped, explicit zeros of the other blocks are kept.
+    transpose through the same factorization. See :meth:`ShiftedAugmented.csc`,
+    whose index map a run of factorizations keeps for all its shifts.
     """
-    sigma = complex(sigma)
-    if sigma.imag == 0.0:  # real arithmetic is exact here, and cheaper to factor
-        sigma, K11 = sigma.real, system.K11
-    else:
-        K11 = system.K11.astype(COMPLEX_DTYPE)
-    S11 = (sigma * sigma) * system.M11 + sigma * system.L11 + K11
-    # the other blocks are float64, as the system stores every sparse block
-    return _stack_block_columns(
-        ((S11, system.K21), (system.K12, system.K22)), system.n1, S11.dtype)
+    return ShiftedAugmented(system).csc(sigma)
 
 
-def _stack_block_columns(block_columns, n_top, dtype):
-    """CSC matrix of `dtype` from block columns, each a (top, bottom) pair
-    of canonical CSC blocks whose tops have `n_top` rows.
+class ShiftedAugmented:
+    """Index map of the shifted augmented matrix of `system`.
+
+    It keeps M11, L11 and K11 aligned on the union of their patterns,
+    the augmented CSC ``pattern`` (holding the fixed blocks' values, 0 on
+    the union) and where the union lands in it. At a shift, :meth:`csc`
+    and :meth:`band` compute ``(sigma^2 M11 + sigma L11) + K11`` once on
+    the union and scatter it into CSC or band storage.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        shifted = (system.M11, system.L11, system.K11)
+        # every block's entries tagged with its own bit: the sum stores the
+        # union of the patterns, and bit k marks the entries of block k
+        tags = [sp.csc_array((np.full(b.nnz, 1 << k, np.int8), b.indices, b.indptr), shape=b.shape)
+                for k, b in enumerate(shifted)]
+        union = tags[0] + tags[1] + tags[2]
+        self._shifted = []  # M11, L11, K11 values on the union, 0 where absent
+        for k, block in enumerate(shifted):
+            values = np.zeros(union.nnz)
+            values[(union.data & (1 << k)) != 0] = block.data
+            self._shifted.append(values)
+        union.data = np.zeros(union.nnz)
+        self.pattern, self._at = _stack_block_columns(
+            ((union, system.K21), (system.K12, system.K22)), system.n1)
+        self._abs_max_fixed = np.abs(self.pattern.data).max(initial=0.0)
+        self._band = None
+
+    def _s11(self, sigma):
+        sigma = complex(sigma)
+        if sigma.imag == 0.0:  # real arithmetic is exact here, and cheaper to factor
+            sigma = sigma.real
+        M, L, K = self._shifted
+        return (sigma * sigma) * M + sigma * L + K  # scipy's sum order: equal bit for bit
+
+    def csc(self, sigma):
+        """The augmented matrix at `sigma` as canonical CSC: float64 at a
+        real sigma (the real parts of the complex route's values),
+        complex128 otherwise. It stores every entry of ``pattern``, which
+        is the same at every sigma: entries that cancel are zeros, and
+        its index arrays are shared by every call."""
+        s11 = self._s11(sigma)
+        data = self.pattern.data.astype(s11.dtype)
+        data[self._at] = s11
+        pattern = self.pattern
+        return sp.csc_array((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+    def band(self, sigma, order):
+        """The augmented matrix at `sigma` as a :class:`BandMatrix` in
+        `order`, of the dtype :meth:`csc` gives."""
+        layout = self._band
+        if layout is None or layout[0] is not order:
+            # racing threads may each build one: each publishes it whole
+            at, kl, ku = band_layout(self.pattern, order)
+            fixed = np.ones(at.shape[0], dtype=bool)
+            fixed[self._at] = False
+            layout = self._band = (order, kl, ku, at[self._at], at[fixed], self.pattern.data[fixed])
+        _, kl, ku, at11, at_fixed, values_fixed = layout
+        s11 = self._s11(sigma)
+        data = _band_zeros(kl, ku, self.pattern.shape[0], s11.dtype)
+        flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
+        flat[at11] = s11
+        flat[at_fixed] = values_fixed
+        abs11 = np.abs(s11)
+
+        def colmax():
+            absdata = np.abs(self.pattern.data)
+            absdata[self._at] = abs11
+            return column_abs_max(self.pattern, absdata)[order]
+
+        abs_max = max(abs11.max(initial=0.0), self._abs_max_fixed)
+        return BandMatrix(data, kl, ku, order, abs_max, colmax)
+
+
+def _stack_block_columns(block_columns, n_top):
+    """CSC matrix from block columns, each a (top, bottom) pair of
+    canonical float64 CSC blocks whose tops have `n_top` rows, and where
+    the first top block's entries land in it.
 
     Each column holds the top block's entries, then the bottom block's
     moved down by `n_top`: the arrays ``sp.bmat(..., format="csc")``
@@ -77,9 +139,10 @@ def _stack_block_columns(block_columns, n_top, dtype):
     n_rows = n_top + block_columns[0][1].shape[0]
     n_cols = sum(top.shape[1] for top, _ in block_columns)
     idx = sp.get_index_dtype([b.indptr for b in blocks], maxval=max(nnz, n_rows, n_cols))
-    data = np.empty(nnz, dtype)
+    data = np.empty(nnz)
     indices = np.empty(nnz, idx)
     indptr = np.zeros(n_cols + 1, idx)
+    first = None
     col = start = 0
     for top, bottom in block_columns:
         tp, bp = top.indptr, bottom.indptr
@@ -91,12 +154,13 @@ def _stack_block_columns(block_columns, n_top, dtype):
         at = np.arange(start, start + top.nnz, dtype=idx) + np.repeat(bp[:-1], np.diff(tp))
         data[at] = top.data
         indices[at] = top.indices
+        first = at if first is None else first
         at = np.arange(start, start + bottom.nnz, dtype=idx) + np.repeat(tp[1:], np.diff(bp))
         data[at] = bottom.data
         indices[at] = bottom.indices + n_top
         col = cols.stop - 1
         start += top.nnz + bottom.nnz
-    return sp.csc_array((data, indices, indptr), shape=(n_rows, n_cols))
+    return sp.csc_array((data, indices, indptr), shape=(n_rows, n_cols)), first
 
 
 class BandMatrix:
@@ -117,104 +181,39 @@ class BandMatrix:
         self.data, self.kl, self.ku, self.order = data, kl, ku, order
         self.abs_max, self.column_abs_max = abs_max, column_abs_max
 
-    @property
-    def n(self):
-        return self.data.shape[1]
-
     @classmethod
     def from_csc(cls, A, order):
         """The band of canonical CSC `A` in `order`, as narrow as A's
         stored entries allow."""
-        i, j = _band_coordinates(A, inverse_order(order))
-        kl, ku = _bandwidths(i, j)
+        at, kl, ku = band_layout(A, order)
         data = _band_zeros(kl, ku, A.shape[0], A.dtype)
-        data[kl + ku + i - j, j] = A.data
-        colmax = np.abs(data[kl:]).max(axis=0, initial=0.0)
-        return cls(data, kl, ku, order, colmax.max(initial=0.0), lambda: colmax)
+        data.reshape(-1, order="F")[at] = A.data
+        absdata = np.abs(A.data)
+        colmax = column_abs_max(A, absdata)[order]
+        return cls(data, kl, ku, order, absdata.max(initial=0.0), lambda: colmax)
 
 
-class ShiftedBand:
-    """:func:`assemble_shifted_augmented` straight into band storage.
-
-    Built once per system and `order` (an ordering of the augmented
-    matrix's rows and columns). It keeps the values of M11, L11 and K11
-    aligned on the union of their patterns, the fixed blocks' values,
-    and where each lands in the band storage, sorted by position.
-    Calling it at a shift computes the shifted block on that union and
-    scatters both parts into place, skipping the CSC assembly. The band
-    covers every entry the blocks store, so it does not depend on
-    entries of the shifted block that cancel at one sigma.
-    """
-
-    def __init__(self, system, order):
-        self.system, self.order = system, order
-        n1 = system.n1
-        self.n = n1 + system.n2
-        rank = inverse_order(order)
-        shifted = [system.M11, system.L11, system.K11]
-        fixed = [(system.K12, 0, n1), (system.K21, n1, 0), (system.K22, n1, n1)]
-        coords = [_band_coordinates(b, rank) for b in shifted]
-        coords += [_band_coordinates(b, rank, row0, col0) for b, row0, col0 in fixed]
-        self.kl, self.ku = _bandwidths(*(np.concatenate(c) for c in zip(*coords)))
-        ldab = 2 * self.kl + self.ku + 1
-        at = [(self.kl + self.ku + i - j) + j * ldab for i, j in coords]  # Fortran-order flat
-        union = np.sort(np.concatenate(at[:3]))
-        self._at = union[np.diff(union, prepend=-1) != 0]
-        self._shifted = []  # M11, L11, K11 values on the union, 0 where absent
-        for block, where in zip(shifted, at[:3]):
-            values = np.zeros(self._at.shape[0])
-            values[np.searchsorted(self._at, where)] = block.data
-            self._shifted.append(values)
-        at_fixed = np.concatenate(at[3:])
-        by_position = np.argsort(at_fixed)
-        self._at_fixed = at_fixed[by_position]
-        self._fixed = np.concatenate([b.data for b, _, _ in fixed])[by_position]
-        # the fixed blocks' moduli, for the pivot check
-        self._colmax_fixed = np.zeros(self.n)
-        np.maximum.at(self._colmax_fixed, self._at_fixed // ldab, np.abs(self._fixed))
-        self._abs_max_fixed = self._colmax_fixed.max(initial=0.0)
-        # the shifted block's entries run column by column, as their
-        # positions are sorted: where each column's run starts
-        columns = self._at // ldab
-        self._starts = np.flatnonzero(np.diff(columns, prepend=-1))
-        self._columns = columns[self._starts]
-
-    def __call__(self, sigma):
-        """The augmented matrix at `sigma` as a :class:`BandMatrix`,
-        float64 at a real sigma (as :func:`assemble_shifted_augmented`)
-        and complex128 otherwise."""
-        sigma = complex(sigma)
-        dtype = COMPLEX_DTYPE
-        if sigma.imag == 0.0:
-            sigma, dtype = sigma.real, np.float64
-        M, L, K = self._shifted
-        s11 = (sigma * sigma) * M + sigma * L + K  # summed as the CSC assembly adds
-        data = _band_zeros(self.kl, self.ku, self.n, dtype)
-        flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
-        flat[self._at] = s11
-        flat[self._at_fixed] = self._fixed
-        abs11 = np.abs(s11)
-
-        def column_abs_max():
-            colmax, cols = self._colmax_fixed.copy(), self._columns
-            colmax[cols] = np.maximum(colmax[cols], np.maximum.reduceat(abs11, self._starts))
-            return colmax
-
-        abs_max = max(abs11.max(initial=0.0), self._abs_max_fixed)
-        return BandMatrix(data, self.kl, self.ku, self.order, abs_max, column_abs_max)
+def column_abs_max(A, absdata):
+    """Largest of `absdata` (the moduli of canonical CSC `A`'s stored
+    entries) in each column of `A`, 0 in empty columns."""
+    starts = A.indptr[:-1]
+    filled = np.flatnonzero(A.indptr[1:] > starts)
+    colmax = np.zeros(A.shape[1])
+    if filled.size:
+        colmax[filled] = np.maximum.reduceat(absdata, starts[filled])
+    return colmax
 
 
-def bandwidths(A, order):
-    """(kl, ku) of canonical CSC `A` with rows and columns taken in `order`."""
-    return _bandwidths(*_band_coordinates(A, inverse_order(order)))
-
-
-def _band_coordinates(block, rank, row0=0, col0=0):
-    """Row and column in B = A[order][:, order] (``rank``: the inverse of
-    `order`) of every stored entry of CSC `block`, which sits at
-    (`row0`, `col0`) in A."""
-    cols = np.repeat(np.arange(col0, col0 + block.shape[1]), np.diff(block.indptr))
-    return rank[block.indices + row0].astype(np.intp), rank[cols].astype(np.intp)
+def band_layout(A, order):
+    """``(at, kl, ku)``: the band of canonical CSC `A` with rows and
+    columns taken in `order`, as narrow as A's stored entries allow, and
+    where each of them lands in its Fortran-order storage, flattened."""
+    rank = inverse_order(order)
+    i = rank[A.indices].astype(np.intp)
+    j = rank[np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))].astype(np.intp)
+    d = i - j
+    kl, ku = (max(int(d.max()), 0), max(-int(d.min()), 0)) if d.size else (0, 0)
+    return (kl + ku + d) + j * (2 * kl + ku + 1), kl, ku
 
 
 def inverse_order(order):
@@ -222,12 +221,6 @@ def inverse_order(order):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0], dtype=order.dtype)
     return rank
-
-
-def _bandwidths(i, j):
-    """(kl, ku): the most any (i, j) lies below and above the diagonal."""
-    d = i - j
-    return (max(int(d.max()), 0), max(-int(d.min()), 0)) if d.size else (0, 0)
 
 
 def _band_zeros(kl, ku, n, dtype):

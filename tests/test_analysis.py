@@ -143,8 +143,8 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
     and in racing threads, on the route `kind` its first point picks.
 
     At omega = 10 the (0, 1) entries of S11 cancel to exact zeros
-    (-100 * 0.5 + 50, no damping there), so the points share one route
-    over two patterns; more workers than cores and a short switch
+    (-100 * 0.5 + 50, no damping there), which the one pattern of every
+    point stores as zeros; more workers than cores and a short switch
     interval give racing threads their chance.
     """
     M, K = base.M11.toarray(), base.K11.toarray()
@@ -153,8 +153,13 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
     system = dataclasses.replace(
         base, M11=sp.csc_array(M), K11=sp.csc_array(K),
         L11=sp.diags_array(base.L11.diagonal(), format="csc"))
-    assert assemble_shifted_augmented(system, 10j).nnz == (
-        assemble_shifted_augmented(system, 11j).nnz - 2)
+    cancelled, kept = (assemble_shifted_augmented(system, s) for s in (10j, 11j))
+    assert cancelled.indptr.tobytes() == kept.indptr.tobytes()
+    assert cancelled.indices.tobytes() == kept.indices.tobytes()
+    for i, j in ((0, 1), (1, 0)):
+        column = slice(cancelled.indptr[j], cancelled.indptr[j + 1])
+        (at,) = np.flatnonzero(cancelled.indices[column] == i) + column.start
+        assert cancelled.data[at] == 0 and kept.data[at] != 0
     route = Route()
     eval_full(system, 9j, route)
     assert route.kind == kind
@@ -174,8 +179,8 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
 
 
 def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
-    # the chain's LUs go banded: the threads share one set of index maps
-    # into band storage, which holds the cancelled entries as zeros
+    # the chain's LUs go banded: the threads share one index map, whose
+    # band layout the first of them to need it builds
     _threaded_sweep_through_a_changing_pattern(chain_system(200, 20, symmetric=True), "band")
 
 

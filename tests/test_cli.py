@@ -140,6 +140,32 @@ def test_reduce_r_above_n1_is_an_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--shift-tol", "nan"], "shift_tol"),
+    (["--inner-tol", "inf"], "inner_tol"),
+    (["--freq-hi", "inf"], "freq_range"),
+    (["--freq-lo", "nan"], "freq_range"),
+])
+def test_reduce_rejects_a_non_finite_setting(tmp_path, capsys, flags, name):
+    # an error naming the setting, not a run to the iteration cap
+    manifest = _generate(tmp_path)
+    rc = main(["reduce", "--manifest", str(manifest), "--r", "3", *flags,
+               "--out", str(tmp_path / "rom")])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "rom").exists()
+
+
+def test_reduce_settings_file_rejects_a_non_finite_tolerance(tmp_path, capsys):
+    manifest = _generate(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 3\nshift_tol = nan\n")
+    rc = main(["reduce", "--manifest", str(manifest), "--config", str(cfg),
+               "--out", str(tmp_path / "rom")])
+    assert rc == 1
+    assert "shift_tol" in capsys.readouterr().err
+
+
 def test_reduce_settings_file(tmp_path):
     manifest = _generate(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -261,6 +287,24 @@ def test_analyze_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch):
     assert main(analyze) == 1
     assert "MORKIT_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "ana" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("bounds", [("nan", "100"), ("10", "inf"), ("0", "100"), ("-5", "100")])
+def test_freq_bounds_must_be_positive_and_finite(tmp_path, capsys, command, bounds):
+    manifest = _generate(tmp_path)
+    args = [command, "--manifest", str(manifest), "--freq", *bounds]
+    if command == "analyze":
+        rom_dir = tmp_path / "rom"
+        assert main(["reduce", "--manifest", str(manifest), "--r", "3",
+                     "--out", str(rom_dir)]) == 0
+        args += ["--rom", str(rom_dir), "--points", "5", "--out", str(tmp_path / "ana")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "--freq" in capsys.readouterr().err
+    assert not (tmp_path / "ana").exists()
 
 
 def test_analyze_channel_csv(tmp_path):

@@ -97,6 +97,26 @@ def test_initial_interpolation_validates_range():
         initial_interpolation(0, 1, 1)
 
 
+@pytest.mark.parametrize("settings, name", [
+    ({"shift_tol": np.nan}, "shift_tol"),
+    ({"shift_tol": -1e-3}, "shift_tol"),
+    ({"inner_tol": np.inf}, "inner_tol"),
+    ({"freq_range": (10.0, np.inf)}, "freq_range"),
+    ({"freq_range": (np.nan, 100.0)}, "freq_range"),
+    ({"freq_range": (100.0, 10.0)}, "freq_range"),
+])
+def test_config_rejects_a_non_finite_or_non_positive_setting(settings, name):
+    with pytest.raises(ValueError, match=name):
+        IrkaConfig(r=4, **settings)
+
+
+@pytest.mark.parametrize("freq_range", [(10.0, np.inf), (np.nan, 10.0), (-np.inf, 10.0)])
+def test_initial_interpolation_rejects_a_non_finite_range(freq_range):
+    # the same check as IrkaConfig's, so no NaN shift is ever returned
+    with pytest.raises(ValueError, match="freq_range"):
+        initial_interpolation(4, 2, 2, freq_range)
+
+
 def test_convergence_metric_identical():
     shifts = np.array([1.0 + 2.0j, 1.0 - 2.0j, 3.0])
     assert convergence_metric(shifts, shifts.copy()) == 0.0

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import Route, _BandLU, _column_abs_max, _DenseLU, factor
-from morkit.sparse import as_canonical_csc, assemble_shifted_augmented
+from morkit.lu import Route, _BandLU, _DenseLU, factor
+from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, column_abs_max
 from morkit.system import generate_synthetic
 
 from conftest import GRID, chain_system, grid_ids, grid_laplacian
@@ -201,7 +201,7 @@ def test_column_abs_max_matches_sparse_max(dtype):
     indptr = np.array([0, 0, 3, 3, 4, 6, 6])
     A = sp.csc_array((data, indices, indptr), shape=(4, 6))
     want = np.ravel(np.abs(A).max(axis=0).toarray())
-    got = _column_abs_max(A, np.abs(A.data))
+    got = column_abs_max(A, np.abs(A.data))
     assert got.tobytes() == want.tobytes()
     assert got[0] == got[2] == got[5] == 0.0
 
