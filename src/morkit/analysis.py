@@ -20,7 +20,6 @@ import numpy as np
 from .dense import dense_solve, eig_generalized, sigma_max
 from .errors import MorkitError
 from .irka import companion, factor_augmented
-from .lu import Route
 from .oracles import oracle_sampling_equivalence
 from .system import atomic_write_text, to_dense_schur
 
@@ -35,18 +34,18 @@ class TransferSample:
     G: np.ndarray
 
 
-def eval_full(system, s, route=None):
+def eval_full(system, s):
     """Evaluate the full index-1 system's transfer function at s.
 
     Solves the augmented system with all m right-hand-side columns
-    through a single factorization, which takes the route `route` (see
+    through a single factorization, on the system's route (see
     :func:`~morkit.irka.factor_augmented`), and assembles
     ``G(s) = H1 v + H2 gamma + Da``; the algebraic contribution is kept,
     so feed-through behavior is exact.
     """
     s = complex(s)
     rhs = np.vstack([system.F1, system.F2]).astype(np.complex128)
-    sol = factor_augmented(system, s, route).solve(rhs)
+    sol = factor_augmented(system, s).solve(rhs)
     v, gamma = sol[: system.n1], sol[system.n1 :]
     return TransferSample(s=s, G=system.H1 @ v + system.H2 @ gamma + system.Da)
 
@@ -130,21 +129,20 @@ def sweep(system, rom, omegas, max_workers=None):
     back to the absolute error where the full response vanishes. Points
     are independent; ``max_workers`` > 1 (default: the MORKIT_THREADS
     environment variable, 0 meaning sequential) evaluates them in a
-    thread pool. Results are positionally ordered either way. The first
-    point is evaluated before any other, and its LU's fill picks the
-    route of every later point, so the results do not depend on
-    ``max_workers``.
+    thread pool. Results are positionally ordered either way. Every
+    point factors on the system's route, decided from its pattern
+    before the first point (see :func:`~morkit.irka.factor_augmented`),
+    so the results do not depend on ``max_workers``.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     p, m = rom.p, rom.m
     if max_workers is None:
         max_workers = _threads_from_env()
-    route = Route()
 
     def one_point(omega):
         s = 1j * omega
         try:
-            Gf = eval_full(system, s, route).G
+            Gf = eval_full(system, s).G
             Gr = eval_reduced(rom, s).G
         except MorkitError:
             nanblock = np.full((p, m), np.nan, dtype=np.complex128)
@@ -156,14 +154,11 @@ def sweep(system, rom, omegas, max_workers=None):
             return sf, sr, diff / sf, "ok", Gf, Gr
         return sf, sr, diff, "absolute", Gf, Gr
 
-    results = [one_point(w) for w in omegas[:1]]
-    if route.fill is None:  # the first point failed: every point goes sparse
-        route = None
     if max_workers and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results += pool.map(one_point, omegas[1:])
+            results = list(pool.map(one_point, omegas))
     else:
-        results += [one_point(w) for w in omegas[1:]]
+        results = [one_point(w) for w in omegas]
 
     sigma_full = np.array([res[0] for res in results])
     sigma_rom = np.array([res[1] for res in results])
@@ -265,13 +260,11 @@ def speedup_report(system, rom, omegas, repetitions=3):
     ``repetitions`` times each (one untimed warm-up pass apiece) and
     reports the median wall time per sweep. At least 3 repetitions are
     required so the median means something. The full passes factor as
-    :func:`sweep` does: the first point's LU picks the route of the
-    rest, of every pass.
+    :func:`sweep` does, every point on the system's route.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    route = Route()
 
     def median_pass_seconds(evaluate):
         times = []
@@ -288,6 +281,6 @@ def speedup_report(system, rom, omegas, repetitions=3):
         order=rom.order,
         points=omegas.shape[0],
         repetitions=repetitions,
-        full_seconds=median_pass_seconds(lambda s: eval_full(system, s, route)),
+        full_seconds=median_pass_seconds(lambda s: eval_full(system, s)),
         rom_seconds=median_pass_seconds(lambda s: eval_reduced(rom, s)),
     )

@@ -41,7 +41,6 @@ from .errors import (
     SingularMatrixError,
     StructuralError,
 )
-from .sparse import ShiftedAugmented, assemble_shifted_augmented
 from .system import ReducedSecondOrderModel, SecondOrderIndex1System, validate
 
 DEFAULT_FREQ_RANGE = (10.0, 1.0e4)
@@ -319,29 +318,23 @@ def _representatives(interp):
 # tangential solves against the sparse augmented blocks
 
 
-def factor_augmented(system, sigma, route=None):
+def factor_augmented(system, sigma):
     """LU of the shifted augmented matrix at one shift.
 
     The matrix is float64 at a real shift and complex128 otherwise. Its
     pattern does not depend on sigma (entries that cancel are stored as
-    zeros), so the factorizations of one reduction or sweep share one
-    :class:`~morkit.lu.Route` (`route`, see :func:`morkit.lu.factor`):
-    its first LU's fill decides whether the rest are sparse, banded or
-    dense, and ``route.scatter`` keeps the run's one index map
-    (:class:`~morkit.sparse.ShiftedAugmented`), which scatters each
-    shift into CSC or band storage. A singular factorization means
-    sigma collided with an eigenvalue of the underlying pencil and
+    zeros), so every shift is scattered from the system's one index map
+    (``system.augmented``) and factored on the system's route
+    (``system.route``): sparse, banded or dense, decided once from that
+    pattern (see :class:`~morkit.lu.Route`). A singular factorization
+    means sigma collided with an eigenvalue of the underlying pencil and
     raises :class:`ShiftCollisionError`.
     """
+    route = system.route
     try:
-        if route is None:
-            return lu.factor(assemble_shifted_augmented(system, sigma))
-        shifted = route.scatter
-        if shifted is None or shifted.system is not system:
-            shifted = route.scatter = ShiftedAugmented(system)
-        if route.kind == "band":
-            return lu.factor(shifted.band(sigma, route.order), route)
-        return lu.factor(shifted.csc(sigma), route)
+        if route.band is not None:
+            return lu.factor(system.augmented.band(sigma, route.band))
+        return lu.factor(system.augmented.csc(sigma), route)
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
@@ -442,7 +435,7 @@ def _tangential_bases(interp, solve, one_sided=False):
     return ProjectionBasis(V=V, W=W, one_sided=False)
 
 
-def build_bases(system, interp, one_sided=False, route=None):
+def build_bases(system, interp, one_sided=False):
     """Assemble real projection bases from one interpolation iterate.
 
     Columns come from tangential solves with the sparse augmented
@@ -450,7 +443,7 @@ def build_bases(system, interp, one_sided=False, route=None):
     :func:`pair_conjugates` serves both the right solve and (two-sided
     case) the transposed left solve, so a build makes one right solve
     per group, and as many left solves when two-sided. The LUs take the
-    route `route` (see :func:`factor_augmented`).
+    system's route (see :func:`factor_augmented`).
 
     With ``one_sided=True`` no left solves happen and W is V; the
     reduction is then a Galerkin projection, which preserves symmetry.
@@ -459,7 +452,7 @@ def build_bases(system, interp, one_sided=False, route=None):
         raise StructuralError("interpolation data is not conjugate closed")
 
     def solve(sigma, b_row, c_row):
-        fact = factor_augmented(system, sigma, route)
+        fact = factor_augmented(system, sigma)
         v = tangential_solve_right(system, b_row, fact)
         if one_sided:
             return v, None
@@ -791,9 +784,10 @@ class IterationTrace:
     ``format()`` emits a stable plain-text form intended for
     diff-based regression; timing lines are opt-in because wall-clock
     values are the one part of a run that is not reproducible. Its
-    ``lu_route`` line names the route of the reduction's later LUs and
-    the fill of its first (:class:`~morkit.lu.Route`); on the band route
-    it ends with the band's integer widths, ``kl <kl> ku <ku>``.
+    ``lu_route`` line names the route of the reduction's LUs and the
+    fill of the augmented pattern that decided it (the system's
+    :class:`~morkit.lu.Route`); on the band route it ends with the
+    band's integer widths, ``kl <kl> ku <ku>``.
     """
 
     requested_order: int
@@ -804,7 +798,7 @@ class IterationTrace:
     final_interpolation: InterpolationData | None = None
     final_basis: ProjectionBasis | None = None
     lu_route: str | None = None  # Route.kind of the reduction's LUs
-    lu_fill: float | None = None  # nnz(L+U) / n^2 of its first LU
+    lu_fill: float | None = None  # nnz(L+U) / n^2 of the augmented pattern
     lu_band: tuple | None = None  # (kl, ku) of the band route's RCM order
 
     @property
@@ -877,7 +871,6 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    route = lu.Route()  # the first LU's fill picks the route of the rest
     solves = {"right": 0, "left": 0}  # solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
@@ -888,7 +881,7 @@ def irka_second_order_index1(system, config):
         return out
 
     def bases(interp):
-        basis = timed("solve", build_bases, system, interp, one_sided=one_sided, route=route)
+        basis = timed("solve", build_bases, system, interp, one_sided=one_sided)
         groups = len(pair_conjugates(interp.shifts))
         solves["right"] += groups
         solves["left"] += 0 if one_sided else groups
@@ -920,9 +913,10 @@ def irka_second_order_index1(system, config):
     trace.final_order = rom.order
     trace.final_interpolation = interp
     trace.final_basis = basis
+    route = system.route
     trace.lu_route, trace.lu_fill = route.kind, route.fill
-    if route.kind == "band":
-        trace.lu_band = (route.kl, route.ku)
+    if route.band is not None:
+        trace.lu_band = (route.band.kl, route.band.ku)
     if not trace.converged:
         warnings.warn(
             f"IRKA hit the iteration cap ({config.max_iter}) with shift movement "

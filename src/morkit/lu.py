@@ -3,9 +3,9 @@
 Thin, contract-enforcing layer over SuperLU and LAPACK. Equilibration is
 disabled so that the factorization identity ``Pr @ A @ Pc == L @ U``
 holds exactly in terms of the returned permutations and triangular
-factors. A :class:`Route` lets a run of factorizations of one sparsity
-pattern take one of three routes after its first LU, which runs SuperLU
-and measures the fill ``nnz(L + U)``:
+factors. A :class:`Route` decides, once per sparsity pattern, how every
+matrix of that pattern is factored. It runs one SuperLU factorization of
+the pattern itself and measures its fill ``nnz(L + U)``:
 
 * "dense": from :data:`DENSE_FILL` of n^2 on, LAPACK ``?getrf`` on the
   dense matrix;
@@ -38,9 +38,9 @@ grows like n^1.5 and ``?gbtrf``'s work like n^2. Complex shifts, most
 of a reduction's, break even near a ratio of 5.3, real ones near 6.5.
 The threshold sits below both, at 4, which also keeps the band within 4
 times the memory of SuperLU's factors: chains go banded, grids from
-about 30 x 30 on stay on SuperLU. A band route's reduction records its
-bandwidths in its trace (see :class:`~morkit.irka.IterationTrace`); the
-benchmark's chain, for one, records
+about 30 x 30 on stay on SuperLU. A reduction records its system's route
+in its trace (see :class:`~morkit.irka.IterationTrace`), with the
+bandwidths on the band route; the benchmark's chain, for one, records
 ``lu_route band fill 4.0000099997999949e-05 kl 4 ku 4``.
 """
 
@@ -52,62 +52,57 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import BandMatrix, as_canonical_csc, band_layout, column_abs_max, inverse_order
+from .sparse import BandMatrix, as_canonical_csc, column_abs_max, inverse_order
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
-DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a route's first LU from which the rest go dense
-BAND_FILL = 4  # band storage / nnz(L+U) of a route's first LU up to which the rest go banded
+DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
+BAND_FILL = 4  # band storage / nnz(L+U) of a pattern up to which its LUs go banded
 
 
 class Route:
-    """The route of a run of factorizations of one sparsity pattern.
+    """The route of every factorization of one shifted augmented pattern,
+    ``shifted.pattern`` (a :class:`~morkit.sparse.ShiftedAugmented`).
 
-    ``fill`` is ``nnz(L + U) / n^2`` of the run's first factorization,
-    which runs SuperLU (None before it). From :data:`DENSE_FILL` on,
-    sparse elimination saves too little over dense to pay for its
-    indexing, so the later factorizations run LAPACK ``getrf`` on the
-    dense matrix instead (``kind`` is then "dense"). Below it, the first
-    factorization also orders the pattern of A + A^T by reverse
-    Cuthill-McKee (``order``), which leaves ``kl`` subdiagonals and
-    ``ku`` superdiagonals. When that band stores at most
-    :data:`BAND_FILL` times the first LU's ``nnz(L + U)``, the later
-    factorizations run LAPACK ``gbtrf`` on it ("band"); otherwise each
-    runs SuperLU with its own minimum degree ordering ("sparse", and
-    ``order`` stays None).
-
-    ``scatter`` is free for the caller that assembles the run's
-    matrices: :func:`morkit.irka.factor_augmented` keeps there its one
-    index map (:class:`~morkit.sparse.ShiftedAugmented`), which scatters
-    every shift into CSC, or into band storage on the band route.
+    ``fill`` is ``nnz(L + U) / n^2`` of SuperLU on the pattern itself:
+    unit entries under a diagonal of n, which dominates its row and its
+    column, so every pivot stays on the diagonal and the factorization
+    exists. From :data:`DENSE_FILL` on, sparse elimination saves too
+    little to pay for its indexing: LAPACK ``getrf`` on the dense matrix
+    (``kind`` "dense"). Below it, when the reverse Cuthill-McKee band of
+    A + A^T stores at most :data:`BAND_FILL` times the fill, LAPACK
+    ``gbtrf`` on the band ("band"; ``band`` is its
+    :data:`~morkit.sparse.BandLayout`, None on the other routes);
+    otherwise SuperLU, each LU with its own minimum degree order
+    ("sparse").
     """
 
-    def __init__(self):
-        self.fill = None
-        self.order = self.kl = self.ku = None
-        self.scatter = None
+    def __init__(self, shifted):
+        A = shifted.pattern
+        n = A.shape[0]
+        units = sp.csc_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        probe = spla.splu(
+            units + n * sp.eye_array(n, format="csc"),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=PIVOT_TOL,
+            options={"Equil": False},
+        )
+        fill_nnz = probe.L.nnz + probe.U.nnz - n  # L's unit diagonal is stored
+        self.fill = fill_nnz / n**2
+        self.kind, self.band = "dense", None
+        if self.fill < DENSE_FILL:
+            band = shifted.band_layout(_rcm_order(A))
+            fits = (2 * band.kl + band.ku + 1) * n <= BAND_FILL * fill_nnz
+            self.kind, self.band = ("band", band) if fits else ("sparse", None)
 
-    @property
-    def kind(self):
-        """"dense", "band" or "sparse" for the factorizations after the
-        first, None before the first."""
-        if self.fill is None:
-            return None
-        if self.fill >= DENSE_FILL:
-            return "dense"
-        return "sparse" if self.order is None else "band"
 
-    def _measure_band(self, A, fill_nnz):
-        """Order canonical CSC `A`'s pattern by RCM and take the band
-        route if its storage is at most BAND_FILL * `fill_nnz`."""
-        # imported here, so that runs that go dense never load it (1 MB)
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
+def _rcm_order(A):
+    """Reverse Cuthill-McKee order of the pattern of canonical CSC `A` + A^T."""
+    # imported here, so that runs that go dense never load it (1 MB)
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        ones = np.ones(A.nnz, dtype=np.int8)
-        pattern = sp.csr_array((ones, A.indices, A.indptr), shape=A.shape)  # A^T
-        order = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
-        _, kl, ku = band_layout(A, order)
-        if (2 * kl + ku + 1) * A.shape[0] <= BAND_FILL * fill_nnz:
-            self.order, self.kl, self.ku = order, kl, ku
+    ones = np.ones(A.nnz, dtype=np.int8)
+    pattern = sp.csr_array((ones, A.indices, A.indptr), shape=A.shape)  # A^T
+    return reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
 
 
 class SparseLU:
@@ -325,17 +320,14 @@ def factor(A, route=None):
     Parameters
     ----------
     A : sparse matrix or BandMatrix
-        Square, real or complex. A :class:`~morkit.sparse.BandMatrix`
-        is factored by LAPACK ``gbtrf`` whatever the route.
-    route : None or Route
-        None runs SuperLU with minimum degree ordering on the pattern of
-        A + A^T. So does a :class:`Route` whose kind is None or
-        "sparse"; an empty one is given this factorization's fill and,
-        below :data:`DENSE_FILL`, its pattern's RCM band. A
-        :class:`Route` whose kind is "dense" factors A with LAPACK
-        ``getrf`` (classical partial pivoting) and no column order; one
-        whose kind is "band" factors A in the route's RCM order with
+        Square, real or complex. A :class:`~morkit.sparse.BandMatrix`,
+        as the band route assembles them, is factored by LAPACK
         ``gbtrf`` (partial pivoting within the band).
+    route : None or Route
+        The :class:`Route` of A's pattern. On the dense route A is
+        factored by LAPACK ``getrf`` (classical partial pivoting) with
+        no column order; otherwise, and when None, SuperLU runs with
+        minimum degree ordering on the pattern of A + A^T.
 
     Raises
     ------
@@ -349,12 +341,8 @@ def factor(A, route=None):
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"cannot factor non-square matrix of shape {A.shape}")
     A = as_canonical_csc(A)
-    n = A.shape[0]
-    kind = None if route is None else route.kind
-    if kind == "dense":
+    if route is not None and route.kind == "dense":
         return _factor_dense(A)
-    if kind == "band":
-        return _factor_band(BandMatrix.from_csc(A, route.order))
     try:
         superlu = spla.splu(
             A,
@@ -367,12 +355,7 @@ def factor(A, route=None):
     # SuperLU's own U, whose diagonal needs no sorted copy; U's column j
     # holds the pivot of A's column argsort(perm_c)[j]
     _check_pivots(A, superlu.U.diagonal(), np.argsort(superlu.perm_c))
-    if route is not None and route.fill is None:
-        fill_nnz = superlu.L.nnz + superlu.U.nnz - n  # L's unit diagonal is stored
-        route.fill = fill_nnz / n**2
-        if route.fill < DENSE_FILL:
-            route._measure_band(A, fill_nnz)
-    return SparseLU(superlu, A.dtype, n)
+    return SparseLU(superlu, A.dtype, A.shape[0])
 
 
 def _factor_dense(A):

@@ -8,9 +8,12 @@ rows and columns were reordered into a band, which the band route of
 :mod:`morkit.lu` factors.
 
 The shifted augmented matrix has one assembler, :class:`ShiftedAugmented`:
-one index map per system, from which every shift's matrix is scattered
-into CSC or band storage, on one pattern whatever the shift.
+one index map per system (built once, as ``system.augmented``), from
+which every shift's matrix is scattered into CSC or band storage, on one
+pattern whatever the shift.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,10 +47,10 @@ def assemble_shifted_augmented(system, sigma):
         [            K21                  K22 ]
 
     It drives the right tangential solves; the left solves use its
-    transpose through the same factorization. See :meth:`ShiftedAugmented.csc`,
-    whose index map a run of factorizations keeps for all its shifts.
+    transpose through the same factorization. See :meth:`ShiftedAugmented.csc`;
+    the index map is the system's one (``system.augmented``).
     """
-    return ShiftedAugmented(system).csc(sigma)
+    return system.augmented.csc(sigma)
 
 
 class ShiftedAugmented:
@@ -57,11 +60,11 @@ class ShiftedAugmented:
     the augmented CSC ``pattern`` (holding the fixed blocks' values, 0 on
     the union) and where the union lands in it. At a shift, :meth:`csc`
     and :meth:`band` compute ``(sigma^2 M11 + sigma L11) + K11`` once on
-    the union and scatter it into CSC or band storage.
+    the union and scatter it into CSC or band storage, the latter in the
+    layout (:meth:`band_layout`) that :class:`morkit.lu.Route` keeps.
     """
 
     def __init__(self, system):
-        self.system = system
         shifted = (system.M11, system.L11, system.K11)
         # every block's entries tagged with its own bit: the sum stores the
         # union of the patterns, and bit k marks the entries of block k
@@ -77,7 +80,6 @@ class ShiftedAugmented:
         self.pattern, self._at = _stack_block_columns(
             ((union, system.K21), (system.K12, system.K22)), system.n1)
         self._abs_max_fixed = np.abs(self.pattern.data).max(initial=0.0)
-        self._band = None
 
     def _s11(self, sigma):
         sigma = complex(sigma)
@@ -98,31 +100,37 @@ class ShiftedAugmented:
         pattern = self.pattern
         return sp.csc_array((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
-    def band(self, sigma, order):
+    def band_layout(self, order):
+        """The :data:`BandLayout` of ``pattern`` with its rows and
+        columns taken in `order`, as narrow as the pattern allows."""
+        at, kl, ku = band_layout(self.pattern, order)
+        fixed = np.ones(at.shape[0], dtype=bool)
+        fixed[self._at] = False
+        return BandLayout(order, kl, ku, at[self._at], at[fixed], self.pattern.data[fixed])
+
+    def band(self, sigma, layout):
         """The augmented matrix at `sigma` as a :class:`BandMatrix` in
-        `order`, of the dtype :meth:`csc` gives."""
-        layout = self._band
-        if layout is None or layout[0] is not order:
-            # racing threads may each build one: each publishes it whole
-            at, kl, ku = band_layout(self.pattern, order)
-            fixed = np.ones(at.shape[0], dtype=bool)
-            fixed[self._at] = False
-            layout = self._band = (order, kl, ku, at[self._at], at[fixed], self.pattern.data[fixed])
-        _, kl, ku, at11, at_fixed, values_fixed = layout
+        `layout` (:meth:`band_layout`), of the dtype :meth:`csc` gives."""
         s11 = self._s11(sigma)
-        data = _band_zeros(kl, ku, self.pattern.shape[0], s11.dtype)
+        data = _band_zeros(layout.kl, layout.ku, self.pattern.shape[0], s11.dtype)
         flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
-        flat[at11] = s11
-        flat[at_fixed] = values_fixed
+        flat[layout.at11] = s11
+        flat[layout.at_fixed] = layout.values_fixed
         abs11 = np.abs(s11)
 
         def colmax():
             absdata = np.abs(self.pattern.data)
             absdata[self._at] = abs11
-            return column_abs_max(self.pattern, absdata)[order]
+            return column_abs_max(self.pattern, absdata)[layout.order]
 
         abs_max = max(abs11.max(initial=0.0), self._abs_max_fixed)
-        return BandMatrix(data, kl, ku, order, abs_max, colmax)
+        return BandMatrix(data, layout.kl, layout.ku, layout.order, abs_max, colmax)
+
+
+# where ShiftedAugmented.band scatters a shift's matrix: the pattern's band
+# in `order` (kl sub-, ku superdiagonals) and the flattened positions there
+# of S11's entries and of the fixed blocks' (whose values it keeps)
+BandLayout = namedtuple("BandLayout", "order kl ku at11 at_fixed values_fixed")
 
 
 def _stack_block_columns(block_columns, n_top):
@@ -180,17 +188,6 @@ class BandMatrix:
     def __init__(self, data, kl, ku, order, abs_max, column_abs_max):
         self.data, self.kl, self.ku, self.order = data, kl, ku, order
         self.abs_max, self.column_abs_max = abs_max, column_abs_max
-
-    @classmethod
-    def from_csc(cls, A, order):
-        """The band of canonical CSC `A` in `order`, as narrow as A's
-        stored entries allow."""
-        at, kl, ku = band_layout(A, order)
-        data = _band_zeros(kl, ku, A.shape[0], A.dtype)
-        data.reshape(-1, order="F")[at] = A.data
-        absdata = np.abs(A.data)
-        colmax = column_abs_max(A, absdata)[order]
-        return cls(data, kl, ku, order, absdata.max(initial=0.0), lambda: colmax)
 
 
 def column_abs_max(A, absdata):

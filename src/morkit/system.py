@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import lu
 from .errors import Index1ViolationError, SingularMatrixError, StructuralError
-from .sparse import as_canonical_csc, is_symmetric
+from .sparse import ShiftedAugmented, as_canonical_csc, is_symmetric
 
 _SPARSE_BLOCKS = ("M11", "L11", "K11", "K12", "K21", "K22")
 _DENSE_BLOCKS = ("F1", "F2", "H1", "H2", "Da")
@@ -38,8 +38,11 @@ class SecondOrderIndex1System:
     """Container for the eleven blocks of a second-order index-1 system.
 
     Sparse blocks are canonical CSC (float64), dense blocks are float64
-    ndarrays. Blocks are treated as immutable once the system is built;
-    the retained K22 factorization is cached on first use.
+    ndarrays. Blocks are treated as immutable once the system is built.
+    Three things are built from them on first use and kept: the K22
+    factorization (``k22_lu``), the one index map of the shifted
+    augmented matrix (``augmented``) and the route that every shift's
+    factorization of that matrix takes (``route``).
     """
 
     M11: sp.csc_array
@@ -90,6 +93,20 @@ class SecondOrderIndex1System:
             raise Index1ViolationError(
                 f"K22 is singular, system is not index 1 ({exc})", column=exc.column
             ) from exc
+
+    @cached_property
+    def augmented(self):
+        """Index map of the shifted augmented matrix
+        (:class:`~morkit.sparse.ShiftedAugmented`), which scatters every
+        shift's matrix into CSC or band storage."""
+        return ShiftedAugmented(self)
+
+    @cached_property
+    def route(self):
+        """Route of every shift's augmented factorization
+        (:class:`~morkit.lu.Route`), decided from the augmented pattern,
+        which is the same at every shift."""
+        return lu.Route(self.augmented)
 
 
 @dataclass(frozen=True)
@@ -475,7 +492,12 @@ def save_reduced_model(rom, directory):
 
 
 def load_reduced_model(directory):
-    """Load a reduced model written by :func:`save_reduced_model`."""
+    """Load a reduced model written by :func:`save_reduced_model`.
+
+    A missing file, a block of the wrong shape (M, L and K r x r, F
+    r x m, H p x r, D p x m, with r from M, m from F and p from H) or
+    non-finite entries raise :class:`StructuralError` naming the file.
+    """
     directory = Path(directory)
     blocks = {}
     for name in _ROM_BLOCKS:
@@ -483,7 +505,12 @@ def load_reduced_model(directory):
         if not target.is_file():
             raise StructuralError(f"reduced-model file missing: {target}")
         blocks[name] = _read_dense(target)
-    rom = ReducedSecondOrderModel(**blocks)
-    if rom.M.shape != rom.L.shape or rom.M.shape != rom.K.shape:
-        raise StructuralError("reduced blocks M, L, K must share a square shape")
-    return rom
+        if not np.isfinite(blocks[name]).all():
+            raise StructuralError(f"{target} has non-finite entries")
+    r, m, p = blocks["M"].shape[0], blocks["F"].shape[1], blocks["H"].shape[0]
+    expected = {"M": (r, r), "L": (r, r), "K": (r, r), "F": (r, m), "H": (p, r), "D": (p, m)}
+    for name, shape in expected.items():
+        if blocks[name].shape != shape:
+            raise StructuralError(f"{directory / f'rom_{name}.mtx'} has shape "
+                                  f"{blocks[name].shape}, expected {shape}")
+    return ReducedSecondOrderModel(**blocks)

@@ -16,6 +16,8 @@ import pytest
 import scipy.sparse as sp
 
 from morkit import InterpolationData, SecondOrderIndex1System, generate_synthetic
+from morkit.lu import _rcm_order
+from morkit.sparse import BandMatrix, as_canonical_csc, band_layout, column_abs_max
 
 # dimensions (n1, n2), port layouts (m, p, symmetric), generator seeds
 DIMS = [(40, 10), (120, 25), (200, 40)]
@@ -63,8 +65,8 @@ def chain_system(n1, n2, symmetric, seed=0):
     """A mass-spring chain with n2 massless connectors, each tied to two
     neighbouring masses, and two ports. The LU of its augmented matrix
     fills in far below ``morkit.lu.DENSE_FILL`` and reverse Cuthill-McKee
-    orders it into a narrow band, so the factorizations sharing its route
-    go banded (generated systems go dense, grids stay sparse)."""
+    orders it into a narrow band, so its route (``system.route``) is the
+    band (generated systems go dense, grids stay sparse)."""
     rng = np.random.default_rng(seed)
     M11 = sp.diags_array(rng.uniform(1.0, 2.0, n1))
     k = rng.uniform(1.0, 3.0, n1 + 1)
@@ -82,6 +84,20 @@ def chain_system(n1, n2, symmetric, seed=0):
     )
 
 
+def band_of(A, order=None):
+    """`A` as a :class:`~morkit.sparse.BandMatrix` in `order` (default:
+    the reverse Cuthill-McKee order of its pattern), as narrow as its
+    stored entries allow, with the moduli the pivot check reads."""
+    A = as_canonical_csc(A)
+    order = _rcm_order(A) if order is None else order
+    at, kl, ku = band_layout(A, order)
+    data = np.zeros((2 * kl + ku + 1, A.shape[0]), dtype=A.dtype, order="F")
+    data.reshape(-1, order="F")[at] = A.data
+    absdata = np.abs(A.data)
+    colmax = column_abs_max(A, absdata)[order]
+    return BandMatrix(data, kl, ku, order, absdata.max(initial=0.0), lambda: colmax)
+
+
 def grid_laplacian(side):
     """The 5-point Laplacian of a side x side grid: n = side^2, and its
     reverse Cuthill-McKee band is about `side` wide."""
@@ -94,8 +110,8 @@ def grid_laplacian(side):
 def grid_system(side, n2=8, seed=0):
     """Unit masses on a side x side grid of springs, with n2 massless
     connectors each tied to two neighbouring masses, and two ports. Its
-    band stores more than ``morkit.lu.BAND_FILL`` times the first LU's
-    fill, so the factorizations sharing its route stay sparse."""
+    band stores more than ``morkit.lu.BAND_FILL`` times its pattern's
+    fill, so its route (``system.route``) stays sparse."""
     rng = np.random.default_rng(seed)
     n1 = side * side
     K11 = 1e3 * grid_laplacian(side) + sp.eye_array(n1)

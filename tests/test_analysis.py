@@ -2,11 +2,13 @@
 
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from morkit import analysis, irka
 from morkit.analysis import (
     THREADS_ENV,
     _threads_from_env,
@@ -17,16 +19,19 @@ from morkit.analysis import (
     stability_report,
     sweep,
 )
+from morkit.errors import ConvergenceWarning
 from morkit.irka import (
     IrkaConfig,
     ProjectionBasis,
     ReducedSecondOrderModel,
+    factor_augmented,
     irka_second_order_index1,
     reduce,
 )
 from morkit import lu as lu_module
-from morkit.lu import Route
-from morkit.sparse import assemble_shifted_augmented
+from morkit.lu import _BandLU, _DenseLU
+from morkit.sparse import ShiftedAugmented, assemble_shifted_augmented
+from morkit.system import generate_synthetic
 
 from conftest import chain_system, grid_system
 
@@ -126,21 +131,86 @@ def test_sweep_threaded_matches_sequential(make_system):
 
 
 def test_sweep_routes_every_point_by_the_first_points_fill(make_system):
+    # every point, the first one too, factors on the system's route
+    # (dense here), so a sweep with any number of workers repeats single
+    # evaluations bit for bit
     system = make_system(120, 25, 2, 2, 0, symmetric=False)
     I = np.eye(120)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.logspace(1, 4, 6)
-    route = Route()
-    full = [eval_full(system, 1j * w, route).G for w in omegas]
-    assert route.kind == "dense"
+    full = [eval_full(system, 1j * w).G for w in omegas]
+    assert system.route.kind == "dense"
     for workers in (1, 2):
-        result = sweep(system, rom, omegas, max_workers=workers)
+        result = sweep(dataclasses.replace(system), rom, omegas, max_workers=workers)
         assert result.G_full.tobytes() == np.stack(full).tobytes()
+
+
+def _spy_on_factorizations(monkeypatch):
+    """The factor class of every augmented LU of a reduction or sweep."""
+    seen = []
+
+    def spy(system, sigma):
+        out = factor_augmented(system, sigma)
+        seen.append(type(out._factors))
+        return out
+
+    monkeypatch.setattr(irka, "factor_augmented", spy)
+    monkeypatch.setattr(analysis, "factor_augmented", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind, factors", [("generated", _DenseLU), ("chain", _BandLU)])
+def test_first_factorization_of_a_reduction_and_a_sweep_takes_the_route(
+        monkeypatch, kind, factors):
+    # the route is decided from the pattern before any LU, so no
+    # reduction or sweep starts with a SuperLU factorization
+    make = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
+            "chain": lambda: chain_system(200, 20, True)}[kind]
+    seen = _spy_on_factorizations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        rom, _ = irka_second_order_index1(make(), IrkaConfig(r=4, max_iter=2))
+    assert len(seen) > 4 and set(seen) == {factors}
+    seen.clear()
+    sweep(make(), rom, np.logspace(1, 4, 5))
+    assert seen == [factors] * 5
+
+
+@pytest.mark.parametrize("kind", ["generated", "chain"])
+def test_one_index_map_and_one_probe_per_system(monkeypatch, kind):
+    # two reductions and a threaded sweep of one system object share its
+    # index map and its route: one map built, one SuperLU run on the
+    # augmented pattern (K22's own LU is the other SuperLU call)
+    system = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
+              "chain": lambda: chain_system(200, 20, True)}[kind]()
+    n = system.n1 + system.n2
+    maps, probes = [], []
+    init, splu = ShiftedAugmented.__init__, lu_module.spla.splu
+
+    def counting_init(self, system):
+        maps.append(system)
+        init(self, system)
+
+    def counting_splu(A, *args, **kwargs):
+        probes.extend([A.shape] if A.shape == (n, n) else [])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedAugmented, "__init__", counting_init)
+    monkeypatch.setattr(lu_module.spla, "splu", counting_splu)
+    config = IrkaConfig(r=4, max_iter=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        rom, _ = irka_second_order_index1(system, config)
+        irka_second_order_index1(system, config)
+    sweep(system, rom, np.logspace(1, 4, 5), max_workers=2)
+    assert maps == [system]
+    assert probes == [(n, n)]
 
 
 def _threaded_sweep_through_a_changing_pattern(base, kind):
     """Sweep `base`, made to change its pattern with omega, sequentially
-    and in racing threads, on the route `kind` its first point picks.
+    and in racing threads, on its route `kind`; the threads race to
+    build the index map and the route of a fresh copy of the system.
 
     At omega = 10 the (0, 1) entries of S11 cancel to exact zeros
     (-100 * 0.5 + 50, no damping there), which the one pattern of every
@@ -160,9 +230,7 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
         column = slice(cancelled.indptr[j], cancelled.indptr[j + 1])
         (at,) = np.flatnonzero(cancelled.indices[column] == i) + column.start
         assert cancelled.data[at] == 0 and kept.data[at] != 0
-    route = Route()
-    eval_full(system, 9j, route)
-    assert route.kind == kind
+    assert system.route.kind == kind
     I = np.eye(system.n1)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.tile([9.0, 10.0, 11.0, 10.0], 6)
@@ -170,7 +238,7 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        par = sweep(system, rom, omegas, max_workers=8)
+        par = sweep(dataclasses.replace(system), rom, omegas, max_workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert par.G_full.tobytes() == seq.G_full.tobytes()
@@ -179,8 +247,8 @@ def _threaded_sweep_through_a_changing_pattern(base, kind):
 
 
 def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
-    # the chain's LUs go banded: the threads share one index map, whose
-    # band layout the first of them to need it builds
+    # the chain's LUs go banded: the threads share one index map and the
+    # band layout of its route
     _threaded_sweep_through_a_changing_pattern(chain_system(200, 20, symmetric=True), "band")
 
 
@@ -264,13 +332,12 @@ def test_speedup_report_smoke(make_system):
 
 
 @pytest.mark.parametrize("kind", ["generated", "chain", "grid"])
-def test_speedup_report_routes_every_pass_by_its_first_factorization(
-        make_system, monkeypatch, kind):
-    # the full passes factor as sweep does: the warm-up pass's first
-    # point measures the fill, and every later point of every pass runs
-    # SuperLU with minimum degree (sparse: the grid) or skips SuperLU
-    # (dense: the generated system; band: the chain)
-    system = {"generated": lambda: make_system(40, 10, 2, 2, 0),
+def test_speedup_report_routes_every_pass_by_its_first_factorization(monkeypatch, kind):
+    # the full passes factor as sweep does, on the system's route: one
+    # SuperLU run on the pattern decides it, then every point of every
+    # pass runs SuperLU with minimum degree (sparse: the grid) or skips
+    # SuperLU (dense: the generated system; band: the chain)
+    system = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
               "chain": lambda: chain_system(200, 20, True),
               "grid": lambda: grid_system(20)}[kind]()
     rom = reduce(system, ProjectionBasis(V=np.eye(system.n1), W=np.eye(system.n1)))
@@ -283,7 +350,7 @@ def test_speedup_report_routes_every_pass_by_its_first_factorization(
 
     monkeypatch.setattr(lu_module.spla, "splu", spy)
     speedup_report(system, rom, np.logspace(1, 4, 5), repetitions=3)
-    assert orderings == ["MMD_AT_PLUS_A"] * (20 if kind == "grid" else 1)
+    assert orderings == ["MMD_AT_PLUS_A"] * (1 + (20 if kind == "grid" else 0))
 
 
 def test_speedup_report_requires_enough_repetitions(s1):

@@ -358,6 +358,22 @@ def test_analyze_dimension_mismatch(tmp_path, capsys):
     assert rc == 1
 
 
+def test_analyze_names_a_non_finite_rom_file(tmp_path, capsys):
+    manifest = _generate(tmp_path)
+    rom_dir = tmp_path / "rom"
+    assert main(["reduce", "--manifest", str(manifest), "--r", "3",
+                 "--out", str(rom_dir)]) == 0
+    K = rom_dir / "rom_K.mtx"
+    lines = K.read_text().splitlines()
+    lines[-1] = "nan"  # the last entry of the dense array
+    K.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["analyze", "--manifest", str(manifest), "--rom", str(rom_dir),
+               "--points", "5", "--out", str(tmp_path / "ana")])
+    assert rc == 1
+    assert "rom_K.mtx has non-finite entries" in capsys.readouterr().err
+
+
 def test_verify_passes_on_generated_system(tmp_path, capsys):
     manifest = _generate(tmp_path, n1=60, n2=15, m=2, p=2, seed=2)
     rc = main(["verify", "--manifest", str(manifest)])

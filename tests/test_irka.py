@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,9 +47,10 @@ from morkit.irka import (
     update_interpolation,
 )
 from morkit.dense import eig_generalized
-from morkit.lu import DENSE_FILL
+from morkit.lu import DENSE_FILL, _DenseLU
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import (
+    ReducedSecondOrderModel,
     SecondOrderIndex1System,
     generate_synthetic,
     load_reduced_model,
@@ -504,9 +506,9 @@ def _count_factorizations(monkeypatch):
     shifts = []
     original = irka.factor_augmented
 
-    def counting(system, sigma, route=None):
+    def counting(system, sigma):
         shifts.append(sigma)
-        return original(system, sigma, route)
+        return original(system, sigma)
 
     monkeypatch.setattr(irka, "factor_augmented", counting)
     return shifts
@@ -855,9 +857,9 @@ def test_driver_trace_structure(make_system):
 @pytest.mark.parametrize("kind, route", [("generated", "dense"), ("chain", "band"),
                                          ("grid", "sparse")])
 def test_trace_records_the_factorization_route_once(make_system, kind, route):
-    # one deterministic line: the route of the reduction's later LUs and
-    # the fill of its first, which chose it; on the band route also the
-    # integer bandwidths of its RCM order
+    # one deterministic line: the route of the reduction's LUs and the
+    # fill of the augmented pattern, which chose it; on the band route
+    # also the integer bandwidths of its RCM order
     system = {"generated": lambda: make_system(40, 10, 2, 2, 0),
               "chain": lambda: chain_system(200, 20, True),
               "grid": lambda: grid_system(20)}[kind]()
@@ -925,26 +927,29 @@ def test_driver_iteration_cap_warns(make_system):
 
 
 def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch):
-    # the first LU of a reduction measures the fill; every later one,
-    # in every outer iteration, takes the route that fill picked
+    # every LU of a reduction, the first one too, in every outer
+    # iteration, takes the system's route, decided from its pattern
+    # before the first LU: dense for a generated system
     calls = []
 
-    def spy(system, sigma, route=None):
-        calls.append((route, route is not None and route.kind is not None))
-        return factor_augmented(system, sigma, route)
+    def spy(system, sigma):
+        out = factor_augmented(system, sigma)
+        calls.append((system.route, type(out._factors)))
+        return out
 
     monkeypatch.setattr(irka, "factor_augmented", spy)
+    system = make_system(40, 10, 2, 2, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        irka_second_order_index1(make_system(40, 10, 2, 2, 0), IrkaConfig(r=4, max_iter=3))
+        irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
     assert len(calls) > 4
-    assert len({id(route) for route, _ in calls}) == 1
-    assert [routed for _, routed in calls] == [False] + [True] * (len(calls) - 1)
+    assert system.route.kind == "dense"
+    assert calls == [(system.route, _DenseLU)] * len(calls)
 
 
 def test_driver_repeats_its_bytes_on_one_system_object(make_system):
-    # the route belongs to one call: a second reduction of the same
-    # object measures its first LU afresh and repeats the first run
+    # the route and the index map belong to the system: a second
+    # reduction of the same object reuses them and repeats the first run
     system = make_system(120, 25, 2, 2, 0, symmetric=False)
     config = IrkaConfig(r=6, max_iter=4)
     with warnings.catch_warnings():
@@ -1002,6 +1007,30 @@ def test_save_load_reduced_model_round_trip(tmp_path, s1):
         np.testing.assert_array_equal(getattr(rom, name), getattr(loaded, name))
 
 
+def _rom_r2():
+    """A reduced model with r = 2, m = 1 and p = 1."""
+    return ReducedSecondOrderModel(
+        M=np.eye(2), L=np.diag([0.1, 0.2]), K=np.diag([4.0, 9.0]),
+        F=np.ones((2, 1)), H=np.ones((1, 2)), D=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("name, block", [
+    ("M", np.ones((2, 3))),        # not square
+    ("L", np.eye(3)),              # not r x r
+    ("K", np.ones((2, 1))),        # not r x r
+    ("F", np.ones((3, 1))),        # r + 1 rows
+    ("H", np.ones((1, 3))),        # not p x r
+    ("D", np.zeros((2, 1))),       # not p x m
+    ("K", np.diag([4.0, np.nan])),
+    ("F", np.array([[1.0], [np.inf]])),
+], ids=["M-nonsquare", "L-shape", "K-shape", "F-rows", "H-cols", "D-shape", "K-nan", "F-inf"])
+def test_load_reduced_model_names_a_malformed_file(tmp_path, name, block):
+    save_reduced_model(_rom_r2(), tmp_path)
+    scipy.io.mmwrite(tmp_path / f"rom_{name}.mtx", block)
+    with pytest.raises(StructuralError, match=f"rom_{name}.mtx"):
+        load_reduced_model(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # re-attaching the algebraic part
 
@@ -1041,11 +1070,11 @@ def test_band_route_reduces_the_chain_as_the_sparse_route_does(monkeypatch):
     # the two routes differ only in the rounding of their LUs: the same
     # two-sided reduction of a nonsymmetric chain ends at the same shifts
     # and the same reduced model, to rounding
-    system = chain_system(200, 20, symmetric=False)
     config = IrkaConfig(r=4, max_iter=3, force_one_sided=False)
     runs = []
     for band_fill in (lu_module.BAND_FILL, 0):  # 0: no band is cheap enough
         monkeypatch.setattr(lu_module, "BAND_FILL", band_fill)
+        system = chain_system(200, 20, symmetric=False)  # its route is decided anew
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             runs.append(irka_second_order_index1(system, config))

@@ -1,7 +1,8 @@
 """Sparse LU: factorization identity, solves, singularity reporting, routes."""
 
+import dataclasses
 import itertools
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import Route, _BandLU, _DenseLU, factor
+from morkit.lu import _BandLU, _DenseLU, _rcm_order, factor
 from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, column_abs_max
 from morkit.system import generate_synthetic
 
-from conftest import GRID, chain_system, grid_ids, grid_laplacian
+from conftest import GRID, band_of, chain_system, grid_ids, grid_system
 
 
 def _random_square(n, seed, density=0.25):
@@ -223,22 +224,17 @@ def test_negligible_pivot_names_its_original_column_in_any_order():
 
 
 def _dense(A):
-    """A's LU on the dense route, as through a route whose first LU
-    filled in completely."""
-    route = Route()
-    route.fill = 1.0
-    lu = factor(A, route)
+    """A's LU on the dense route, as for a pattern that fills in
+    completely."""
+    lu = factor(A, SimpleNamespace(kind="dense"))
     assert isinstance(lu._factors, _DenseLU)
     return lu
 
 
 def _band(A):
     """A's LU on the band route, in the reverse Cuthill-McKee order of
-    its pattern, as through a route whose first LU chose the band."""
-    route = Route()
-    route.fill = 0.0
-    route._measure_band(as_canonical_csc(A), fill_nnz=np.inf)  # any band will do
-    lu = factor(A, route)
+    its pattern."""
+    lu = factor(band_of(A))
     assert isinstance(lu._factors, _BandLU)
     return lu
 
@@ -247,50 +243,59 @@ ROUTES = {"sparse": factor, "dense": _dense, "band": _band}
 
 
 def test_fill_threshold_chooses_the_route(monkeypatch):
-    # the first LU's measured fill against DENSE_FILL: from the threshold
-    # on the later LUs are dense, below it they are banded or sparse
-    system = generate_synthetic(60, 12, 2, 2, seed=3)
-    A = assemble_shifted_augmented(system, 2.0 + 30.0j)
-    first = Route()
-    lu = factor(A, first)
+    # the pattern's fill against DENSE_FILL: from the threshold on every
+    # LU of the system is dense, below it banded or sparse. The pattern's
+    # fill is that of SuperLU at a shift
+    def system():
+        return generate_synthetic(60, 12, 2, 2, seed=3)
+
+    first = system().route
+    lu = factor(assemble_shifted_augmented(system(), 2.0 + 30.0j))
     assert first.fill == (lu.L.nnz + lu.U.nnz - lu.n) / lu.n**2
     monkeypatch.setattr(lu_module, "BAND_FILL", 0)  # no band is that cheap
     for threshold, kind in ((first.fill, "dense"), (np.nextafter(first.fill, 1.0), "sparse")):
         monkeypatch.setattr(lu_module, "DENSE_FILL", threshold)
-        route = Route()
-        factor(A, route)
-        assert route.kind == kind
-        later = factor(assemble_shifted_augmented(system, 5.0), route)
-        assert isinstance(later._factors, _DenseLU) == (kind == "dense")
-    banded = Route()
-    factor(assemble_shifted_augmented(chain_system(400, 40, True), 1.0), banded)
-    assert banded.kind == "sparse"
+        fresh = system()
+        assert fresh.route.kind == kind
+        assert isinstance(factor_augmented(fresh, 5.0)._factors, _DenseLU) == (kind == "dense")
+    assert chain_system(400, 40, True).route.kind == "sparse"
 
 
 def test_band_threshold_chooses_the_route():
     # below DENSE_FILL, the RCM band's storage against BAND_FILL times the
-    # first LU's fill: a chain goes banded, a 2-D grid Laplacian (band
-    # about sqrt(n) wide) stays on SuperLU; generated systems go dense
-    chain = assemble_shifted_augmented(chain_system(400, 40, True), 2.0 + 30.0j)
-    generated = assemble_shifted_augmented(generate_synthetic(60, 12, 2, 2, seed=3), 1.0)
-    for A, kind, later in ((chain, "band", _BandLU), (grid_laplacian(40), "sparse", spla.SuperLU),
-                           (generated, "dense", _DenseLU)):
-        route = Route()
-        first = factor(A, route)
+    # pattern's fill: a chain goes banded, a 2-D grid (band about its side
+    # wide) stays on SuperLU; generated systems go dense
+    for system, kind, factors in (
+            (chain_system(400, 40, True), "band", _BandLU),
+            (grid_system(40), "sparse", spla.SuperLU),
+            (generate_synthetic(60, 12, 2, 2, seed=3), "dense", _DenseLU)):
+        route = system.route
         assert route.kind == kind
-        assert (route.order is not None) == (kind == "band")
+        assert (route.band is not None) == (kind == "band")
         if kind == "band":
-            fill_nnz = first.L.nnz + first.U.nnz - first.n
-            assert (2 * route.kl + route.ku + 1) * first.n <= lu_module.BAND_FILL * fill_nnz
-        assert isinstance(factor(A, route)._factors, later)
+            n = system.n1 + system.n2
+            fill_nnz = route.fill * n**2
+            assert (2 * route.band.kl + route.band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
+        for sigma in (1.0, 2.0 + 30.0j):
+            assert isinstance(factor_augmented(system, sigma)._factors, factors)
 
 
 def test_band_route_measures_the_chains_rcm_band():
-    route = Route()
-    factor(assemble_shifted_augmented(chain_system(400, 40, True), 3.0), route)
-    assert route.kind == "band"
-    assert (route.kl, route.ku) == (2, 2)
-    np.testing.assert_array_equal(np.sort(route.order), np.arange(440))
+    band = chain_system(400, 40, True).route.band
+    assert (band.kl, band.ku) == (2, 2)
+    np.testing.assert_array_equal(np.sort(band.order), np.arange(440))
+
+
+def test_route_probe_factors_a_pattern_without_its_diagonal():
+    # K22 stores no entry at (0, 0), so the augmented pattern misses one
+    # diagonal entry: the probe puts a dominant diagonal under its unit
+    # entries, so it factors and fills as the pattern with that entry does
+    base = chain_system(50, 5, True)
+    system = dataclasses.replace(base, K22=sp.csc_array(np.diag([0.0, 3.0, 3.0, 3.0, 3.0])))
+    pattern = system.augmented.pattern
+    assert 50 not in pattern.indices[pattern.indptr[50]:pattern.indptr[51]]
+    assert system.route.kind == "band"
+    assert system.route.fill == base.route.fill
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -416,9 +421,7 @@ def test_band_route_pivots_rows_through_a_zero_diagonal():
                                [0.0, 1.0, 4.0, 2.0, 0.0],
                                [0.0, 0.0, 5.0, 0.0, 1.0],
                                [0.0, 0.0, 0.0, 1.0, 2.0]]))
-    route = Route()
-    route.fill, route.order = 0.0, np.arange(5, dtype=np.int32)  # already banded
-    lu = factor(A, route)
+    lu = factor(band_of(A, np.arange(5, dtype=np.int32)))  # already banded
     assert np.count_nonzero(lu._factors._piv != np.arange(5)) >= 2
     assert not np.array_equal(lu.perm_r, np.arange(5))
     Pr, Pc = lu.permutation_matrices()
@@ -450,11 +453,9 @@ def test_augmented_solves_agree_with_a_dense_solve_on_every_route(
         p = m
     system = generate_synthetic(n1, n2, m, p, seed=seed, symmetric=symmetric)
     sigma = complex(re, im)
-    route = None
-    if shared:  # a first LU elsewhere measures the fill and picks the route
-        route = Route()
-        factor_augmented(system, 7.0 + 300.0j, route)
-    lu = factor_augmented(system, sigma, route)
+    if shared:  # a factorization at another shift comes first
+        factor_augmented(system, 7.0 + 300.0j)
+    lu = factor_augmented(system, sigma)
     assert lu.dtype == (np.float64 if im == 0.0 else np.complex128)
     A = assemble_shifted_augmented(system, sigma).toarray().astype(np.complex128)
     rng = np.random.default_rng(seed)
@@ -488,13 +489,10 @@ def test_band_route_recovers_a_scrambled_band(n, kl, ku, seed, complex_values):
     band = sp.diags_array(diagonals, offsets=list(offsets), shape=(n, n)).toarray()
     scramble = rng.permutation(n)
     A = sp.csc_array(band[scramble][:, scramble])
-    route = Route()
-    # however small or filled in, the matrix takes the band route
-    with mock.patch.multiple(lu_module, DENSE_FILL=np.inf, BAND_FILL=np.inf):
-        factor(A, route)
-        assert route.kind == "band"
-        lu = factor(A, route)
-    assert max(route.kl, route.ku) <= max(kl, ku)
+    # however small or filled in, the matrix goes banded in its RCM order
+    band = band_of(A, _rcm_order(as_canonical_csc(A)))
+    assert max(band.kl, band.ku) <= max(kl, ku)
+    lu = factor(band)
     assert isinstance(lu._factors, _BandLU)
     dense = A.toarray()
     rhs = rng.standard_normal((n, 2))

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morkit.sparse import (
-    BandMatrix,
     ShiftedAugmented,
     as_canonical_csc,
     assemble_shifted_augmented,
     is_symmetric,
 )
 from morkit.system import SecondOrderIndex1System, generate_synthetic
+
+from conftest import band_of
 
 
 def test_as_canonical_csc_idempotent():
@@ -199,11 +200,12 @@ def test_shifted_band_is_the_assembled_matrix_in_band_storage(kind, sigma):
         system = generate_synthetic(30, 8, 2, 3, seed=4, symmetric=False)
     A = assemble_shifted_augmented(system, sigma)
     order = np.random.default_rng(7).permutation(A.shape[0]).astype(np.int32)
-    band = ShiftedAugmented(system).band(sigma, order)
+    shifted = ShiftedAugmented(system)
+    band = shifted.band(sigma, shifted.band_layout(order))
     assert band.data.dtype == A.dtype and band.data.flags.f_contiguous
     want = A.toarray()[order][:, order]
     np.testing.assert_array_equal(_unband(band), want)
-    csc = BandMatrix.from_csc(A, order)
+    csc = band_of(A, order)
     assert (csc.kl, csc.ku) == (band.kl, band.ku)
     np.testing.assert_array_equal(_unband(csc), want)
     for b in (band, csc):
@@ -282,7 +284,7 @@ def test_one_map_is_the_dense_augmented_matrix(case, seed):
     assert A.indptr.tobytes() == B.indptr.tobytes()
     assert A.indices.tobytes() == B.indices.tobytes()
     order = np.random.default_rng(seed).permutation(A.shape[0]).astype(np.int32)
-    band = shifted.band(sigma, order)
+    band = shifted.band(sigma, shifted.band_layout(order))
     assert band.data.dtype == A.dtype
     permuted = want[order][:, order]
     np.testing.assert_array_equal(_unband(band), permuted)

@@ -26,24 +26,27 @@ shows here too. The three chains' digests changed when their later
 factorizations moved from SuperLU to LAPACK's banded LU, checked by
 ``tools/equivalence.py``; the other 13 stayed. One assembler for the
 shifted augmented matrix, on one pattern at every shift, kept all 16.
-The current record::
+All 16 changed when each system's route came to be decided once from
+its augmented pattern, so that a run's first factorization takes that
+route instead of SuperLU; ``tools/equivalence.py`` passed, and every
+``lu_route`` line stayed the same. The current record::
 
-    synth150-s0 69ee34e7d2557444
-    synth150-s1 121bfff4c0df9a66
-    synth150-s2 213335866977a7b0
-    synth150-s3 c822756cf997086e
-    synth150-s4 463e188449bbf479
-    mimo-inner-s0 0b6d56c9f3ee9863
-    mimo-inner-s1 f9acb4e874b18628
-    mimo-inner-s2 a3fb9a4698394fa9
-    mimo-inner-s3 cabe70d1c5025d1b
-    nonsym200-s0 beff69881e68245a
-    nonsym200-s1 1b2d4e49113eb724
-    nonsym200-s2 a8376e6286d076fe
-    synth-fill-s0 7d83f0a767207fc7
-    chain5000-s0 77c8285e46880e9c
-    chain5000-s0-2s 35da079478d3f40a
-    chain50000-s0 7db41e99cb27f444
+    synth150-s0 700753bb1d14c67b
+    synth150-s1 5c172648ea93be82
+    synth150-s2 20e57ec093061152
+    synth150-s3 e6d620e7c7dd1af9
+    synth150-s4 56225cb41eb3249e
+    mimo-inner-s0 38bca3420a902cc6
+    mimo-inner-s1 f18801a9b4f8b142
+    mimo-inner-s2 d338b4180032e0dd
+    mimo-inner-s3 da88591f511617fd
+    nonsym200-s0 78fbaaf0cddf54ed
+    nonsym200-s1 04d1efa69c9ed440
+    nonsym200-s2 75a64e14a9426de1
+    synth-fill-s0 61ba1d836a270e2e
+    chain5000-s0 ccd0247f099c2a04
+    chain5000-s0-2s 828390826575d9d9
+    chain50000-s0 cae93a9c155369eb
 
 The systems:
 
@@ -58,8 +61,7 @@ The systems:
   three outer iterations);
 * ``chain5000-s0-2s``: the same chain reduced two-sided, the one case
   whose left solves go through the band route's transposed solve
-  (``?gbtrs``; the other two-sided systems take the dense route after
-  their first LU);
+  (``?gbtrs``; the other two-sided systems take the dense route);
 * ``chain50000-s0``: the benchmark's chain-sparse system (50,000 masses,
   r = 10, at most three outer iterations).
 """

@@ -25,9 +25,11 @@ error over the 60-point sweep against the full model is at most twice the
 parent's.
 
 Reported without a bound: iteration counts, the largest relative
-difference of matched final shifts (``linear_sum_assignment``) and the
+difference of matched final shifts (``linear_sum_assignment``), the
 largest relative difference of the two ROMs' transfer functions on the
-60-point grid. A change in the LU's rounding can move a capped run's
+60-point grid, and each run's ``lu_route`` trace line, parent -> change
+(the factorization route and the fill that chose it; a change that
+flips a route shows there). A change in the LU's rounding can move a capped run's
 shifts by O(1), and a converged run may reach another fixed point, so
 bounds on these differences would reject any such change; the rule bounds
 what has to stay true instead.
@@ -111,7 +113,9 @@ def _run(morkit, system, config):
     interp = trace.final_interpolation
     blocks = (rom.M, rom.L, rom.K, rom.F, rom.H, rom.D)
     result = morkit.sweep(system, rom, SWEEP, max_workers=1)
+    routes = [line for line in trace.format().splitlines() if line.startswith("lu_route ")]
     return {
+        "lu_route": routes[0][len("lu_route "):] if routes else None,
         "converged": bool(trace.converged),
         "order": int(rom.order),
         "iterations": int(trace.iterations),
@@ -236,6 +240,12 @@ def compare(parent_path, change_path):
             f"{p['sweep_max_err']:>11.3e} -> {c['sweep_max_err']:<9.3e}  "
             + ("; ".join(problems) if problems else "ok")
         )
+    print("lu_route, parent -> change (reported without a bound):")
+    for name, p in parent["systems"].items():
+        c = change["systems"].get(name)
+        if c is not None:
+            route, after = p.get("lu_route"), c.get("lu_route")
+            print(f"  {name:<18}{route} -> {'same' if after == route else after}")
     for label, data in (("parent", parent), ("change", change)):
         for line in data["criteria"]["lines"]:
             print(f"{label}: {line}")
