@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     PencilSingularError,
     RankDeficiencyWarning,
+    ShiftCollisionError,
     SingularMatrixError,
 )
 
@@ -22,6 +23,12 @@ from .errors import (
 # LAPACK getrf/getrs/gecon/lange for dense_solve, looked up once per dtype
 _LU_ROUTINES = {
     dtype: sla.get_lapack_funcs(("getrf", "getrs", "gecon", "lange"), dtype=dtype)
+    for dtype in (np.float64, np.complex128)
+}
+# LAPACK geqrf/orgqr (ungqr for complex) per dtype, for orthonormalize
+_QR_ROUTINES = {
+    dtype: sla.get_lapack_funcs(("geqrf", "orgqr" if dtype is np.float64 else "ungqr"),
+                                dtype=dtype)
     for dtype in (np.float64, np.complex128)
 }
 _EPS = np.finfo(np.float64).eps  # also complex128's
@@ -41,13 +48,16 @@ class EigenTriplet:
 
 
 def orthonormalize(V, drop_tol=1e-10):
-    """Orthonormalize the columns of V by modified Gram-Schmidt.
+    """Orthonormalize the columns of V by one Householder QR.
 
-    Runs one re-orthogonalization pass per column. A column whose
-    remainder after projection is below ``drop_tol`` times its original
-    norm is numerically dependent on its predecessors and is dropped
-    (with a :class:`RankDeficiencyWarning`); the returned column count
-    is therefore the numerical rank at this tolerance.
+    Each column of Q is scaled so that R's diagonal is positive real,
+    which gives the vectors of Gram-Schmidt up to rounding. A column
+    whose remainder after projection onto its predecessors,
+    ``|R_jj|``, is at most ``drop_tol`` times its original norm is
+    numerically dependent on them and is dropped (with a
+    :class:`RankDeficiencyWarning`), and the QR is redone on the kept
+    columns, one dropped column at a time; the returned column count is
+    therefore the numerical rank at this tolerance.
 
     Returns
     -------
@@ -63,42 +73,42 @@ def orthonormalize(V, drop_tol=1e-10):
         raise DimensionError(
             f"cannot orthonormalize {V.shape[1]} columns of length {V.shape[0]}"
         )
-    dtype = np.result_type(V.dtype, np.float64)
-    complex_ = dtype.kind == "c"
-    cols = np.array(V.T, dtype=dtype, order="C")  # row j: column j, projected in place
-    norms0 = _row_norms(cols)
-    steps = np.empty_like(cols)  # projection steps q (q^H v), one row per column
-    kept, kept_h = [], []  # kept columns, and their conjugates for the inner products
-    dropped = 0
-    for j, v in enumerate(cols):
-        # the MGS sweep reached v as each kept column was finished (below);
-        # this is the re-orthogonalization pass, one kept column at a time
-        step = steps[j]
-        for q, q_h in zip(kept, kept_h):
-            np.multiply(q_h.dot(v), q, out=step)
-            np.subtract(v, step, out=v)
-        norm_v = vector_norm(v)
-        if norms0[j] == 0.0 or norm_v <= drop_tol * norms0[j]:
-            dropped += 1
-            continue
-        q = v / norm_v
-        kept.append(q)
-        kept_h.append(q.conj() if complex_ else q)
-        # the MGS sweep of every later column against q: the same inner
-        # products (vecdot runs one BLAS dot per row) and the same updates
-        rest = cols[j + 1:]
-        if len(rest):
-            np.multiply(np.vecdot(q, rest)[:, None], q, out=steps[j + 1:])
-            np.subtract(rest, steps[j + 1:], out=rest)
-    if not kept:
-        raise DimensionError("orthonormalization dropped every column")
+    cols = np.array(V, dtype=np.result_type(V.dtype, np.float64), order="F")
+    norms0 = _row_norms(cols.T)
+    kept = np.arange(cols.shape[1])
+    while True:
+        Q, r = _householder_qr(cols[:, kept])
+        drop = np.flatnonzero((norms0[kept] == 0.0) | (np.abs(r) <= drop_tol * norms0[kept]))
+        if not len(drop):
+            break
+        # the first dependent column spent a reflector on its rounding
+        # noise, so the columns after it are measured again without it
+        kept = np.delete(kept, drop[0])
+        if not len(kept):
+            raise DimensionError("orthonormalization dropped every column")
+    dropped = cols.shape[1] - len(kept)
     if dropped:
         warnings.warn(
             f"orthonormalization dropped {dropped} dependent column(s)",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return np.column_stack(kept)
+    Q *= r / np.abs(r)
+    return np.ascontiguousarray(Q)
+
+
+def _householder_qr(V):
+    """Economic Householder QR of a tall block: its Q and R's diagonal."""
+    geqrf, orgqr = _QR_ROUTINES[V.dtype.type]
+    qr, tau, _, info = geqrf(V, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqrf")
+    k = V.shape[1]
+    r = np.diagonal(qr)[:k].copy()  # orgqr overwrites R
+    Q, _, info = orgqr(qr[:, :k], tau, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of orgqr")
+    return Q, r
 
 
 def vector_norm(v):
@@ -215,6 +225,68 @@ def eig_generalized(A, E):
         EigenTriplet(value, z, y)
         for value, z, y in zip(values.tolist(), right.T, left.T)
     ]
+
+
+# An eigenbasis of condition number kappa solves to a relative error near
+# kappa * eps, and one refinement step through the same factors squares
+# that factor; up to eps^-1/2 (6.7e7) the refined solve is therefore at
+# rounding level. The inner IRKA's companion pencils measure 8e3 to 1e6.
+_MODAL_COND = 1.0 / math.sqrt(_EPS)
+
+
+class PencilResolvent:
+    """Solves with ``sigma E - A`` and its transpose for one fixed real
+    pencil, at any shift.
+
+    The pencil is decomposed once by QZ, ``A Z = E Z diag(lam)`` and
+    ``Y^H A = diag(lam) Y^H E``. With ``D = diag(Y^H E Z)`` every solve is
+    diagonal in that eigenbasis::
+
+        (sigma E - A)^-1   = Z (sigma - lam)^-1 D^-1 Y^H
+        (sigma E - A)^-T   = conj(Y) (sigma - lam)^-1 D^-1 Z^T
+
+    and is followed by one step of iterative refinement against
+    ``sigma E - A`` through the same factors. A pencil with a singular E
+    (:class:`PencilSingularError` from the QZ), or whose right or left
+    eigenvector matrix has a condition number above ``_MODAL_COND`` (a
+    near-defective pencil), is solved by :func:`dense_solve` at every
+    shift instead; ``modal`` is False then. A shift equal to an eigenvalue
+    (on that route: an exactly singular LU) raises
+    :class:`ShiftCollisionError`.
+    """
+
+    def __init__(self, A, E):
+        self.A, self.E = A, E
+        try:
+            values, vl, vr = _eig_pencil(A, E)
+        except PencilSingularError:
+            values = None
+        self.modal = values is not None and max(
+            np.linalg.cond(vr), np.linalg.cond(vl)) <= _MODAL_COND
+        if self.modal:
+            self._values = values
+            self._Z = np.asarray(vr, dtype=np.complex128)
+            self._Yh = np.ascontiguousarray(vl.conj().T, dtype=np.complex128)
+            self._inv_d = 1.0 / np.vecdot(vl, E @ self._Z, axis=0)  # diag(Y^H E Z)
+
+    def solve(self, sigma, b, c):
+        """``(sigma E - A)^-1 b`` and ``(sigma E - A)^-T c``."""
+        Ms = sigma * self.E - self.A
+        if not self.modal:
+            try:
+                return dense_solve(Ms, b), dense_solve(Ms.T, c)
+            except SingularMatrixError as exc:
+                raise ShiftCollisionError(sigma, str(exc)) from exc
+        gap = sigma - self._values
+        if not gap.all():
+            raise ShiftCollisionError(sigma, f"shift {sigma} is an eigenvalue of the pencil")
+        scale = self._inv_d / gap
+        Z, Yh = self._Z, self._Yh
+        x = Z @ (scale * (Yh @ b))
+        x += Z @ (scale * (Yh @ (b - Ms @ x)))
+        y = Yh.T @ (scale * (Z.T @ c))  # Yh.T is conj(Y)
+        y += Yh.T @ (scale * (Z.T @ (c - y @ Ms)))
+        return x, y
 
 
 def sigma_max(G):

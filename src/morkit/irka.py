@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lu
-from .dense import dense_solve, eig_generalized, orthonormalize, vector_norm
+from .dense import PencilResolvent, eig_generalized, orthonormalize, vector_norm
 from .errors import (
     ConvergenceWarning,
     DimensionError,
@@ -654,6 +654,18 @@ def _dominant_initialization(E, A, B, C, r):
     return _mirror_interpolation(chosen, B, C)
 
 
+def _real_block(name, X):
+    """Block `name` of a first-order system as a float64 array; complex or
+    non-finite entries are rejected by name."""
+    X = np.asarray(X)
+    if np.iscomplexobj(X):
+        raise StructuralError(f"block {name} is complex; the pencil must be real")
+    X = X.astype(float, copy=False)
+    if not np.isfinite(X).all():
+        raise StructuralError(f"block {name} has non-finite entries")
+    return X
+
+
 def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
                      tol=IrkaConfig.inner_tol, init=None):
     """IRKA for a dense first-order MIMO system (E, A, B, C).
@@ -662,15 +674,19 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
     shift set is stationary up to `tol` (relative movement of sorted
     shifts) or `max_iter` is reached. Intended for the small companion
     pencils arising in the second-order shift update; everything here
-    is dense. An `init` with more than `r` shifts is cut to its
-    closure-preserving head of `r` (:func:`_truncate_closed`); one with
-    fewer raises :class:`DimensionError`.
+    is dense, and the blocks must be real and finite (else
+    :class:`StructuralError` names the block). The pencil is decomposed
+    once, and every tangential solve of the run goes through that
+    eigenbasis (:class:`~morkit.dense.PencilResolvent`, which falls back
+    to an LU per shift for a singular E or a near-defective pencil). An
+    `init` with more than `r` shifts is cut to its closure-preserving
+    head of `r` (:func:`_truncate_closed`); one with fewer raises
+    :class:`DimensionError`.
 
     Returns a :class:`FirstOrderReduction`; its interpolation field is
     the final iterate (mirrored poles of the second-to-last projection).
     """
-    E, A = np.asarray(E, dtype=float), np.asarray(A, dtype=float)
-    B, C = np.asarray(B, dtype=float), np.asarray(C, dtype=float)
+    E, A, B, C = (_real_block(name, X) for name, X in zip("EABC", (E, A, B, C)))
     n = E.shape[0]
     if A.shape != E.shape or E.ndim != 2 or E.shape[0] != E.shape[1]:
         raise DimensionError("E and A must be square and of equal shape")
@@ -689,13 +705,10 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
     # the tangential directions are complex: cast B and C^T once
     B_c = _cast_for(B, np.complex128)
     C_t = _cast_for(C.T, np.complex128)
+    resolvent = PencilResolvent(A, E)  # one QZ for every solve of the run
 
     def solve(sigma, b_row, c_row):
-        Ms = sigma * E - A
-        try:
-            return dense_solve(Ms, B_c @ b_row), dense_solve(Ms.T, C_t @ c_row)
-        except SingularMatrixError as exc:
-            raise ShiftCollisionError(sigma, str(exc)) from exc
+        return resolvent.solve(sigma, B_c @ b_row, C_t @ c_row)
 
     def step(basis, interp):
         V, W = basis.V, basis.W

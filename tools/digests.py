@@ -29,24 +29,27 @@ shifted augmented matrix, on one pattern at every shift, kept all 16.
 All 16 changed when each system's route came to be decided once from
 its augmented pattern, so that a run's first factorization takes that
 route instead of SuperLU; ``tools/equivalence.py`` passed, and every
-``lu_route`` line stayed the same. The current record::
+``lu_route`` line stayed the same. All 16 changed again when
+``orthonormalize`` moved from Gram-Schmidt to one Householder QR and the
+inner IRKA began to solve through one eigendecomposition of its pencil;
+``tools/equivalence.py`` passed. The current record::
 
-    synth150-s0 700753bb1d14c67b
-    synth150-s1 5c172648ea93be82
-    synth150-s2 20e57ec093061152
-    synth150-s3 e6d620e7c7dd1af9
-    synth150-s4 56225cb41eb3249e
-    mimo-inner-s0 38bca3420a902cc6
-    mimo-inner-s1 f18801a9b4f8b142
-    mimo-inner-s2 d338b4180032e0dd
-    mimo-inner-s3 da88591f511617fd
-    nonsym200-s0 78fbaaf0cddf54ed
-    nonsym200-s1 04d1efa69c9ed440
-    nonsym200-s2 75a64e14a9426de1
-    synth-fill-s0 61ba1d836a270e2e
-    chain5000-s0 ccd0247f099c2a04
-    chain5000-s0-2s 828390826575d9d9
-    chain50000-s0 cae93a9c155369eb
+    synth150-s0 40793e47b456c86f
+    synth150-s1 24d0b47471213eed
+    synth150-s2 eb59c33c8231366d
+    synth150-s3 1560f2b20fc7eaf2
+    synth150-s4 ec9058910f477646
+    mimo-inner-s0 7ddacfcd8ad212f4
+    mimo-inner-s1 76578cdbb5b20425
+    mimo-inner-s2 9ec78d27e452df77
+    mimo-inner-s3 afbb5b25fa10ed0a
+    nonsym200-s0 7977af2b8e5b26e2
+    nonsym200-s1 d6ce115c89cd2e95
+    nonsym200-s2 576ebe363f650ebe
+    synth-fill-s0 9011c628dd86a005
+    chain5000-s0 265eb0fed4236a3e
+    chain5000-s0-2s 4895351bd58a4bde
+    chain50000-s0 cbd13f8036b9f44c
 
 The systems:
 
