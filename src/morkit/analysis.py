@@ -206,7 +206,7 @@ def stability_report(rom):
     """Eigenvalue-based stability verdict for a reduced model."""
     pencil = companion(rom)
     try:
-        triplets = eig_generalized(pencil.A, pencil.E)
+        values, _, _ = eig_generalized(pencil.A, pencil.E)
     except MorkitError as exc:
         return StabilityReport(
             eigenvalues=np.empty(0, dtype=np.complex128),
@@ -215,7 +215,6 @@ def stability_report(rom):
             indeterminate=True,
             message=str(exc),
         )
-    values = np.array([t.value for t in triplets], dtype=np.complex128)
     values = values[np.lexsort((values.imag, values.real))]
     max_real = float(np.max(values.real))
     return StabilityReport(

@@ -6,7 +6,6 @@ companion pencils), so dense LAPACK-backed routines are appropriate.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,19 +31,6 @@ _QR_ROUTINES = {
     for dtype in (np.float64, np.complex128)
 }
 _EPS = np.finfo(np.float64).eps  # also complex128's
-
-
-@dataclass(frozen=True)
-class EigenTriplet:
-    """One eigenvalue with matched right and left eigenvectors.
-
-    Conventions: ``A z = value * E z`` and ``y^H A = value * y^H E``,
-    both vectors normalized to unit 2-norm.
-    """
-
-    value: complex
-    right: np.ndarray
-    left: np.ndarray
 
 
 def orthonormalize(V, drop_tol=1e-10):
@@ -111,19 +97,8 @@ def _householder_qr(V):
     return Q, r
 
 
-def vector_norm(v):
-    """``numpy.linalg.norm`` of a 1-d float or complex vector, bitwise,
-    without its dispatch."""
-    v = v.ravel(order="K")  # a copy only if v is strided, as numpy makes
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
-
-
 def _row_norms(rows):
-    """:func:`vector_norm` of every row of a 2-d block with contiguous
-    rows, bitwise, in a few calls (vecdot runs one BLAS dot per row)."""
+    """2-norm of every row of a 2-d float or complex block."""
     if rows.dtype.kind == "c":
         re, im = rows.real, rows.imag
         return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
@@ -134,25 +109,37 @@ def _row_norms(rows):
 # (routine, n); scipy.linalg.eig looks both up on every call
 _GGEV = {}
 _GGEV_LWORK = {}
-# BLAS nrm2 per eigenvector dtype, as scipy.linalg.norm looks it up
-_NRM2 = {
-    dtype: sla.get_blas_funcs("nrm2", dtype=dtype, ilp64="preferred")
-    for dtype in (np.float32, np.float64, np.complex64, np.complex128)
-}
-_I = np.array(1j, dtype=np.complex64)  # scipy.linalg.eig's imaginary unit
 
 
-def _eig_pencil(A, E):
-    """``scipy.linalg.eig(A, E, left=True, right=True)`` for finite square
-    operands, with its arithmetic and one ggev call, but none of its
-    per-call lookups. A pencil with an infinite or undefined eigenvalue
-    raises :class:`PencilSingularError` before any eigenvector work.
+def eig_generalized(A, E):
+    """All eigenvalues of the pencil (A, E) with matched eigenvectors.
+
+    Solves ``A z = lambda E z`` and ``y^H A = lambda y^H E`` by QZ
+    (LAPACK ``ggev``). Returns ``(values, right, left)``: the complex
+    eigenvalues, shape (n,), and the n x n matrices whose column k is the
+    right (z) and left (y) eigenvector of ``values[k]``, each scaled to
+    unit 2-norm. On real input the spectrum is closed under conjugation,
+    a conjugate pair sits in consecutive columns, and the vectors are
+    real when every eigenvalue is. NaN or Inf input raises
+    ``ValueError``; a singular E makes the pencil have infinite or
+    undefined eigenvalues and raises :class:`PencilSingularError` before
+    any eigenvector work.
     """
+    A = np.asarray(A)
+    E = np.asarray(E)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != E.shape:
+        raise DimensionError(
+            f"pencil blocks must be square and same shape, got {A.shape} and {E.shape}"
+        )
+    if not (np.isfinite(A).all() and np.isfinite(E).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[0]
+    if n == 0:
+        return np.empty(0, np.complex128), np.empty((0, 0)), np.empty((0, 0))
     key = (A.dtype.char, E.dtype.char)
     ggev = _GGEV.get(key)
     if ggev is None:
         ggev = _GGEV[key] = sla.get_lapack_funcs(("ggev",), (A, E))[0]
-    n = A.shape[0]
     lwork = _GGEV_LWORK.get((ggev.typecode, n))
     if lwork is None:
         query = ggev(A, E, lwork=-1)
@@ -161,7 +148,7 @@ def _eig_pencil(A, E):
         alpha, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork)
     else:
         alphar, alphai, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork)
-        alpha = alphar + _I * alphai
+        alpha = alphar + 1j * alphai
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal "
                          "generalized eig algorithm (ggev)")
@@ -174,57 +161,22 @@ def _eig_pencil(A, E):
         raise PencilSingularError(
             "pencil has infinite or undefined eigenvalues (E-hat is singular)"
         )
-    if ggev.typecode not in "cz" and values.imag.any():
-        vl = _complex_eigvecs(values, vl)
-        vr = _complex_eigvecs(values, vr)
-    nrm2 = _NRM2[vr.dtype.type]
-    real = vr.real.dtype
-    vr /= np.array([nrm2(z) for z in vr.T], dtype=real)
-    vl /= np.array([nrm2(y) for y in vl.T], dtype=real)
-    return values, vl, vr
+    if ggev.typecode not in "cz" and alphai.any():
+        # a pair's real and imaginary parts sit in columns k and k + 1,
+        # where alphai[k] > 0
+        first = np.flatnonzero(alphai > 0)
+        vl, vr = (_complex_pairs(v, first) for v in (vl, vr))
+    # each column scaled to unit 2-norm: the rows of v.T are its columns
+    return values, vr / _row_norms(vr.T), vl / _row_norms(vl.T)
 
 
-def _complex_eigvecs(values, v_real):
-    """Complex eigenvectors from real ggev output, filled as scipy fills them:
-    a conjugate pair shares columns i (real part) and i + 1 (imaginary part)."""
-    v = np.array(v_real, dtype=values.dtype)
-    first = values.imag > 0
-    first[:-1] |= values.imag[1:] < 0
-    for i in np.flatnonzero(first):
-        v.imag[:, i] = v_real[:, i + 1]
-        np.conj(v[:, i], v[:, i + 1])
-    return v
-
-
-def eig_generalized(A, E):
-    """All eigentriplets of the pencil (A, E).
-
-    Solves ``A z = lambda E z`` and ``y^H A = lambda y^H E`` with
-    matched left/right eigenvectors (QZ); on real input the spectrum is
-    closed under conjugation. A singular E makes the pencil have
-    infinite eigenvalues and raises :class:`PencilSingularError`.
-    Values and vectors are bitwise what ``scipy.linalg.eig(A, E,
-    left=True, right=True)`` returns, with each eigenvector scaled by its
-    2-norm once more; NaN or Inf input raises ``ValueError`` as there.
-    """
-    A = np.asarray(A)
-    E = np.asarray(E)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != E.shape:
-        raise DimensionError(
-            f"pencil blocks must be square and same shape, got {A.shape} and {E.shape}"
-        )
-    if not (np.isfinite(A).all() and np.isfinite(E).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if A.shape[0] == 0:
-        return []
-    values, vl, vr = _eig_pencil(A, E)
-    # ggev's vectors are F-ordered: the rows of vr.T are its columns
-    right = vr / _row_norms(vr.T)
-    left = vl / _row_norms(vl.T)
-    return [
-        EigenTriplet(value, z, y)
-        for value, z, y in zip(values.tolist(), right.T, left.T)
-    ]
+def _complex_pairs(v, first):
+    """Complex eigenvectors from real ggev output whose conjugate pairs
+    start at the columns `first`."""
+    out = v.astype(np.complex128)
+    out[:, first] += 1j * v[:, first + 1]
+    out[:, first + 1] = out[:, first].conj()
+    return out
 
 
 # An eigenbasis of condition number kappa solves to a relative error near
@@ -238,9 +190,9 @@ class PencilResolvent:
     """Solves with ``sigma E - A`` and its transpose for one fixed real
     pencil, at any shift.
 
-    The pencil is decomposed once by QZ, ``A Z = E Z diag(lam)`` and
-    ``Y^H A = diag(lam) Y^H E``. With ``D = diag(Y^H E Z)`` every solve is
-    diagonal in that eigenbasis::
+    The pencil is decomposed once by QZ (:func:`eig_generalized`),
+    ``A Z = E Z diag(lam)`` and ``Y^H A = diag(lam) Y^H E``. With
+    ``D = diag(Y^H E Z)`` every solve is diagonal in that eigenbasis::
 
         (sigma E - A)^-1   = Z (sigma - lam)^-1 D^-1 Y^H
         (sigma E - A)^-T   = conj(Y) (sigma - lam)^-1 D^-1 Z^T
@@ -258,16 +210,16 @@ class PencilResolvent:
     def __init__(self, A, E):
         self.A, self.E = A, E
         try:
-            values, vl, vr = _eig_pencil(A, E)
+            values, Z, Y = eig_generalized(A, E)
         except PencilSingularError:
             values = None
         self.modal = values is not None and max(
-            np.linalg.cond(vr), np.linalg.cond(vl)) <= _MODAL_COND
+            np.linalg.cond(Z), np.linalg.cond(Y)) <= _MODAL_COND
         if self.modal:
             self._values = values
-            self._Z = np.asarray(vr, dtype=np.complex128)
-            self._Yh = np.ascontiguousarray(vl.conj().T, dtype=np.complex128)
-            self._inv_d = 1.0 / np.vecdot(vl, E @ self._Z, axis=0)  # diag(Y^H E Z)
+            self._Z = np.asarray(Z, dtype=np.complex128)
+            self._Yh = np.ascontiguousarray(Y.conj().T, dtype=np.complex128)
+            self._inv_d = 1.0 / np.vecdot(Y, E @ self._Z, axis=0)  # diag(Y^H E Z)
 
     def solve(self, sigma, b, c):
         """``(sigma E - A)^-1 b`` and ``(sigma E - A)^-T c``."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lu
-from .dense import PencilResolvent, eig_generalized, orthonormalize, vector_norm
+from .dense import PencilResolvent, _row_norms, eig_generalized, orthonormalize
 from .errors import (
     ConvergenceWarning,
     DimensionError,
@@ -146,66 +146,52 @@ class InterpolationData:
         return True
 
 
-def _canonical_phase(vec):
-    """Rotate a direction so its largest component is real positive.
+def _unit_rows(X):
+    """Rows of X scaled to unit 2-norm and rotated so that each row's
+    largest entry is real positive; a zero row becomes the first unit
+    vector.
 
     Tangential directions are eigenvector-derived and therefore unique
-    only up to complex phase; fixing the phase makes iterates (and the
+    only up to a complex scale; fixing it makes iterates (and the
     reduced model entries) deterministic.
     """
-    a = vec[np.abs(vec).argmax()]
-    if a == 0:
-        out = np.zeros_like(vec)
-        out[0] = 1.0
-        return out
-    return vec * (np.abs(a) / a)
-
-
-def _unit_direction(vec):
-    norm = vector_norm(vec)
-    if norm == 0:
-        out = np.zeros_like(vec)
-        out[0] = 1.0
-        return out
-    return _canonical_phase(vec / norm)
-
-
-def _real_direction(vec):
-    """Self-conjugate (real) representative for a real shift's direction."""
-    rotated = _canonical_phase(vec)
-    return _unit_direction(rotated.real.astype(np.complex128))
+    norms = _row_norms(X)
+    zero = norms == 0.0
+    X = X / np.where(zero, 1.0, norms)[:, None]
+    lead = X[np.arange(X.shape[0]), np.abs(X).argmax(axis=1)]
+    lead[zero] = 1.0
+    X *= (np.abs(lead) / lead)[:, None]
+    X[zero, 0] = 1.0
+    return X
 
 
 def enforce_conjugate_closure(shifts, b, c):
     """Build a closed, unit-direction, deterministically ordered iterate.
 
     Shifts are paired by :func:`pair_conjugates`, visited in (real,
-    imaginary) order. Real shifts collapse onto the real axis; pairs are
-    averaged with their conjugates, and any unmatched complex leftover
-    is demoted to its real part rather than breaking closure. Directions
-    are renormalized to unit length with canonical phase. The result is
-    sorted by (real, imaginary) part.
+    imaginary) order. Real shifts collapse onto the real axis, with the
+    real part of their phase-fixed directions; pairs are averaged with
+    their conjugates, and any unmatched complex leftover is demoted to
+    its real part rather than breaking closure. Directions are
+    renormalized to unit length with canonical phase (:func:`_unit_rows`).
+    The result is sorted by (real, imaginary) part.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.complex128))
     b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
     c = np.atleast_2d(np.asarray(c, dtype=np.complex128))
-    entries = []  # (shift, b_row, c_row)
-    for i, j in pair_conjugates(shifts, order=np.lexsort((shifts.imag, shifts.real))):
-        if j is None or j < 0:
-            # real, or no conjugate partner: keep the iteration alive on the real axis
-            entries.append((complex(shifts[i].real), _real_direction(b[i]),
-                            _real_direction(c[i])))
-            continue
-        pair = (shifts[i] + np.conj(shifts[j])) / 2.0
-        b_row = _unit_direction((b[i] + np.conj(b[j])) / 2.0)
-        c_row = _unit_direction((c[i] + np.conj(c[j])) / 2.0)
-        entries.append((pair, b_row, c_row))
-        entries.append((np.conj(pair), np.conj(b_row), np.conj(c_row)))
-    out_s = np.array([e[0] for e in entries], dtype=np.complex128)
-    out_b = np.array([e[1] for e in entries])
-    out_c = np.array([e[2] for e in entries])
-    order = np.lexsort((out_s.imag, out_s.real))
-    return InterpolationData(out_s[order], out_b[order], out_c[order])
+    groups = pair_conjugates(shifts, order=np.lexsort((shifts.imag, shifts.real)))
+    # real, or no conjugate partner: keep the iteration alive on the real axis
+    real = np.array([i for i, j in groups if j is None or j < 0], dtype=np.intp)
+    first, second = np.array([(i, j) for i, j in groups if j is not None and j >= 0],
+                             dtype=np.intp).reshape(-1, 2).T
+    pairs = (shifts[first] + shifts[second].conj()) / 2.0
+    out = [np.concatenate([shifts[real].real, pairs, pairs.conj()])]
+    for X in (b, c):
+        X_pair = _unit_rows((X[first] + X[second].conj()) / 2.0)
+        out.append(np.concatenate([_unit_rows(_unit_rows(X[real]).real), X_pair,
+                                   X_pair.conj()]))
+    order = np.lexsort((out[0].imag, out[0].real))
+    return InterpolationData(*(X[order] for X in out))
 
 
 def _check_settings(freq_range, **tolerances):
@@ -583,28 +569,11 @@ class FirstOrderReduction:
     iterations: int
 
 
-def _cast_for(X, dtype):
-    """X as numpy's matmul casts it against an operand of `dtype`.
-
-    That is X itself when no cast is needed, else a C-contiguous copy in
-    the common dtype, which is what matmul casts to on every product. The
-    products are bitwise the same; the cast is made once. (A copy in X's
-    own layout would switch an F-ordered X to another BLAS kernel.)
-    """
-    common = np.result_type(X.dtype, dtype)
-    return X if common == X.dtype else np.ascontiguousarray(X, dtype=common)
-
-
-def _mirror_interpolation(triplets, B, C):
-    """Next iterate from reduced eigentriplets: sigma = -lambda, tangential
-    directions from the eigenvectors (b = -B^H y, c = C z)."""
-    shifts = np.array([-t.value for t in triplets], dtype=np.complex128)
-    vectors = triplets[0].right.dtype  # one dtype for all, real or complex
-    B_h = _cast_for(B.conj().T, vectors)
-    C = _cast_for(C, vectors)
-    b = np.array([-(B_h @ t.left) for t in triplets])
-    c = np.array([C @ t.right for t in triplets])
-    return enforce_conjugate_closure(shifts, b, c)
+def _mirror_interpolation(values, right, left, B, C):
+    """Next iterate from reduced eigen-data (:func:`eig_generalized`):
+    sigma = -lambda, tangential directions from the eigenvectors,
+    b = -B^H y and c = C z (B is real)."""
+    return enforce_conjugate_closure(-values, -(left.T @ B), (C @ right).T)
 
 
 def _truncate_closed(interp, k):
@@ -632,26 +601,23 @@ def _dominant_initialization(E, A, B, C, r):
     Dominance of an eigentriplet (lambda, z, y) is measured by
     ||C z|| ||B^H y|| / |Re lambda|, the usual residue-over-decay
     weight. Conjugate partners are pulled in together so the selection
-    stays closed under conjugation.
+    stays closed under conjugation. When a single slot is left over, the
+    most dominant pair that did not fit enters as one shift, which the
+    closure demotes to its real part (as in :func:`_truncate_closed`);
+    so the iterate has r shifts whenever the pencil has r poles.
     """
-    triplets = eig_generalized(A, E)
-    vectors = triplets[0].right.dtype
-    B_h = _cast_for(B.conj().T, vectors)
-    C = _cast_for(C, vectors)
-    weights = []
-    for t in triplets:
-        num = vector_norm(C @ t.right) * vector_norm(B_h @ t.left)
-        weights.append(num / max(abs(t.value.real), np.finfo(float).tiny))
-    order = sorted(range(len(triplets)), key=lambda i: -weights[i])
-    values = [t.value for t in triplets]
-    chosen = []
-    for i, j in pair_conjugates(values, order=order):
-        group = (i,) if j is None else (i, j) if j >= 0 else ()
-        if group and len(chosen) + len(group) <= r:
-            chosen.extend(triplets[k] for k in group)
-    if not chosen:
-        chosen = [triplets[0]]
-    return _mirror_interpolation(chosen, B, C)
+    values, right, left = eig_generalized(A, E)
+    weights = (np.linalg.norm(C @ right, axis=0) * np.linalg.norm(B.T @ left, axis=0)
+               / np.maximum(np.abs(values.real), np.finfo(float).tiny))
+    chosen, spill = [], []
+    for i, j in pair_conjugates(values, order=np.argsort(-weights, kind="stable")):
+        group = [i] if j is None else [i, j] if j >= 0 else []
+        if len(chosen) + len(group) <= r:
+            chosen += group
+        elif not spill:
+            spill = [i]
+    chosen += spill[: r - len(chosen)]
+    return _mirror_interpolation(values[chosen], right[:, chosen], left[:, chosen], B, C)
 
 
 def _real_block(name, X):
@@ -702,18 +668,15 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
         raise DimensionError(f"initial iterate has {init.r} shifts, fewer than r={r}")
     interp = init if init.r == r else _truncate_closed(init, r)
 
-    # the tangential directions are complex: cast B and C^T once
-    B_c = _cast_for(B, np.complex128)
-    C_t = _cast_for(C.T, np.complex128)
     resolvent = PencilResolvent(A, E)  # one QZ for every solve of the run
 
     def solve(sigma, b_row, c_row):
-        return resolvent.solve(sigma, B_c @ b_row, C_t @ c_row)
+        return resolvent.solve(sigma, B @ b_row, C.T @ c_row)
 
     def step(basis, interp):
         V, W = basis.V, basis.W
-        triplets = eig_generalized(W.T @ A @ V, W.T @ E @ V)
-        return _mirror_interpolation(triplets, W.T @ B, C @ V)
+        return _mirror_interpolation(*eig_generalized(W.T @ A @ V, W.T @ E @ V),
+                                     W.T @ B, C @ V)
 
     interp, basis, iterations, converged = _shift_iteration(
         interp, lambda it: _tangential_bases(it, solve), step, max_iter, tol
@@ -744,7 +707,10 @@ def update_interpolation(pencil, config, warm_start):
     cycle; if it fails to settle, the run is repeated once from the
     most dominant poles of the companion pencil, which restarts it
     inside the basin of the dominant-subspace fixed point. The retried
-    result is kept only when it actually converged.
+    result is kept only when it actually converged. A pole of the kept
+    result with positive real part (an unconverged inner run can leave
+    an unstable reduced model) is mirrored as ``|Re lambda| - i Im
+    lambda``, so that every outer shift lies in the right half-plane.
     """
     reduction = irka_first_order(
         pencil.E, pencil.A, pencil.B, pencil.C,
@@ -766,8 +732,9 @@ def update_interpolation(pencil, config, warm_start):
         )
         if retried.converged:
             reduction = retried
-    triplets = eig_generalized(reduction.A, reduction.E)
-    return _mirror_interpolation(triplets, reduction.B, reduction.C)
+    values, right, left = eig_generalized(reduction.A, reduction.E)
+    values.real = -np.abs(values.real)  # an unstable pole mirrors as its stable twin
+    return _mirror_interpolation(values, right, left, reduction.B, reduction.C)
 
 
 # ---------------------------------------------------------------------------

