@@ -205,15 +205,20 @@ class PencilResolvent:
     shift instead; ``modal`` is False then. A shift equal to an eigenvalue
     (on that route: an exactly singular LU) raises
     :class:`ShiftCollisionError`.
+
+    ``eigen`` keeps the QZ's ``(values, right, left)`` for other uses of
+    the same pencil; it is None for a singular E, whose
+    :class:`PencilSingularError` is kept as ``singular``.
     """
 
     def __init__(self, A, E):
         self.A, self.E = A, E
+        self.eigen = self.singular = None
         try:
-            values, Z, Y = eig_generalized(A, E)
-        except PencilSingularError:
-            values = None
-        self.modal = values is not None and max(
+            self.eigen = values, Z, Y = eig_generalized(A, E)
+        except PencilSingularError as exc:
+            self.singular = exc
+        self.modal = self.eigen is not None and max(
             np.linalg.cond(Z), np.linalg.cond(Y)) <= _MODAL_COND
         if self.modal:
             self._values = values

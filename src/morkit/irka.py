@@ -595,8 +595,10 @@ def _truncate_closed(interp, k):
     return enforce_conjugate_closure(interp.shifts[rows], interp.b[rows], interp.c[rows])
 
 
-def _dominant_initialization(E, A, B, C, r):
-    """Interpolation data seeded from the r most dominant pencil poles.
+def _dominant_initialization(eigen, B, C, r):
+    """Interpolation data seeded from the r most dominant poles of a
+    pencil, from its eigen-data ``(values, right, left)``
+    (:func:`eig_generalized`).
 
     Dominance of an eigentriplet (lambda, z, y) is measured by
     ||C z|| ||B^H y|| / |Re lambda|, the usual residue-over-decay
@@ -606,7 +608,7 @@ def _dominant_initialization(E, A, B, C, r):
     closure demotes to its real part (as in :func:`_truncate_closed`);
     so the iterate has r shifts whenever the pencil has r poles.
     """
-    values, right, left = eig_generalized(A, E)
+    values, right, left = eigen
     weights = (np.linalg.norm(C @ right, axis=0) * np.linalg.norm(B.T @ left, axis=0)
                / np.maximum(np.abs(values.real), np.finfo(float).tiny))
     chosen, spill = [], []
@@ -633,7 +635,7 @@ def _real_block(name, X):
 
 
 def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
-                     tol=IrkaConfig.inner_tol, init=None):
+                     tol=IrkaConfig.inner_tol, init=None, resolvent=None):
     """IRKA for a dense first-order MIMO system (E, A, B, C).
 
     Iterates Hermite interpolation at mirrored reduced poles until the
@@ -644,8 +646,9 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
     :class:`StructuralError` names the block). The pencil is decomposed
     once, and every tangential solve of the run goes through that
     eigenbasis (:class:`~morkit.dense.PencilResolvent`, which falls back
-    to an LU per shift for a singular E or a near-defective pencil). An
-    `init` with more than `r` shifts is cut to its closure-preserving
+    to an LU per shift for a singular E or a near-defective pencil);
+    a caller that decomposed the pencil already passes its `resolvent`.
+    An `init` with more than `r` shifts is cut to its closure-preserving
     head of `r` (:func:`_truncate_closed`); one with fewer raises
     :class:`DimensionError`.
 
@@ -668,7 +671,8 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
         raise DimensionError(f"initial iterate has {init.r} shifts, fewer than r={r}")
     interp = init if init.r == r else _truncate_closed(init, r)
 
-    resolvent = PencilResolvent(A, E)  # one QZ for every solve of the run
+    if resolvent is None:
+        resolvent = PencilResolvent(A, E)  # one QZ for every solve of the run
 
     def solve(sigma, b_row, c_row):
         return resolvent.solve(sigma, B @ b_row, C.T @ c_row)
@@ -706,29 +710,34 @@ def update_interpolation(pencil, config, warm_start):
     The warm start occasionally parks the inner iteration in a limit
     cycle; if it fails to settle, the run is repeated once from the
     most dominant poles of the companion pencil, which restarts it
-    inside the basin of the dominant-subspace fixed point. The retried
-    result is kept only when it actually converged. A pole of the kept
+    inside the basin of the dominant-subspace fixed point. Both runs and
+    the restart share one decomposition of the pencil
+    (:class:`~morkit.dense.PencilResolvent`). The retried result is
+    kept only when it actually converged. A pole of the kept
     result with positive real part (an unconverged inner run can leave
     an unstable reduced model) is mirrored as ``|Re lambda| - i Im
     lambda``, so that every outer shift lies in the right half-plane.
     """
+    resolvent = PencilResolvent(_real_block("A", pencil.A), _real_block("E", pencil.E))
     reduction = irka_first_order(
         pencil.E, pencil.A, pencil.B, pencil.C,
         r=min(warm_start.r, pencil.E.shape[0]),
         max_iter=config.inner_max_iter,
         tol=config.inner_tol,
         init=warm_start,
+        resolvent=resolvent,
     )
     if not reduction.converged:
-        restart = _dominant_initialization(
-            pencil.E, pencil.A, pencil.B, pencil.C, warm_start.r
-        )
+        if resolvent.eigen is None:  # a singular E has no dominant poles
+            raise resolvent.singular
+        restart = _dominant_initialization(resolvent.eigen, pencil.B, pencil.C, warm_start.r)
         retried = irka_first_order(
             pencil.E, pencil.A, pencil.B, pencil.C,
             r=restart.r,
             max_iter=config.inner_max_iter,
             tol=config.inner_tol,
             init=restart,
+            resolvent=resolvent,
         )
         if retried.converged:
             reduction = retried

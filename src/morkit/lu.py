@@ -7,8 +7,11 @@ factors. A :class:`Route` decides, once per sparsity pattern, how every
 matrix of that pattern is factored. It runs one SuperLU factorization of
 the pattern itself and measures its fill ``nnz(L + U)``:
 
-* "dense": from :data:`DENSE_FILL` of n^2 on, LAPACK ``?getrf`` on the
-  dense matrix;
+* "ldlt": from :data:`DENSE_FILL` of n^2 on, when the matrix equals its
+  transpose exactly at every shift, LAPACK ``?sytrf`` (Bunch-Kaufman
+  symmetric pivoting, ``A = P L D L^T P^T``) on the dense matrix;
+* "dense": from :data:`DENSE_FILL` on otherwise, LAPACK ``?getrf`` on
+  the dense matrix;
 * "band": below it, when reverse Cuthill-McKee orders the pattern into a
   band whose storage, ``(2 kl + ku + 1) n`` entries, is at most
   :data:`BAND_FILL` times that fill, LAPACK ``?gbtrf`` on the band
@@ -42,6 +45,15 @@ about 30 x 30 on stay on SuperLU. A reduction records its system's route
 in its trace (see :class:`~morkit.irka.IterationTrace`), with the
 bandwidths on the band route; the benchmark's chain, for one, records
 ``lu_route band fill 4.0000099997999949e-05 kl 4 ku 4``.
+
+The "ldlt" route reads one triangle and does half of ``?getrf``'s work.
+It needs LAPACK's blocked algorithm: scipy's ``?sytrf`` wrapper defaults
+to a workspace of n, which runs the unblocked one, slower than
+``?getrf``. With the workspace that ``?sytrf_lwork`` asks for (64 n),
+one BLAS thread and a dense symmetric matrix of n = 1,100 (the
+benchmark's synth-fill size, a 2-core Xeon), ``zsytrf`` takes 41 ms
+against ``zgetrf``'s 72 ms and ``dsytrf`` 20 ms against ``dgetrf``'s
+32 ms; with the default workspace ``zsytrf`` took 247 ms.
 """
 
 import functools
@@ -67,10 +79,12 @@ class Route:
     unit entries under a diagonal of n, which dominates its row and its
     column, so every pivot stays on the diagonal and the factorization
     exists. From :data:`DENSE_FILL` on, sparse elimination saves too
-    little to pay for its indexing: LAPACK ``getrf`` on the dense matrix
-    (``kind`` "dense"). Below it, when the reverse Cuthill-McKee band of
-    A + A^T stores at most :data:`BAND_FILL` times the fill, LAPACK
-    ``gbtrf`` on the band ("band"; ``band`` is its
+    little to pay for its indexing: LAPACK ``sytrf`` on the dense matrix
+    when it equals its transpose exactly at every shift
+    (:meth:`~morkit.sparse.ShiftedAugmented.is_symmetric`, ``kind``
+    "ldlt"), else ``getrf`` ("dense"). Below it, when the reverse
+    Cuthill-McKee band of A + A^T stores at most :data:`BAND_FILL` times
+    the fill, LAPACK ``gbtrf`` on the band ("band"; ``band`` is its
     :data:`~morkit.sparse.BandLayout`, None on the other routes);
     otherwise SuperLU, each LU with its own minimum degree order
     ("sparse").
@@ -89,7 +103,10 @@ class Route:
         fill_nnz = probe.L.nnz + probe.U.nnz - n  # L's unit diagonal is stored
         self.fill = fill_nnz / n**2
         self.kind, self.band = "dense", None
-        if self.fill < DENSE_FILL:
+        if self.fill >= DENSE_FILL:
+            if shifted.is_symmetric():
+                self.kind = "ldlt"
+        else:
             band = shifted.band_layout(_rcm_order(A))
             fits = (2 * band.kl + band.ku + 1) * n <= BAND_FILL * fill_nnz
             self.kind, self.band = ("band", band) if fits else ("sparse", None)
@@ -112,7 +129,9 @@ class SparseLU:
     LAPACK's (:class:`_DenseLU`, :class:`_BandLU`); all three answer
     ``solve(rhs, trans)``, ``L``, ``U``, ``perm_r`` and ``perm_c`` alike.
     The band route's ``L``, ``U`` and ``perm_r`` are built from its
-    band factors when first read, which no solve needs.
+    band factors when first read, which no solve needs. The ldlt route's
+    factors (:class:`_DenseLDLT`) answer ``solve``, ``L`` and ``U``
+    only: they are not an LU, and have no permutations.
 
     Attributes
     ----------
@@ -212,6 +231,69 @@ class _DenseLU:
     @property
     def perm_c(self):
         return np.arange(self._piv.shape[0], dtype=self._piv.dtype)
+
+
+class _DenseLDLT:
+    """LAPACK ``?sytrf`` factors ``A = P L D L^T P^T`` of a dense
+    symmetric matrix, from its lower triangle, behind the part of
+    SuperLU's interface that :class:`SparseLU` uses for solves. Since
+    ``A = A^T``, the transposed solve is the plain one.
+
+    ``L`` (the unit lower triangle of multipliers) and ``U`` (the block
+    diagonal D, its 2 x 2 blocks' off-diagonal entries included) are
+    copies of the stored factors, built when read, for their sizes;
+    they satisfy no ``Pr @ A @ Pc = L @ U``, and there is no ``perm_r``
+    or ``perm_c``.
+    """
+
+    def __init__(self, ldu, ipiv):
+        self._ldu, self._ipiv = ldu, ipiv  # ipiv as LAPACK's, 1-based
+        self._sytrs = lapack.get_lapack_funcs("sytrs", (ldu,))
+
+    def solve(self, rhs, trans="N"):
+        x, _ = self._sytrs(self._ldu, self._ipiv, rhs, lower=1)
+        return x
+
+    @property
+    def L(self):
+        L = _triangle_csc(self._ldu, lower=True)
+        L.data[L.indptr[:-1]] = 1.0  # each column starts at its unit diagonal
+        # below a 2 x 2 block's first diagonal entry sits D's, not a multiplier
+        L.data[L.indptr[_block_starts(self._ipiv)] + 1] = 0.0
+        return L
+
+    @property
+    def U(self):
+        n = self._ldu.shape[0]
+        first = _block_starts(self._ipiv)
+        rows = np.concatenate([np.arange(n), first + 1, first])
+        cols = np.concatenate([np.arange(n), first, first + 1])
+        # D is stored in the lower triangle only
+        values = self._ldu[np.maximum(rows, cols), np.minimum(rows, cols)]
+        return sp.csc_array((values, (rows, cols)), shape=(n, n))
+
+
+def _block_starts(ipiv):
+    """First columns of the 2 x 2 blocks of ``?sytrf``'s D (lower): each
+    block marks its two columns with equal negative ``ipiv`` entries."""
+    return np.flatnonzero(ipiv < 0)[::2]
+
+
+def _ldlt_order(ipiv):
+    """A's column at each position of ``?sytrf``'s (lower) ``P^T A P``.
+
+    Step k interchanges rows and columns k and ``ipiv[k] - 1`` before a
+    1 x 1 pivot, or k + 1 and ``-ipiv[k] - 1`` before a 2 x 2 block at
+    k and k + 1; a later step moves only later positions.
+    """
+    order = np.arange(ipiv.shape[0])
+    k = 0
+    while k < ipiv.shape[0]:
+        j = k if ipiv[k] > 0 else k + 1  # a 2 x 2 block's second position
+        p = abs(int(ipiv[k])) - 1
+        order[j], order[p] = order[p], order[j]
+        k = j + 1
+    return order
 
 
 class _BandLU:
@@ -326,8 +408,10 @@ def factor(A, route=None):
     route : None or Route
         The :class:`Route` of A's pattern. On the dense route A is
         factored by LAPACK ``getrf`` (classical partial pivoting) with
-        no column order; otherwise, and when None, SuperLU runs with
-        minimum degree ordering on the pattern of A + A^T.
+        no column order, on the ldlt route, where A must be symmetric,
+        by LAPACK ``sytrf`` (Bunch-Kaufman pivoting) from its lower
+        triangle; otherwise, and when None, SuperLU runs with minimum
+        degree ordering on the pattern of A + A^T.
 
     Raises
     ------
@@ -343,6 +427,8 @@ def factor(A, route=None):
     A = as_canonical_csc(A)
     if route is not None and route.kind == "dense":
         return _factor_dense(A)
+    if route is not None and route.kind == "ldlt":
+        return _factor_ldlt(A)
     try:
         superlu = spla.splu(
             A,
@@ -368,6 +454,36 @@ def _factor_dense(A):
     return SparseLU(_DenseLU(lu, piv), A.dtype, A.shape[0])
 
 
+_SYTRF_LWORK = {}  # LAPACK's optimal ?sytrf workspace per (typecode, n)
+
+
+def _factor_ldlt(A):
+    """:func:`factor`'s ldlt route: LAPACK ``sytrf`` on the lower
+    triangle of canonical CSC `A`, which must be symmetric, with the
+    optimal workspace (blocked; the wrapper's default of n is not)."""
+    a = A.toarray(order="F")
+    n = a.shape[0]
+    sytrf = lapack.get_lapack_funcs("sytrf", (a,))
+    lwork = _SYTRF_LWORK.get((sytrf.typecode, n))
+    if lwork is None:
+        query = lapack.get_lapack_funcs("sytrf_lwork", (a,))
+        lwork = _SYTRF_LWORK[(sytrf.typecode, n)] = max(int(query(n, lower=1)[0].real), 1)
+    ldu, ipiv, info = sytrf(a, lower=1, lwork=lwork, overwrite_a=True)
+    if info > 0:  # D[info-1, info-1] is exactly zero
+        raise SingularMatrixError("dense LDL^T met an exactly zero pivot",
+                                  column=int(_ldlt_order(ipiv)[info - 1]))
+    pivots = np.diagonal(ldu)
+    first = _block_starts(ipiv)
+    if first.size:  # a 2 x 2 block counts by its smallest singular value
+        pivots = np.abs(pivots)
+        blocks = np.empty((first.size, 2, 2), dtype=ldu.dtype)
+        blocks[:, 0, 0], blocks[:, 1, 1] = ldu[first, first], ldu[first + 1, first + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
+        pivots[first] = pivots[first + 1] = np.linalg.svd(blocks, compute_uv=False)[:, 1]
+    _check_pivots(A, pivots, lambda: _ldlt_order(ipiv))
+    return SparseLU(_DenseLDLT(ldu, ipiv), A.dtype, n)
+
+
 def _factor_band(band):
     """:func:`factor`'s band route: LAPACK ``gbtrf`` on a BandMatrix,
     whose storage it overwrites."""
@@ -385,16 +501,16 @@ def _factor_band(band):
 def _check_pivots(A, pivots, pivot_cols=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
-    ``pivots[j]`` is U's pivot of A's column ``pivot_cols[j]`` (j when
-    None). `A` is canonical CSC, or a :class:`~morkit.sparse.BandMatrix`
+    ``pivots[j]`` is U's pivot (D's on the ldlt route) of A's column
+    ``pivot_cols[j]``: j when None, and when a function, its result,
+    asked for only when some pivot is small enough to need the columns.
+    `A` is canonical CSC, or a :class:`~morkit.sparse.BandMatrix`
     B, whose pivot j is of its own column j and which keeps its moduli
     for this check. A pivot is negligible when ``|u_jj| <= eps * n *
     colmax``, colmax the largest modulus in its column of A.
     """
     udiag = np.abs(pivots)
     scale = np.finfo(np.float64).eps * udiag.shape[0]
-    if pivot_cols is None:
-        pivot_cols = np.arange(udiag.shape[0])
     if isinstance(A, BandMatrix):
         abs_max, pivot_colmax = A.abs_max, A.column_abs_max
     else:
@@ -407,6 +523,10 @@ def _check_pivots(A, pivots, pivot_cols=None):
     # that entry's bound pass every column's bound as well
     if udiag.min() > scale * abs_max:
         return
+    if pivot_cols is None:
+        pivot_cols = np.arange(udiag.shape[0])
+    elif callable(pivot_cols):
+        pivot_cols = pivot_cols()
     bad = np.flatnonzero(udiag <= scale * pivot_colmax())
     if bad.size:
         raise SingularMatrixError(

@@ -100,6 +100,28 @@ class ShiftedAugmented:
         pattern = self.pattern
         return sp.csc_array((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
+    def is_symmetric(self):
+        """Whether the matrix :meth:`csc` gives equals its transpose
+        exactly at every sigma: ``pattern`` is symmetric, and so are M11,
+        L11 and K11 on the union and the fixed blocks (K22 itself, K21
+        against K12^T), each entry equal to its mirror as a number. Each
+        entry and its mirror are then computed by the same arithmetic at
+        every sigma, so a solver that reads one triangle reads all of A.
+        """
+        P = self.pattern
+        ranks = sp.csc_array((np.arange(P.nnz), P.indices, P.indptr), shape=P.shape)
+        mirrored = ranks.T.tocsc()  # canonical; holds where P's mirror entry sits
+        if not (np.array_equal(mirrored.indptr, P.indptr)
+                and np.array_equal(mirrored.indices, P.indices)):
+            return False
+        mirror = mirrored.data
+        values = np.zeros(P.nnz)
+        for block in self._shifted:
+            values[self._at] = block
+            if not np.array_equal(values[mirror], values):
+                return False
+        return np.array_equal(P.data[mirror], P.data)
+
     def band_layout(self, order):
         """The :data:`BandLayout` of ``pattern`` with its rows and
         columns taken in `order`, as narrow as the pattern allows."""

@@ -29,7 +29,7 @@ from morkit.irka import (
     reduce,
 )
 from morkit import lu as lu_module
-from morkit.lu import _BandLU, _DenseLU
+from morkit.lu import _BandLU, _DenseLDLT, _DenseLU
 from morkit.sparse import ShiftedAugmented, assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
@@ -159,12 +159,14 @@ def _spy_on_factorizations(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("kind, factors", [("generated", _DenseLU), ("chain", _BandLU)])
+@pytest.mark.parametrize("kind, factors", [("generated", _DenseLU), ("symmetric", _DenseLDLT),
+                                           ("chain", _BandLU)])
 def test_first_factorization_of_a_reduction_and_a_sweep_takes_the_route(
         monkeypatch, kind, factors):
     # the route is decided from the pattern before any LU, so no
     # reduction or sweep starts with a SuperLU factorization
-    make = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
+    make = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0, symmetric=False),
+            "symmetric": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
             "chain": lambda: chain_system(200, 20, True)}[kind]
     seen = _spy_on_factorizations(monkeypatch)
     with warnings.catch_warnings():

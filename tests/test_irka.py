@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morkit import analysis, irka
+from morkit import dense as dense_module
 from morkit import lu as lu_module
 from morkit.errors import (
     ConvergenceWarning,
@@ -49,7 +50,7 @@ from morkit.irka import (
     update_interpolation,
 )
 from morkit.dense import PencilResolvent, dense_solve, eig_generalized
-from morkit.lu import DENSE_FILL, _DenseLU
+from morkit.lu import DENSE_FILL, _DenseLDLT, _DenseLU
 from morkit.sparse import assemble_shifted_augmented
 from morkit.system import (
     ReducedSecondOrderModel,
@@ -855,6 +856,36 @@ def test_update_siso_directions_are_unit(s1):
     np.testing.assert_allclose(np.abs(out.c), 1.0, rtol=1e-12)
 
 
+def test_restarted_update_decomposes_its_pencil_once(monkeypatch):
+    # the warm-started run, the dominant-pole restart and the retried run
+    # share one QZ of the companion pencil; the other decompositions are
+    # of the inner runs' reduced pencils, which are smaller
+    rng = np.random.default_rng(0)
+    pencil = companion(ReducedSecondOrderModel(
+        M=np.eye(4), L=0.01 * np.eye(4), K=np.diag(rng.uniform(1e2, 1e4, 4)),
+        F=rng.standard_normal((4, 2)), H=rng.standard_normal((2, 4)), D=np.zeros((2, 2)),
+    ))
+    shapes, retried = [], []
+    eig, first_order = irka.eig_generalized, irka.irka_first_order
+
+    def counting_eig(A, E):
+        shapes.append(A.shape)
+        return eig(A, E)
+
+    def spy(*args, **kwargs):
+        retried.append(kwargs["init"])
+        return first_order(*args, **kwargs)
+
+    for module in (irka, dense_module):  # PencilResolvent looks it up in dense
+        monkeypatch.setattr(module, "eig_generalized", counting_eig)
+    monkeypatch.setattr(irka, "irka_first_order", spy)
+    config = IrkaConfig(r=3, inner_max_iter=1, inner_tol=1e-300)
+    update_interpolation(pencil, config, initial_interpolation(3, 2, 2))
+    assert len(retried) == 2  # the warm run did not settle, so it restarted
+    assert shapes.count(pencil.E.shape) == 1
+    assert shapes.count((3, 3)) == len(shapes) - 1
+
+
 @pytest.mark.parametrize("r", [3, 5, 7])
 def test_dominant_restart_keeps_odd_orders_on_an_all_complex_pencil(r):
     # a lightly damped order-4 model: its companion pencil has four
@@ -866,7 +897,7 @@ def test_dominant_restart_keeps_odd_orders_on_an_all_complex_pencil(r):
         F=rng.standard_normal((4, 2)), H=rng.standard_normal((2, 4)), D=np.zeros((2, 2)),
     ))
     assert np.all(np.linalg.eigvals(np.linalg.solve(pencil.E, pencil.A)).imag != 0.0)
-    out = _dominant_initialization(pencil.E, pencil.A, pencil.B, pencil.C, r)
+    out = _dominant_initialization(eig_generalized(pencil.A, pencil.E), pencil.B, pencil.C, r)
     assert out.r == r
     assert out.is_conjugate_closed()
     assert np.count_nonzero(out.shifts.imag == 0.0) == 1
@@ -991,20 +1022,21 @@ def test_driver_trace_structure(make_system):
     assert trace.format(include_timings=True) != text
 
 
-@pytest.mark.parametrize("kind, route", [("generated", "dense"), ("chain", "band"),
-                                         ("grid", "sparse")])
+@pytest.mark.parametrize("kind, route", [("generated", "dense"), ("symmetric", "ldlt"),
+                                         ("chain", "band"), ("grid", "sparse")])
 def test_trace_records_the_factorization_route_once(make_system, kind, route):
     # one deterministic line: the route of the reduction's LUs and the
     # fill of the augmented pattern, which chose it; on the band route
     # also the integer bandwidths of its RCM order
-    system = {"generated": lambda: make_system(40, 10, 2, 2, 0),
+    system = {"generated": lambda: make_system(40, 10, 2, 2, 0, symmetric=False),
+              "symmetric": lambda: make_system(40, 10, 2, 2, 0),
               "chain": lambda: chain_system(200, 20, True),
               "grid": lambda: grid_system(20)}[kind]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         _, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
     assert trace.lu_route == route
-    assert (trace.lu_fill >= DENSE_FILL) == (route == "dense")
+    assert (trace.lu_fill >= DENSE_FILL) == (route in ("dense", "ldlt"))
     band = " kl 2 ku 2" if route == "band" else ""
     lines = trace.format().splitlines()
     assert [line for line in lines if line.startswith("lu_route")] == [
@@ -1078,7 +1110,8 @@ def test_driver_iteration_cap_warns(make_system):
 def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch):
     # every LU of a reduction, the first one too, in every outer
     # iteration, takes the system's route, decided from its pattern
-    # before the first LU: dense for a generated system
+    # before the first LU: dense for a generated system, by LDL^T when
+    # it is symmetric
     calls = []
 
     def spy(system, sigma):
@@ -1087,13 +1120,15 @@ def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch
         return out
 
     monkeypatch.setattr(irka, "factor_augmented", spy)
-    system = make_system(40, 10, 2, 2, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
-    assert len(calls) > 4
-    assert system.route.kind == "dense"
-    assert calls == [(system.route, _DenseLU)] * len(calls)
+    for symmetric, kind, factors in ((False, "dense", _DenseLU), (True, "ldlt", _DenseLDLT)):
+        calls.clear()
+        system = make_system(40, 10, 2, 2, 0, symmetric=symmetric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))
+        assert len(calls) > 4
+        assert system.route.kind == kind
+        assert calls == [(system.route, factors)] * len(calls)
 
 
 def test_driver_repeats_its_bytes_on_one_system_object(make_system):

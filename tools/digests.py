@@ -36,13 +36,17 @@ inner IRKA began to solve through one eigendecomposition of its pencil;
 level came to carry its eigen-data as arrays, each eigenvector scaled
 once and every direction formed by block products, and the outer shift
 update began to mirror an unstable reduced pole into the right
-half-plane; ``tools/equivalence.py`` passed. The current record::
+half-plane; ``tools/equivalence.py`` passed. The six symmetric dense
+systems (``synth150-s0`` .. ``s4``, ``synth-fill-s0``) changed when
+exactly symmetric systems of dense fill began to factor by LDL^T
+(``?sytrf``, trace line ``lu_route ldlt``); ``tools/equivalence.py``
+passed, and the other 10 stayed. The current record::
 
-    synth150-s0 8ad6d3be1999c66a
-    synth150-s1 ce22248eb244eed3
-    synth150-s2 acf7cebae1ab2206
-    synth150-s3 eba6009968322467
-    synth150-s4 b045f5c607d10de2
+    synth150-s0 804076695aad3ccb
+    synth150-s1 46c2145e215053f2
+    synth150-s2 e207c92a6b1e9d6d
+    synth150-s3 4a62c8e4f39b0669
+    synth150-s4 20df54d7e333cf56
     mimo-inner-s0 1889342109a5f95c
     mimo-inner-s1 7e2c383ea9c570bb
     mimo-inner-s2 7a124dbe6a18d153
@@ -50,7 +54,7 @@ half-plane; ``tools/equivalence.py`` passed. The current record::
     nonsym200-s0 3c4fedbc301ac224
     nonsym200-s1 e56b5b1f1880c84e
     nonsym200-s2 4c8276d0bfbc4c8b
-    synth-fill-s0 6bb112c372c931a2
+    synth-fill-s0 42ec59e65afd0f49
     chain5000-s0 dceeadc7e35471fc
     chain5000-s0-2s efa9347515adadc4
     chain50000-s0 1a94390a3d25563a
