@@ -138,6 +138,9 @@ def sweep(system, rom, omegas, max_workers=None):
     p, m = rom.p, rom.m
     if max_workers is None:
         max_workers = _threads_from_env()
+    # read here, not by the workers: from Python 3.12 on a cached_property
+    # has no lock, and every racing worker would build its own route
+    system.route
 
     def one_point(omega):
         s = 1j * omega

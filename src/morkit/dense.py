@@ -161,22 +161,21 @@ def eig_generalized(A, E):
         raise PencilSingularError(
             "pencil has infinite or undefined eigenvalues (E-hat is singular)"
         )
-    if ggev.typecode not in "cz" and alphai.any():
-        # a pair's real and imaginary parts sit in columns k and k + 1,
-        # where alphai[k] > 0
-        first = np.flatnonzero(alphai > 0)
-        vl, vr = (_complex_pairs(v, first) for v in (vl, vr))
-    # each column scaled to unit 2-norm: the rows of v.T are its columns
-    return values, vr / _row_norms(vr.T), vl / _row_norms(vl.T)
-
-
-def _complex_pairs(v, first):
-    """Complex eigenvectors from real ggev output whose conjugate pairs
-    start at the columns `first`."""
-    out = v.astype(np.complex128)
-    out[:, first] += 1j * v[:, first + 1]
-    out[:, first + 1] = out[:, first].conj()
-    return out
+    rows = np.stack([vr.T, vl.T])  # right and left vectors as rows, scaled in one pass
+    sq = np.vecdot(rows, rows).real
+    # on real input a pair's real and imaginary parts sit in the columns
+    # k and k + 1 where alphai[k] > 0; its two vectors share one norm
+    first = np.flatnonzero(alphai > 0) if ggev.typecode in "sd" else ()
+    if not len(first):
+        rows /= np.sqrt(sq)[..., None]
+        return values, rows[0].T, rows[1].T
+    sq[:, first] += sq[:, first + 1]
+    sq[:, first + 1] = sq[:, first]
+    rows /= np.sqrt(sq)[..., None]
+    vectors = rows.astype(np.complex128)
+    vectors.imag[:, first] = rows[:, first + 1]
+    vectors[:, first + 1] = vectors[:, first].conj()
+    return values, vectors[0].T, vectors[1].T
 
 
 # An eigenbasis of condition number kappa solves to a relative error near
@@ -188,7 +187,7 @@ _MODAL_COND = 1.0 / math.sqrt(_EPS)
 
 class PencilResolvent:
     """Solves with ``sigma E - A`` and its transpose for one fixed real
-    pencil, at any shift.
+    pencil, at many shifts at once.
 
     The pencil is decomposed once by QZ (:func:`eig_generalized`),
     ``A Z = E Z diag(lam)`` and ``Y^H A = diag(lam) Y^H E``. With
@@ -197,14 +196,16 @@ class PencilResolvent:
         (sigma E - A)^-1   = Z (sigma - lam)^-1 D^-1 Y^H
         (sigma E - A)^-T   = conj(Y) (sigma - lam)^-1 D^-1 Z^T
 
-    and is followed by one step of iterative refinement against
-    ``sigma E - A`` through the same factors. A pencil with a singular E
-    (:class:`PencilSingularError` from the QZ), or whose right or left
-    eigenvector matrix has a condition number above ``_MODAL_COND`` (a
-    near-defective pencil), is solved by :func:`dense_solve` at every
-    shift instead; ``modal`` is False then. A shift equal to an eigenvalue
-    (on that route: an exactly singular LU) raises
-    :class:`ShiftCollisionError`.
+    so the solves at k shifts, one right-hand side each, are one block
+    product, ``X = Z (S * (Y^H B))`` with ``S[i, j] = 1 / (d_i (sigma_j -
+    lam_i))``, followed by one step of iterative refinement against the
+    block residual ``B - (E X) diag(sigma) + A X`` through the same
+    factors. A pencil with a singular E (:class:`PencilSingularError`
+    from the QZ), or whose right or left eigenvector matrix has a
+    condition number above ``_MODAL_COND`` (a near-defective pencil), is
+    solved by :func:`dense_solve` at every shift instead; ``modal`` is
+    False then. A shift equal to an eigenvalue (on that route: an exactly
+    singular LU) raises :class:`ShiftCollisionError` for that shift.
 
     ``eigen`` keeps the QZ's ``(values, right, left)`` for other uses of
     the same pencil; it is None for a singular E, whose
@@ -226,24 +227,38 @@ class PencilResolvent:
             self._Yh = np.ascontiguousarray(Y.conj().T, dtype=np.complex128)
             self._inv_d = 1.0 / np.vecdot(Y, E @ self._Z, axis=0)  # diag(Y^H E Z)
 
-    def solve(self, sigma, b, c):
-        """``(sigma E - A)^-1 b`` and ``(sigma E - A)^-T c``."""
-        Ms = sigma * self.E - self.A
+    def solve(self, sigmas, B, C):
+        """``(sigma_j E - A)^-1 B[:, j]`` and ``(sigma_j E - A)^-T C[:, j]``
+        for every shift ``sigma_j`` of `sigmas`, as two complex (n, k)
+        blocks."""
+        sigmas = np.asarray(sigmas, dtype=np.complex128)
         if not self.modal:
-            try:
-                return dense_solve(Ms, b), dense_solve(Ms.T, c)
-            except SingularMatrixError as exc:
-                raise ShiftCollisionError(sigma, str(exc)) from exc
-        gap = sigma - self._values
+            X = np.empty((self.E.shape[0], sigmas.shape[0]), np.complex128)
+            Y = np.empty_like(X)
+            for j, sigma in enumerate(sigmas):
+                Ms = sigma * self.E - self.A
+                try:
+                    X[:, j], Y[:, j] = dense_solve(Ms, B[:, j]), dense_solve(Ms.T, C[:, j])
+                except SingularMatrixError as exc:
+                    raise ShiftCollisionError(sigma, str(exc)) from exc
+            return X, Y
+        gap = sigmas - self._values[:, None]
         if not gap.all():
+            sigma = sigmas[np.flatnonzero(~gap.all(axis=0))[0]]
             raise ShiftCollisionError(sigma, f"shift {sigma} is an eigenvalue of the pencil")
-        scale = self._inv_d / gap
-        Z, Yh = self._Z, self._Yh
-        x = Z @ (scale * (Yh @ b))
-        x += Z @ (scale * (Yh @ (b - Ms @ x)))
-        y = Yh.T @ (scale * (Z.T @ c))  # Yh.T is conj(Y)
-        y += Yh.T @ (scale * (Z.T @ (c - y @ Ms)))
-        return x, y
+        S = self._inv_d[:, None] / gap
+        Z, Yh, E, A = self._Z, self._Yh, self.E, self.A
+        X = Z @ (S * (Yh @ B))
+        X += Z @ (S * (Yh @ (B - _real_times(E, X) * sigmas + _real_times(A, X))))
+        Y = Yh.T @ (S * (Z.T @ C))  # Yh.T is conj(Y)
+        Y += Yh.T @ (S * (Z.T @ (C - _real_times(E.T, Y) * sigmas + _real_times(A.T, Y))))
+        return X, Y
+
+
+def _real_times(M, X):
+    """``M @ X`` for a real M and a C-contiguous complex X, as one real
+    product with the real and imaginary parts of X side by side."""
+    return (M @ X.view(np.float64)).view(np.complex128)
 
 
 def sigma_max(G):

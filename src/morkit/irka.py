@@ -61,21 +61,25 @@ def pair_conjugates(shifts, order=None):
     index for a pair and -1 for a complex shift without a partner.
     """
     shifts = np.asarray(shifts, dtype=np.complex128)
-    values = shifts.tolist()  # Python complex: abs() is numpy's scalar abs
-    order = range(len(values)) if order is None else [int(i) for i in order]
-    used = [False] * len(values)
+    # |s| as hypot of its parts, which is the scalar complex abs; numpy's
+    # vectorized complex abs differs from it in the last bit for about a
+    # third of all values, and a tie at a tolerance would then pair apart
+    scale = np.maximum(1.0, np.hypot(shifts.real, shifts.imag))
+    real = (np.abs(shifts.imag) <= _CLOSURE_RTOL * scale).tolist()
+    # near[i][j]: shift j is within the pairing tolerance of conj(shift i)
+    near = (np.abs(shifts - shifts.conj()[:, None]) <= _PAIR_RTOL * scale[:, None]).tolist()
+    order = range(len(real)) if order is None else np.asarray(order).tolist()
+    used = [False] * len(real)
     groups = []
     for i in order:
         if used[i]:
             continue
         used[i] = True
-        s = values[i]
-        scale = max(1.0, abs(s))
-        if abs(s.imag) <= _CLOSURE_RTOL * scale:
+        if real[i]:
             groups.append((i, None))
             continue
-        near = (np.abs(shifts - s.conjugate()) <= _PAIR_RTOL * scale).tolist()
-        partner = next((j for j in order if near[j] and not used[j]), -1)
+        near_i = near[i]
+        partner = next((j for j in order if near_i[j] and not used[j]), -1)
         if partner >= 0:
             used[partner] = True
         groups.append((i, partner))
@@ -147,9 +151,9 @@ class InterpolationData:
 
 
 def _unit_rows(X):
-    """Rows of X scaled to unit 2-norm and rotated so that each row's
-    largest entry is real positive; a zero row becomes the first unit
-    vector.
+    """Rows of X (a block, or a stack of blocks) scaled to unit 2-norm and
+    rotated so that each row's largest entry is real positive; a zero row
+    becomes the first unit vector.
 
     Tangential directions are eigenvector-derived and therefore unique
     only up to a complex scale; fixing it makes iterates (and the
@@ -157,12 +161,19 @@ def _unit_rows(X):
     """
     norms = _row_norms(X)
     zero = norms == 0.0
-    X = X / np.where(zero, 1.0, norms)[:, None]
-    lead = X[np.arange(X.shape[0]), np.abs(X).argmax(axis=1)]
-    lead[zero] = 1.0
-    X *= (np.abs(lead) / lead)[:, None]
+    X = X / np.where(zero, 1.0, norms)[..., None]
+    X *= _phase(X)
     X[zero, 0] = 1.0
     return X
+
+
+def _phase(X):
+    """``|a| / a`` for the largest entry a of every row of X (1 for a zero
+    row), as a column: the rotation that makes that entry real positive."""
+    rows = X.reshape(-1, X.shape[-1])
+    lead = rows[np.arange(rows.shape[0]), np.abs(rows).argmax(axis=1)]
+    lead[lead == 0.0] = 1.0
+    return (np.abs(lead) / lead).reshape(X.shape[:-1] + (1,))
 
 
 def enforce_conjugate_closure(shifts, b, c):
@@ -177,21 +188,25 @@ def enforce_conjugate_closure(shifts, b, c):
     The result is sorted by (real, imaginary) part.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.complex128))
-    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-    c = np.atleast_2d(np.asarray(c, dtype=np.complex128))
+    b, c = np.atleast_2d(b, c)
+    m, p = b.shape[1], c.shape[1]
+    # b and c as one batch, zero-padded to a common width: a zero entry
+    # changes neither a row's norm nor which of its entries is largest
+    X = np.zeros((2, shifts.shape[0], max(m, p)), dtype=np.complex128)
+    X[0, :, :m], X[1, :, :p] = b, c
     groups = pair_conjugates(shifts, order=np.lexsort((shifts.imag, shifts.real)))
     # real, or no conjugate partner: keep the iteration alive on the real axis
-    real = np.array([i for i, j in groups if j is None or j < 0], dtype=np.intp)
-    first, second = np.array([(i, j) for i, j in groups if j is not None and j >= 0],
-                             dtype=np.intp).reshape(-1, 2).T
+    real = [i for i, j in groups if j is None or j < 0]
+    first = [i for i, j in groups if j is not None and j >= 0]
+    second = [j for _, j in groups if j is not None and j >= 0]
     pairs = (shifts[first] + shifts[second].conj()) / 2.0
-    out = [np.concatenate([shifts[real].real, pairs, pairs.conj()])]
-    for X in (b, c):
-        X_pair = _unit_rows((X[first] + X[second].conj()) / 2.0)
-        out.append(np.concatenate([_unit_rows(_unit_rows(X[real]).real), X_pair,
-                                   X_pair.conj()]))
-    order = np.lexsort((out[0].imag, out[0].real))
-    return InterpolationData(*(X[order] for X in out))
+    shifts = np.concatenate([shifts[real].real, pairs, pairs.conj()])
+    X_real = X[:, real]
+    X = _unit_rows(np.concatenate([(X_real * _phase(X_real)).real,
+                                   (X[:, first] + X[:, second].conj()) / 2.0], axis=1))
+    order = np.lexsort((shifts.imag, shifts.real))
+    X = np.concatenate([X, X[:, len(real):].conj()], axis=1)[:, order]
+    return InterpolationData(shifts[order], X[0, :, :m], X[1, :, :p])
 
 
 def _check_settings(freq_range, **tolerances):
@@ -285,19 +300,20 @@ def _shift_iteration(interp, bases, step, max_iter, tol, record=None):
 
 
 def _representatives(interp):
-    """One entry per real shift / conjugate pair (positive-imag member)."""
-    reps = []
-    for i, j in pair_conjugates(interp.shifts):
-        if j is None:
-            reps.append((complex(interp.shifts[i].real), interp.b[i], interp.c[i], False))
-            continue
-        if j < 0:
-            raise StructuralError(
-                "interpolation data is not conjugate closed (unmatched complex shift)"
-            )
-        k = i if interp.shifts[i].imag > 0 else j
-        reps.append((complex(interp.shifts[k]), interp.b[k], interp.c[k], True))
-    return reps
+    """One entry per real shift / conjugate pair (positive-imag member), as
+    arrays ``(shifts, b, c, is_pair)``; a real shift is put on the real axis."""
+    shifts = interp.shifts
+    first, second = np.array(
+        [(i, i if j is None else j) for i, j in pair_conjugates(shifts)],
+        dtype=np.intp).reshape(-1, 2).T
+    if (second < 0).any():
+        raise StructuralError(
+            "interpolation data is not conjugate closed (unmatched complex shift)"
+        )
+    is_pair = first != second
+    k = np.where(shifts.imag[first] > 0, first, second)
+    sigmas = np.where(is_pair, shifts[k], shifts.real[k])
+    return sigmas, interp.b[k], interp.c[k], is_pair
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +400,46 @@ class ProjectionBasis:
 
 
 def _tangential_bases(interp, solve, one_sided=False):
-    """Real projection bases from per-shift tangential solves.
+    """Real projection bases from tangential solves at every shift at once.
 
-    ``solve(sigma, b_row, c_row)`` returns the right and left solutions
-    ``(v, w)`` at one shift (``w`` is None when ``one_sided``). For each
-    real shift one real column enters V (and W); for each conjugate pair
-    the real and imaginary parts of the positive-imag member's solution
-    enter, which spans the same space as the complex pair. A shift whose
-    solve raises :class:`ShiftCollisionError` is perturbed once
-    (sigma -> sigma (1 + 1e-8) + 1e-8) before giving up. Two-sided bases
-    of unequal numerical rank are truncated to the smaller one.
+    ``solve(sigmas, b, c)`` gets one representative shift per real shift
+    and conjugate pair (:func:`_representatives`), with their direction
+    rows, and returns the right and left solutions as complex (n, k)
+    blocks ``(V, W)``, column j at ``sigmas[j]`` (``W`` is None when
+    ``one_sided``). For each real shift one real column enters V (and W);
+    for each conjugate pair the real and imaginary parts of the
+    positive-imag member's solution enter, which spans the same space as
+    the complex pair. A shift whose solve raises
+    :class:`ShiftCollisionError` is perturbed once (sigma -> sigma (1 +
+    1e-8) + 1e-8) and the block is solved again; the other shifts keep
+    their values. Two-sided bases of unequal numerical rank are truncated
+    to the smaller one.
     """
-    cols_v, cols_w = [], []
-    for sigma, b_row, c_row, is_pair in _representatives(interp):
+    sigmas, b, c, is_pair = _representatives(interp)
+    moved = np.zeros(sigmas.shape, dtype=bool)
+    while True:
         try:
-            v, w = solve(sigma, b_row, c_row)
-        except ShiftCollisionError:
-            v, w = solve(sigma * (1.0 + _PERTURB) + _PERTURB, b_row, c_row)
-        parts = (np.real, np.imag) if is_pair else (np.real,)
-        cols_v.extend(part(v) for part in parts)
-        if w is not None:
-            cols_w.extend(part(w) for part in parts)
-    V = orthonormalize(np.column_stack(cols_v))
+            V, W = solve(sigmas, b, c)
+            break
+        except ShiftCollisionError as exc:
+            hit = (sigmas == exc.sigma) & ~moved
+            if not hit.any():
+                raise
+            sigmas = np.where(hit, sigmas * (1.0 + _PERTURB) + _PERTURB, sigmas)
+            moved |= hit
+    keep = np.column_stack([np.ones_like(is_pair), is_pair]).ravel()
+
+    def real_columns(X):
+        # a complex block seen as floats holds each column's real and
+        # imaginary part side by side; a real shift keeps only the real part
+        return np.ascontiguousarray(X, dtype=np.complex128).view(np.float64)[:, keep]
+
+    # the complex blocks are dropped before the QR copies the real columns
+    V, W = real_columns(V), None if one_sided else real_columns(W)
+    V = orthonormalize(V)
     if one_sided:
         return ProjectionBasis(V=V, W=V, one_sided=True)
-    W = orthonormalize(np.column_stack(cols_w))
+    W = orthonormalize(W)
     if V.shape[1] != W.shape[1]:
         k = min(V.shape[1], W.shape[1])
         warnings.warn(
@@ -436,13 +467,29 @@ def build_bases(system, interp, one_sided=False):
     """
     if not interp.is_conjugate_closed():
         raise StructuralError("interpolation data is not conjugate closed")
+    stopped = []  # (V, W, shifts solved) of a block that a shift collision stopped
 
-    def solve(sigma, b_row, c_row):
-        fact = factor_augmented(system, sigma)
-        v = tangential_solve_right(system, b_row, fact)
-        if one_sided:
-            return v, None
-        return v, tangential_solve_left(system, c_row, fact)
+    def solve_at(k, sigma, b_row, c_row, V, W):
+        fact = factor_augmented(system, sigma)  # freed before the next shift's LU
+        V[:, k] = tangential_solve_right(system, b_row, fact)
+        if W is not None:
+            W[:, k] = tangential_solve_left(system, c_row, fact)
+
+    def solve(sigmas, b, c):
+        if stopped:  # the retry keeps the columns solved before the collision
+            V, W, done = stopped.pop()
+        else:
+            V = np.empty((system.n1, len(sigmas)), dtype=np.complex128)
+            W, done = None if one_sided else np.empty_like(V), []
+        for k, sigma in enumerate(sigmas.tolist()):
+            if k < len(done) and done[k] == sigma:
+                continue
+            try:
+                solve_at(k, sigma, b[k], c[k], V, W)
+            except ShiftCollisionError:
+                stopped.append((V, W, sigmas[:k].tolist()))
+                raise
+        return V, W
 
     return _tangential_bases(interp, solve, one_sided=one_sided)
 
@@ -674,8 +721,8 @@ def irka_first_order(E, A, B, C, r, max_iter=IrkaConfig.inner_max_iter,
     if resolvent is None:
         resolvent = PencilResolvent(A, E)  # one QZ for every solve of the run
 
-    def solve(sigma, b_row, c_row):
-        return resolvent.solve(sigma, B @ b_row, C.T @ c_row)
+    def solve(sigmas, b, c):
+        return resolvent.solve(sigmas, B @ b.T, C.T @ c.T)
 
     def step(basis, interp):
         V, W = basis.V, basis.W

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -207,6 +208,24 @@ def test_one_index_map_and_one_probe_per_system(monkeypatch, kind):
     sweep(system, rom, np.logspace(1, 4, 5), max_workers=2)
     assert maps == [system]
     assert probes == [(n, n)]
+
+
+def test_threaded_sweep_decides_the_route_once_before_its_workers(monkeypatch):
+    # a fresh system's route is built by the caller, not by racing workers
+    # (a cached_property has no lock from Python 3.12 on)
+    system = generate_synthetic(40, 10, 2, 2, seed=0, symmetric=False)
+    I = np.eye(system.n1)
+    rom = reduce(system, ProjectionBasis(V=I, W=I))
+    built = []
+    init = lu_module.Route.__init__
+
+    def counting_init(self, shifted):
+        built.append(threading.current_thread())
+        init(self, shifted)
+
+    monkeypatch.setattr(lu_module.Route, "__init__", counting_init)
+    sweep(dataclasses.replace(system), rom, np.logspace(1, 4, 8), max_workers=2)
+    assert built == [threading.current_thread()]
 
 
 def _threaded_sweep_through_a_changing_pattern(base, kind):

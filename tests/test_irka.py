@@ -332,6 +332,45 @@ def test_closure_matches_the_reference_on_generated_iterates(r, m, p, unmatched,
                          _reference_closure(shifts, b, c), _CLOSURE_ATOL)
 
 
+def _tie_set(seed, size):
+    """Shifts whose gaps sit at the pairing rule's tolerances: imaginary
+    parts at the real test's 1e-8 max(1, |s|) or one ulp either side of
+    it, partners at 1e-6 max(1, |s|) from the conjugate (exactly, or in a
+    random or an axis direction up to rounding), and conjugates repeated
+    up to three times."""
+    rng = np.random.default_rng(seed)
+    shifts = []
+    while len(shifts) < size:
+        s = complex(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-2, 4),
+                    rng.uniform(0.01, 2.0) * 10.0 ** rng.integers(-2, 4))
+        scale = max(1.0, abs(s))
+        kind = rng.integers(5)
+        if kind == 0:  # on the real test's edge
+            edge = 1e-8 * max(1.0, abs(s.real))
+            im = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)][rng.integers(3)]
+            shifts.append(complex(s.real, im * rng.choice([-1.0, 1.0])))
+        elif kind == 1:  # a partner exactly on the pairing tolerance: every
+            # operation on iy, y a power of two, and its partner is exact
+            y = 2.0 ** rng.integers(-3, 12)
+            shifts += [complex(0.0, y), complex(1e-6 * max(1.0, y), -y)]
+        elif kind == 2:  # a partner on the pairing tolerance up to rounding
+            turn = np.exp(1j * rng.choice([0.0, np.pi / 2, rng.uniform(0.0, 2 * np.pi)]))
+            shifts += [s, s.conjugate() + 1e-6 * scale * turn]
+        elif kind == 3:  # repeated conjugates
+            shifts += [s] * rng.integers(1, 3) + [s.conjugate()] * rng.integers(1, 4)
+        else:
+            shifts += [s, s.conjugate()]
+    return np.array(shifts[:size])[rng.permutation(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 24), visit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pairing_matches_the_reference_at_its_tolerances(size, visit, seed):
+    shifts = _tie_set(seed, size)
+    order = np.random.default_rng(seed + 1).permutation(size) if visit else None
+    assert pair_conjugates(shifts, order) == _reference_pair_conjugates(shifts, order)
+
+
 def _mirror_inputs(n, m, p, seed, spectrum):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
@@ -745,25 +784,34 @@ def _backward_error(M, x, rhs):
 _BACKWARD_BOUND = 4.0
 
 
+def _shift_block(rng, k):
+    """k shifts in the right half-plane, real and complex mixed."""
+    real = rng.uniform(size=k) < 0.4
+    return rng.uniform(0.01, 100.0, k) + 1j * np.where(real, 0.0, rng.uniform(-100.0, 100.0, k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 32),
+    k=st.integers(1, 8),
     spectrum=st.sampled_from(["real", "pairs"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_modal_solves_are_backward_stable_as_dense_solve(n, spectrum, seed):
+def test_modal_solves_are_backward_stable_as_dense_solve(n, k, spectrum, seed):
     E, A, rng = _real_pencil(n, spectrum, seed)
     resolvent = PencilResolvent(A, E)
     assert resolvent.modal
     bound = _BACKWARD_BOUND * n * np.finfo(float).eps
-    for sigma in (complex(rng.uniform(0.01, 100.0)),
-                  complex(rng.uniform(0.01, 100.0), rng.uniform(-100.0, 100.0))):
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sigmas = _shift_block(rng, k)
+    B = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    C = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    V, W = resolvent.solve(sigmas, B, C)
+    assert V.shape == W.shape == (n, k)
+    for j, sigma in enumerate(sigmas):  # every column to its own shift's bound
         Ms = sigma * E - A
-        v, w = resolvent.solve(sigma, b, c)
-        assert _backward_error(Ms, v, b) <= bound
-        assert _backward_error(Ms.T, w, c) <= bound
+        b, c = B[:, j], C[:, j]
+        assert _backward_error(Ms, V[:, j], b) <= bound
+        assert _backward_error(Ms.T, W[:, j], c) <= bound
         assert _backward_error(Ms, dense_solve(Ms, b), b) <= bound
         assert _backward_error(Ms.T, dense_solve(Ms.T, c), c) <= bound
 
@@ -773,10 +821,10 @@ def _lu_fallback_case(E, A):
     assert not resolvent.modal
     rng = np.random.default_rng(0)
     n = E.shape[0]
-    sigma = 0.7 + 2.0j
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return resolvent, sigma, b, c, sigma * E - A
+    sigmas = np.array([0.7 + 2.0j, 3.0, 0.7 - 2.0j])
+    B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    C = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    return resolvent, sigmas, B, C
 
 
 @pytest.mark.parametrize("E, A", [
@@ -784,10 +832,12 @@ def _lu_fallback_case(E, A):
     (np.eye(2), np.array([[-1.0, 1.0], [0.0, -1.0]])),          # 2x2 Jordan block
 ], ids=["singular-E", "jordan"])
 def test_singular_or_defective_pencils_take_the_lu_fallback(E, A):
-    resolvent, sigma, b, c, Ms = _lu_fallback_case(E, A)
-    v, w = resolvent.solve(sigma, b, c)
-    assert v.tobytes() == dense_solve(Ms, b).tobytes()
-    assert w.tobytes() == dense_solve(Ms.T, c).tobytes()
+    resolvent, sigmas, B, C = _lu_fallback_case(E, A)
+    V, W = resolvent.solve(sigmas, B, C)
+    for j, sigma in enumerate(sigmas):  # one LU pair per shift
+        Ms = sigma * E - A
+        assert V[:, j].tobytes() == dense_solve(Ms, B[:, j]).tobytes()
+        assert W[:, j].tobytes() == dense_solve(Ms.T, C[:, j]).tobytes()
 
 
 def test_companion_pencil_with_singular_mass_takes_the_lu_fallback():
@@ -800,22 +850,91 @@ def test_companion_pencil_with_singular_mass_takes_the_lu_fallback():
     pencil = companion(rom)
     with pytest.raises(PencilSingularError):
         eig_generalized(pencil.A, pencil.E)
-    resolvent, sigma, b, c, Ms = _lu_fallback_case(pencil.E, pencil.A)
+    resolvent, sigmas, B, C = _lu_fallback_case(pencil.E, pencil.A)
     with pytest.raises(SingularMatrixError):
-        dense_solve(Ms, b)
+        dense_solve(sigmas[0] * pencil.E - pencil.A, B[:, 0])
     with pytest.raises(ShiftCollisionError) as caught:
-        resolvent.solve(sigma, b, c)
+        resolvent.solve(sigmas, B, C)
+    assert caught.value.sigma == sigmas[0]
     assert isinstance(caught.value.__cause__, SingularMatrixError)
+
+
+def _block_through_an_eigenvalue(spectrum):
+    """A modal resolvent and a block of four shifts whose third is an
+    eigenvalue of the pencil."""
+    E, A, _ = _real_pencil(6, spectrum, 3)
+    resolvent = PencilResolvent(A, E)
+    assert resolvent.modal
+    eigenvalue = max(eig_generalized(A, E)[0], key=lambda z: z.imag)
+    return resolvent, np.array([2.0, 1.0 + 5.0j, eigenvalue, 40.0])
 
 
 @pytest.mark.parametrize("spectrum", ["real", "pairs"])
 def test_shift_on_an_eigenvalue_raises_shift_collision(spectrum):
-    E, A, _ = _real_pencil(6, spectrum, 3)
-    resolvent = PencilResolvent(A, E)
-    assert resolvent.modal
-    sigma = max(eig_generalized(A, E)[0], key=lambda z: z.imag)
+    resolvent, sigmas = _block_through_an_eigenvalue(spectrum)
+    ones = np.ones((6, 4), complex)
+    with pytest.raises(ShiftCollisionError) as caught:
+        resolvent.solve(sigmas, ones, ones)
+    assert caught.value.sigma == sigmas[2]  # the colliding column's shift
+
+
+@pytest.mark.parametrize("spectrum", ["real", "pairs"])
+def test_a_collision_in_a_block_perturbs_only_that_shift(spectrum):
+    resolvent, sigmas = _block_through_an_eigenvalue(spectrum)
+    shifts = np.concatenate([sigmas, sigmas[sigmas.imag > 0].conj()])
+    interp = InterpolationData(shifts, np.ones((len(shifts), 1)), np.ones((len(shifts), 1)))
+    blocks = []
+
+    def solve(sigmas, b, c):
+        blocks.append(sigmas.copy())
+        return resolvent.solve(sigmas, np.ones((6, len(sigmas))), np.ones((6, len(sigmas))))
+
+    irka._tangential_bases(interp, solve)
+    assert len(blocks) == 2
+    moved = blocks[0] != blocks[1]
+    assert np.count_nonzero(moved) == 1
+    assert blocks[0][moved] == sigmas[2]
+    assert blocks[1][moved] == sigmas[2] * (1.0 + 1e-8) + 1e-8
+
+
+def test_a_shift_colliding_again_after_its_perturbation_propagates():
+    interp = InterpolationData(np.array([2.0, 3.0]), np.ones((2, 1)), np.ones((2, 1)))
+    blocks = []
+
+    def solve(sigmas, b, c):
+        blocks.append(sigmas.copy())
+        raise ShiftCollisionError(sigmas[1])
+
     with pytest.raises(ShiftCollisionError):
-        resolvent.solve(sigma, np.ones(6, complex), np.ones(6, complex))
+        irka._tangential_bases(interp, solve)
+    assert len(blocks) == 2  # the first collision moved shift 1 once; its second propagates
+
+
+def test_an_inner_basis_build_makes_one_resolvent_call(monkeypatch):
+    rng = np.random.default_rng(0)
+    pencil = companion(ReducedSecondOrderModel(
+        M=np.eye(4), L=0.01 * np.eye(4), K=np.diag(rng.uniform(1e2, 1e4, 4)),
+        F=rng.standard_normal((4, 2)), H=rng.standard_normal((2, 4)), D=np.zeros((2, 2)),
+    ))
+    calls, builds = [], []
+    original_solve, original_bases = PencilResolvent.solve, irka._tangential_bases
+
+    def counting_solve(self, *args):
+        calls.append(args[0])
+        return original_solve(self, *args)
+
+    def counting_bases(*args, **kwargs):
+        builds.append(len(calls))
+        return original_bases(*args, **kwargs)
+
+    monkeypatch.setattr(PencilResolvent, "solve", counting_solve)
+    monkeypatch.setattr(irka, "_tangential_bases", counting_bases)
+    result = irka_first_order(pencil.E, pencil.A, pencil.B, pencil.C, r=3,
+                              max_iter=4, tol=1e-300, init=initial_interpolation(3, 2, 2))
+    assert result.iterations == 4
+    assert len(builds) == result.iterations + 1  # the start's bases and one per step
+    assert len(calls) == len(builds)  # one block solve per build, at every shift of it
+    assert all(len(sigmas) == 2 or len(sigmas) == 3 for sigmas in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1183,7 @@ def test_driver_retries_a_singular_update_once(make_system, monkeypatch):
     assert [rec.iteration for rec in trace.records] == list(range(1, trace.iterations + 1))
     # iteration 1 solves at the initial, the perturbed and the updated shifts
     assert trace.records[0].right_solves == sum(
-        len(irka._representatives(interp)) for interp in warm_starts[:3])
+        len(irka._representatives(interp)[0]) for interp in warm_starts[:3])
 
 
 def test_driver_deflated_reduction_ends_at_lower_order():

@@ -40,24 +40,29 @@ half-plane; ``tools/equivalence.py`` passed. The six symmetric dense
 systems (``synth150-s0`` .. ``s4``, ``synth-fill-s0``) changed when
 exactly symmetric systems of dense fill began to factor by LDL^T
 (``?sytrf``, trace line ``lu_route ldlt``); ``tools/equivalence.py``
-passed, and the other 10 stayed. The current record::
+passed, and the other 10 stayed. All 16 changed again when the inner
+level began to solve every shift of a basis in one block modal solve
+(matrix products in place of one matrix-vector product per shift) and
+its closure to scale the directions in one batched pass;
+``tools/equivalence.py`` passed, with every verdict, final order and
+iteration count kept. The current record::
 
-    synth150-s0 804076695aad3ccb
-    synth150-s1 46c2145e215053f2
-    synth150-s2 e207c92a6b1e9d6d
-    synth150-s3 4a62c8e4f39b0669
-    synth150-s4 20df54d7e333cf56
-    mimo-inner-s0 1889342109a5f95c
-    mimo-inner-s1 7e2c383ea9c570bb
-    mimo-inner-s2 7a124dbe6a18d153
-    mimo-inner-s3 8e34e5345f31a11d
-    nonsym200-s0 3c4fedbc301ac224
-    nonsym200-s1 e56b5b1f1880c84e
-    nonsym200-s2 4c8276d0bfbc4c8b
-    synth-fill-s0 42ec59e65afd0f49
-    chain5000-s0 dceeadc7e35471fc
-    chain5000-s0-2s efa9347515adadc4
-    chain50000-s0 1a94390a3d25563a
+    synth150-s0 276a7b1537609e8d
+    synth150-s1 1c9a8c1fa4ff43ef
+    synth150-s2 5723126d3c15f858
+    synth150-s3 fa0e5fb3e29dc20c
+    synth150-s4 156ef485ead1a77c
+    mimo-inner-s0 c4396b8d93760be8
+    mimo-inner-s1 17136335a0e88eb0
+    mimo-inner-s2 45475aa7b1bfd299
+    mimo-inner-s3 d645f8a6ff90d2f4
+    nonsym200-s0 1eb3ff54695c3721
+    nonsym200-s1 df47d14f045044aa
+    nonsym200-s2 0c5db90c3ef401f8
+    synth-fill-s0 a47691490318ffc3
+    chain5000-s0 ee67e32b15e671dc
+    chain5000-s0-2s 3f3d4a7ddc0ab124
+    chain50000-s0 22814a47565ca8aa
 
 The systems:
 
