@@ -122,6 +122,18 @@ def _threads_from_env():
     return int(raw)
 
 
+def _frequency_grid(omegas):
+    """`omegas` as a float64 array of at least one finite frequency;
+    otherwise ValueError, naming the first point that is not finite."""
+    grid = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    if grid.size == 0:
+        raise ValueError("frequency grid has no points")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"frequency grid point {bad[0]} is {grid.flat[bad[0]]}, not finite")
+    return grid
+
+
 def sweep(system, rom, omegas, max_workers=None):
     """Compare full vs reduced response at s = j*omega over a grid.
 
@@ -132,9 +144,10 @@ def sweep(system, rom, omegas, max_workers=None):
     thread pool. Results are positionally ordered either way. Every
     point factors on the system's route, decided from its pattern
     before the first point (see :func:`~morkit.irka.factor_augmented`),
-    so the results do not depend on ``max_workers``.
+    so the results do not depend on ``max_workers``. An empty grid or
+    a non-finite point raises ValueError.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    omegas = _frequency_grid(omegas)
     p, m = rom.p, rom.m
     if max_workers is None:
         max_workers = _threads_from_env()
@@ -262,11 +275,12 @@ def speedup_report(system, rom, omegas, repetitions=3):
     ``repetitions`` times each (one untimed warm-up pass apiece) and
     reports the median wall time per sweep. At least 3 repetitions are
     required so the median means something. The full passes factor as
-    :func:`sweep` does, every point on the system's route.
+    :func:`sweep` does, every point on the system's route, and take the
+    same grids.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    omegas = _frequency_grid(omegas)
 
     def median_pass_seconds(evaluate):
         times = []

@@ -7,12 +7,14 @@ byte-identically (timing artifacts excepted).
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import irka
 from .analysis import (
@@ -242,15 +244,11 @@ def _verify_checks(system, args):
         )
 
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = save_system(system, tmp)
-        loaded = load_system(manifest)
-        exact = all(
-            (abs(getattr(system, name) - getattr(loaded, name)).max() == 0.0
-             if name in ("M11", "L11", "K11", "K12", "K21", "K22")
-             else np.array_equal(getattr(system, name), getattr(loaded, name)))
-            for name in ("M11", "L11", "K11", "K12", "K21", "K22",
-                         "F1", "F2", "H1", "H2", "Da")
-        )
+        loaded = load_system(save_system(system, tmp))
+        blocks = [(getattr(system, f.name), getattr(loaded, f.name))
+                  for f in dataclasses.fields(system)]
+        exact = all(abs(a - b).max() == 0.0 if sp.issparse(a) else np.array_equal(a, b)
+                    for a, b in blocks)
     yield "save_load_roundtrip", exact, "all block entries reproduced exactly"
 
 

@@ -467,7 +467,7 @@ def build_bases(system, interp, one_sided=False):
     """
     if not interp.is_conjugate_closed():
         raise StructuralError("interpolation data is not conjugate closed")
-    stopped = []  # (V, W, shifts solved) of a block that a shift collision stopped
+    partial = None  # (V, W, the shift each column was solved at) across a collision
 
     def solve_at(k, sigma, b_row, c_row, V, W):
         fact = factor_augmented(system, sigma)  # freed before the next shift's LU
@@ -476,19 +476,18 @@ def build_bases(system, interp, one_sided=False):
             W[:, k] = tangential_solve_left(system, c_row, fact)
 
     def solve(sigmas, b, c):
-        if stopped:  # the retry keeps the columns solved before the collision
-            V, W, done = stopped.pop()
-        else:
+        nonlocal partial
+        if partial is None:
             V = np.empty((system.n1, len(sigmas)), dtype=np.complex128)
-            W, done = None if one_sided else np.empty_like(V), []
+            partial = V, None if one_sided else np.empty_like(V), [None] * len(sigmas)
+        V, W, solved_at = partial
+        # a retry after a shift collision keeps each column already
+        # solved at its shift
         for k, sigma in enumerate(sigmas.tolist()):
-            if k < len(done) and done[k] == sigma:
-                continue
-            try:
+            if solved_at[k] != sigma:
                 solve_at(k, sigma, b[k], c[k], V, W)
-            except ShiftCollisionError:
-                stopped.append((V, W, sigmas[:k].tolist()))
-                raise
+                solved_at[k] = sigma
+        partial = None  # the caller holds the blocks from here on
         return V, W
 
     return _tangential_bases(interp, solve, one_sided=one_sided)

@@ -1,9 +1,11 @@
 """Sparse LU factorization with threshold partial pivoting.
 
-Thin, contract-enforcing layer over SuperLU and LAPACK. Equilibration is
-disabled so that the factorization identity ``Pr @ A @ Pc == L @ U``
-holds exactly in terms of the returned permutations and triangular
-factors. A :class:`Route` decides, once per sparsity pattern, how every
+Thin, contract-enforcing layer over SuperLU and LAPACK. Every route's
+factors (:class:`SparseLU`) answer ``solve``, ``solve_transposed``,
+``n`` and ``dtype``, all the reduction needs. ``perm_r``, ``perm_c``,
+``permutation_matrices()`` and ``Pr @ A @ Pc == L @ U``, exact because
+equilibration is disabled, are SuperLU's alone (route None or "sparse").
+A :class:`Route` decides, once per sparsity pattern, how every
 matrix of that pattern is factored. It runs one SuperLU factorization of
 the pattern itself and measures its fill ``nnz(L + U)``:
 
@@ -56,15 +58,13 @@ against ``zgetrf``'s 72 ms and ``dsytrf`` 20 ms against ``dgetrf``'s
 32 ms; with the default workspace ``zsytrf`` took 247 ms.
 """
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import BandMatrix, as_canonical_csc, column_abs_max, inverse_order
+from .sparse import BandMatrix, as_canonical_csc, column_abs_max
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
@@ -123,25 +123,29 @@ def _rcm_order(A):
 
 
 class SparseLU:
-    """LU factorization ``Pr @ A @ Pc = L @ U`` of a square sparse matrix.
+    """Factorization of a square sparse matrix, for solves with it.
 
-    The factors are SuperLU's or, on the dense and band routes,
-    LAPACK's (:class:`_DenseLU`, :class:`_BandLU`); all three answer
-    ``solve(rhs, trans)``, ``L``, ``U``, ``perm_r`` and ``perm_c`` alike.
-    The band route's ``L``, ``U`` and ``perm_r`` are built from its
-    band factors when first read, which no solve needs. The ldlt route's
-    factors (:class:`_DenseLDLT`) answer ``solve``, ``L`` and ``U``
-    only: they are not an LU, and have no permutations.
+    Every route answers :meth:`solve`, :meth:`solve_transposed`, ``n``
+    and ``dtype``. The factors are SuperLU's or, on the ldlt, dense and
+    band routes, LAPACK's (:class:`_DenseLDLT`, :class:`_DenseLU`,
+    :class:`_BandLU`). SuperLU's alone answer ``perm_r``, ``perm_c`` and
+    :meth:`permutation_matrices`, with ``Pr @ A @ Pc = L @ U``, which
+    ``morkit verify`` checks. LAPACK's ``L`` and ``U`` are copies of
+    their stored factors, built when read, for their sizes, which only
+    the benchmark's tracer reads; they satisfy no such identity.
 
     Attributes
     ----------
     n : int
         Matrix dimension.
+    dtype : numpy.dtype
+        Arithmetic of the factors: float64 or complex128.
     L, U : scipy.sparse.csc_array
-        Unit-lower and upper triangular factors.
+        SuperLU's unit-lower and upper triangular factors; on the other
+        routes, size readouts (see above).
     perm_r, perm_c : numpy.ndarray of int
-        Row and column permutations; ``Pr[perm_r[k], k] = 1`` and
-        ``Pc[k, perm_c[k]] = 1``.
+        SuperLU only: row and column permutations; ``Pr[perm_r[k], k] =
+        1`` and ``Pc[k, perm_c[k]] = 1``.
     """
 
     def __init__(self, factors, dtype, n):
@@ -201,7 +205,8 @@ class SparseLU:
 class _DenseLU:
     """LAPACK ``?getrf`` factors ``A = P L U`` of a dense Fortran-order
     matrix, behind the part of SuperLU's interface that :class:`SparseLU`
-    uses; the column permutation is the identity."""
+    uses for solves. ``L`` (unit lower) and ``U`` are copies of the
+    stored triangles, built when read, for their sizes."""
 
     def __init__(self, lu, piv):
         self._lu, self._piv = lu, piv  # piv: row i was swapped with row piv[i]
@@ -221,17 +226,6 @@ class _DenseLU:
     def U(self):
         return _triangle_csc(self._lu, lower=False)
 
-    @property
-    def perm_r(self):
-        rows = np.arange(self._piv.shape[0])  # row i of L U is row rows[i] of A
-        for i, j in enumerate(self._piv):
-            rows[i], rows[j] = rows[j], rows[i]
-        return np.argsort(rows).astype(self._piv.dtype)
-
-    @property
-    def perm_c(self):
-        return np.arange(self._piv.shape[0], dtype=self._piv.dtype)
-
 
 class _DenseLDLT:
     """LAPACK ``?sytrf`` factors ``A = P L D L^T P^T`` of a dense
@@ -241,9 +235,7 @@ class _DenseLDLT:
 
     ``L`` (the unit lower triangle of multipliers) and ``U`` (the block
     diagonal D, its 2 x 2 blocks' off-diagonal entries included) are
-    copies of the stored factors, built when read, for their sizes;
-    they satisfy no ``Pr @ A @ Pc = L @ U``, and there is no ``perm_r``
-    or ``perm_c``.
+    copies of the stored factors, built when read, for their sizes.
     """
 
     def __init__(self, ldu, ipiv):
@@ -299,11 +291,12 @@ def _ldlt_order(ipiv):
 class _BandLU:
     """LAPACK ``?gbtrf`` factors of a :class:`~morkit.sparse.BandMatrix`
     B = A[order][:, order], behind the part of SuperLU's interface that
-    :class:`SparseLU` uses.
+    :class:`SparseLU` uses for solves.
 
-    ``?gbtrf`` defers its row interchanges: the multipliers of column j
-    stay in the rows they had at step j, so ``L``, ``U`` and ``perm_r``
-    (:meth:`_triangular`) apply the later interchanges to them.
+    ``L`` and ``U`` are copies of the stored band, built when read, for
+    their sizes: ``L`` holds each column's ``kl + 1`` stored entries
+    under a unit diagonal, in the rows ``?gbtrf`` left them (it defers
+    its row interchanges), and ``U`` the band's ``kl + ku + 1`` rows.
     """
 
     def __init__(self, lub, piv, band):
@@ -321,65 +314,26 @@ class _BandLU:
 
     @property
     def L(self):
-        return self._triangular[0]
+        values = self._lub[self._kl + self._ku:].T.copy()  # U's diagonal, then multipliers
+        values[:, 0] = 1.0
+        return _band_csc(values, 0)
 
     @property
     def U(self):
-        return self._triangular[1]
-
-    @property
-    def perm_r(self):
-        return self._triangular[2]
-
-    @property
-    def perm_c(self):
-        return inverse_order(self._order)
-
-    @functools.cached_property
-    def _triangular(self):
-        """(L, U, perm_r) with ``Pr @ A @ Pc = L @ U``, Pc from ``perm_c``.
-
-        LAPACK's factorization ``L_{n-1}^{-1} P_{n-1} ... L_0^{-1} P_0 B = U``
-        is ``Q B = L U`` with Q = P_{n-1} ... P_0, where column j of L holds
-        column j's multipliers moved by P_{n-1} ... P_{j+1}. One backward
-        pass over the interchanges builds each column's row map (only an
-        interchange changes it) and ends at Q.
-        """
-        lub, piv, kl, ku = self._lub, self._piv, self._kl, self._ku
-        n = lub.shape[1]
-        j = np.arange(n)[:, None]
-        # column j of L: rows j..j+kl of B, each moved by P_{n-1} ... P_{j+1}
-        below = np.minimum(j + np.arange(kl + 1), n - 1)
-        rows = np.empty((n, kl + 1), dtype=np.intp)
-        q = np.arange(n)  # row k of B goes to row q[k]; q[j] = j at column j
-        end = n
-        for k in np.flatnonzero(piv != np.arange(n))[::-1]:
-            rows[k:end] = q[below[k:end]]
-            q[k], q[piv[k]] = q[piv[k]], q[k]
-            end = k
-        rows[:end] = q[below[:end]]
-        values = lub[kl + ku:].T.copy()  # U's diagonal, then the multipliers
-        values[:, 0] = 1.0
-        L = _band_csc(values, rows, j + np.arange(kl + 1) < n)
-        # column j of U: rows j-kl-ku..j, at lub[0..kl+ku, j]
-        rows = j + np.arange(-(kl + ku), 1)
-        U = _band_csc(lub[: kl + ku + 1].T, rows, rows >= 0)
-        perm_r = np.empty(n, dtype=self._order.dtype)
-        perm_r[self._order] = q  # row order[k] of A is row k of B
-        return L, U, perm_r
+        return _band_csc(self._lub[: self._kl + self._ku + 1].T, -(self._kl + self._ku))
 
 
-def _band_csc(values, rows, keep):
+def _band_csc(values, first):
     """Square CSC matrix whose column j holds ``values[j, t]`` in row
-    ``rows[j, t]`` wherever ``keep[j, t]``, zeros included, as band
-    factors hold them."""
-    n = values.shape[0]
+    ``j + first + t`` wherever that row exists, zeros included, as band
+    factors store them."""
+    n, width = values.shape
+    rows = np.arange(n)[:, None] + np.arange(first, first + width)
+    keep = (rows >= 0) & (rows < n)
     idx = sp.get_index_dtype(maxval=max(n, keep.size))
     indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    out = sp.csc_array((values[keep], rows[keep].astype(idx), indptr), shape=(n, n))
-    out.sort_indices()
-    return out
+    return sp.csc_array((values[keep], rows[keep].astype(idx), indptr), shape=(n, n))
 
 
 def _triangle_csc(a, lower):
@@ -397,7 +351,7 @@ def _triangle_csc(a, lower):
 
 
 def factor(A, route=None):
-    """Factor a square sparse matrix as ``Pr @ A @ Pc = L @ U``.
+    """Factor a square sparse matrix for solves with it and its transpose.
 
     Parameters
     ----------

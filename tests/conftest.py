@@ -46,14 +46,15 @@ def rs_for(n1, m):
     return (3, 4, 8)
 
 
-def scalar_system(F2=0.0, H2=0.0, Da=0.0, K12=1.0, K21=1.0, H1=1.0, K22=2.0):
+def scalar_system(F2=0.0, H2=0.0, Da=0.0, K12=1.0, K21=1.0, H1=1.0, K22=2.0,
+                  L11=2.0, K11=5.0):
     """1x1-block system; defaults give S1 with Schur (M, L, K) = (1, 2, 4.5)."""
 
     def blk(v):
         return sp.csc_array(np.array([[float(v)]]))
 
     return SecondOrderIndex1System(
-        M11=blk(1.0), L11=blk(2.0), K11=blk(5.0),
+        M11=blk(1.0), L11=blk(L11), K11=blk(K11),
         K12=blk(K12), K21=blk(K21), K22=blk(K22),
         F1=np.array([[1.0]]), F2=np.array([[float(F2)]]),
         H1=np.array([[float(H1)]]), H2=np.array([[float(H2)]]),

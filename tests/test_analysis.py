@@ -34,7 +34,7 @@ from morkit.lu import _BandLU, _DenseLDLT, _DenseLU
 from morkit.sparse import ShiftedAugmented, assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
-from conftest import chain_system, grid_system
+from conftest import chain_system, grid_system, scalar_system
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -117,6 +117,32 @@ def test_sweep_monotone_grid_preserved(s1):
     result = sweep(s1, scalar_rom(), omegas)
     np.testing.assert_array_equal(result.omega, omegas)
     assert result.G_full.shape == (200, 1, 1)
+
+
+@pytest.mark.parametrize("omegas, named", [([], "no points"),
+                                            ([1.0, np.nan], "point 1 is nan"),
+                                            ([np.inf, 1.0], "point 0 is inf")])
+def test_a_malformed_grid_is_named(s1, omegas, named):
+    for run in (sweep, speedup_report):
+        with pytest.raises(ValueError, match=named):
+            run(s1, scalar_rom(), omegas)
+
+
+def test_a_point_on_an_undamped_mode_fails_alone():
+    # M = 1, L = 0 and Schur K = 4.5 - 1 * 1 / 2 = 4: s = 2j is a pole of
+    # both models, where the augmented matrix [[0.5, 1], [1, 2]] is
+    # exactly singular
+    system = scalar_system(L11=0.0, K11=4.5)
+    rom = reduce(system, ProjectionBasis(V=np.eye(1), W=np.eye(1)))
+    result = sweep(system, rom, [1.0, 2.0, 3.0])
+    assert result.flags == ["ok", "failed", "ok"]
+    for values in (result.sigma_full, result.sigma_rom, result.rel_err,
+                   result.G_full, result.G_rom):
+        assert np.isnan(values[1]).all()
+    clean = sweep(system, rom, [1.0, 3.0])
+    for name in ("sigma_full", "sigma_rom", "rel_err", "G_full", "G_rom"):
+        np.testing.assert_array_equal(getattr(result, name)[[0, 2]], getattr(clean, name))
+    assert result.sigma_full[0] == pytest.approx(1.0 / 3.0, rel=1e-14)  # 1 / |4 - 1|
 
 
 def test_sweep_threaded_matches_sequential(make_system):

@@ -405,6 +405,29 @@ def test_verify_reports_hand_broken_symmetry_without_failing(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("block", ["K12", "F1"])
+def test_verify_fails_a_roundtrip_that_changes_one_block(tmp_path, capsys, monkeypatch, block):
+    # the check compares every block of the system, sparse or dense
+    import dataclasses
+
+    from morkit import cli
+
+    manifest = _generate(tmp_path, n1=40, n2=10, m=1, p=1, seed=0)
+    loads = []
+
+    def load_changed(path):
+        system = load_system(path)
+        loads.append(path)
+        if len(loads) == 1:  # the system under test, not its round trip
+            return system
+        return dataclasses.replace(system, **{block: 1.5 * getattr(system, block)})
+
+    monkeypatch.setattr(cli, "load_system", load_changed)
+    rc = main(["verify", "--manifest", str(manifest)])
+    assert rc == 1
+    assert "FAIL save_load_roundtrip" in capsys.readouterr().out
+
+
 def test_verify_surfaces_singular_k22(tmp_path, capsys):
     broken = scalar_system(K22=0.0)
     manifest = save_system(broken, tmp_path / "broken")

@@ -609,6 +609,29 @@ def test_build_bases_retries_collision_once():
     assert basis.V.shape == (1, 1)
 
 
+def test_build_bases_collision_refactors_only_the_moved_shift(make_system, monkeypatch):
+    # the second of three shifts collides once: the retry keeps the first
+    # column, so 3 shifts take 4 factorizations, the 4th at the moved shift
+    system = make_system(40, 10, 2, 2, 0)
+    shifts = []
+    original = irka.factor_augmented
+
+    def colliding(system, sigma):
+        shifts.append(sigma)
+        if len(shifts) == 2:
+            raise ShiftCollisionError(sigma)
+        return original(system, sigma)
+
+    monkeypatch.setattr(irka, "factor_augmented", colliding)
+    interp = InterpolationData(np.array([1.0, 2.0, 3.0], dtype=np.complex128),
+                               np.ones((3, 2)), np.ones((3, 2)))
+    basis = build_bases(system, interp)
+    assert len(shifts) == 4
+    assert shifts[0] == 1.0 and shifts[1] == 2.0 and shifts[3] == 3.0
+    assert shifts[2] != 2.0 and abs(shifts[2] - 2.0) < 1e-6
+    assert basis.V.shape == (40, 3)
+
+
 def test_reduce_scalar_identity_basis(s1):
     basis = ProjectionBasis(V=np.array([[1.0]]), W=np.array([[1.0]]))
     rom = reduce(s1, basis)

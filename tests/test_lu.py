@@ -1,4 +1,4 @@
-"""Sparse LU: factorization identity, solves, singularity reporting, routes."""
+"""Sparse LU: SuperLU's factorization identity, solves, singularity reporting, routes."""
 
 import dataclasses
 import itertools
@@ -248,6 +248,15 @@ def _ldlt(A):
     return lu
 
 
+def _assert_solves(lu, A, rtol=1e-12):
+    """lu's solves with A and A^T agree with a dense solve."""
+    dense = A.toarray()
+    rhs = np.arange(1.0, dense.shape[0] + 1)
+    np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(dense, rhs), rtol=rtol)
+    np.testing.assert_allclose(lu.solve_transposed(rhs), np.linalg.solve(dense.T, rhs),
+                               rtol=rtol)
+
+
 ROUTES = {"sparse": factor, "dense": _dense, "band": _band}
 DENSE_FACTORS = {"dense": _DenseLU, "ldlt": _DenseLDLT}
 
@@ -476,23 +485,22 @@ def test_dense_route_factorization_identity(n, seed, dtype):
     A = _random_square(n, seed).astype(dtype)
     if dtype == np.complex128:
         A = A + 1j * _random_square(n, seed + 10)
+    # the factors promise solves with A and A^T; L and U, their stored
+    # triangles, are unit lower and upper triangular
     lu = _dense(A)
     assert lu.dtype == dtype
-    Pr, Pc = lu.permutation_matrices()
-    np.testing.assert_array_equal(lu.perm_c, np.arange(n))
-    np.testing.assert_array_equal(np.sort(lu.perm_r), np.arange(n))
-    assert abs(Pr @ A @ Pc - lu.L @ lu.U).max() <= 1e-12 * abs(A).max()
+    _assert_solves(lu, A)
     assert np.all(lu.L.diagonal() == 1.0)
     assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
 
 
 def test_dense_route_pivots_rows():
-    # a zero leading entry forces a row swap, which perm_r must record
+    # a zero leading entry forces a row swap, which piv records, and the
+    # solves go through it
     A = sp.csc_array(np.array([[0.0, 2.0, 1.0], [3.0, 1.0, 0.0], [1.0, 0.0, 4.0]]))
     lu = _dense(A)
-    assert not np.array_equal(lu.perm_r, np.arange(3))
-    Pr, Pc = lu.permutation_matrices()
-    np.testing.assert_allclose((Pr @ A @ Pc).toarray(), (lu.L @ lu.U).toarray(), atol=1e-15)
+    assert not np.array_equal(lu._factors._piv, np.arange(3))
+    _assert_solves(lu, A, rtol=1e-14)
 
 
 @pytest.mark.parametrize("route", ["sparse", "dense", "band"])
@@ -556,25 +564,20 @@ def test_band_route_pivot_check_is_relative_to_the_column():
     A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
     lu = _band(A)
     np.testing.assert_array_equal(np.abs(lu.U.diagonal()), [1.0, 1e20])
-    np.testing.assert_array_equal(lu.perm_c, [1, 0])
+    np.testing.assert_array_equal(lu._factors._order, [1, 0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2)])
 def test_band_route_factorization_identity(n, seed, dtype):
-    # L, U and the permutations are built from the band factors when
-    # first read, and only then
+    # the factors promise solves with A and A^T; L and U, copies of the
+    # stored band, are unit lower and upper triangular
     A = _random_square(n, seed).astype(dtype)
     if dtype == np.complex128:
         A = A + 1j * _random_square(n, seed + 10)
     lu = _band(A)
     assert lu.dtype == dtype
-    lu.solve(np.ones(n))
-    assert "_triangular" not in vars(lu._factors)
-    Pr, Pc = lu.permutation_matrices()
-    np.testing.assert_array_equal(np.sort(lu.perm_r), np.arange(n))
-    np.testing.assert_array_equal(np.sort(lu.perm_c), np.arange(n))
-    assert abs(Pr @ A @ Pc - lu.L @ lu.U).max() <= 1e-12 * abs(A).max()
+    _assert_solves(lu, A)
     assert np.all(lu.L.diagonal() == 1.0)
     assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
     # the factors store the whole band: kl + 1 entries of each column of
@@ -586,8 +589,8 @@ def test_band_route_factorization_identity(n, seed, dtype):
 
 def test_band_route_pivots_rows_through_a_zero_diagonal():
     # a tridiagonal matrix whose leading diagonal entry (and another
-    # inside the band) is zero: gbtrf must swap rows, which perm_r
-    # records once L is built from its deferred interchanges
+    # inside the band) is zero: gbtrf must swap rows, and the solves go
+    # through its deferred interchanges
     A = sp.csc_array(np.array([[0.0, 2.0, 0.0, 0.0, 0.0],
                                [3.0, 1.0, 1.0, 0.0, 0.0],
                                [0.0, 1.0, 4.0, 2.0, 0.0],
@@ -595,13 +598,7 @@ def test_band_route_pivots_rows_through_a_zero_diagonal():
                                [0.0, 0.0, 0.0, 1.0, 2.0]]))
     lu = factor(band_of(A, np.arange(5, dtype=np.int32)))  # already banded
     assert np.count_nonzero(lu._factors._piv != np.arange(5)) >= 2
-    assert not np.array_equal(lu.perm_r, np.arange(5))
-    Pr, Pc = lu.permutation_matrices()
-    np.testing.assert_allclose((Pr @ A @ Pc).toarray(), (lu.L @ lu.U).toarray(), atol=1e-15)
-    rhs = np.arange(1.0, 6.0)
-    np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(A.toarray(), rhs), rtol=1e-14)
-    np.testing.assert_allclose(lu.solve_transposed(rhs), np.linalg.solve(A.toarray().T, rhs),
-                               rtol=1e-14)
+    _assert_solves(lu, A, rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)

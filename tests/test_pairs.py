@@ -38,6 +38,7 @@ def test_summary_reports_medians_wins_and_the_claim():
     lines = pairs.summarize(_runs(parent, [p * 0.6 for p in parent]), {"reduce_s": "lower"})
     assert len(lines) == 1
     assert "won 10/10" in lines[0] and lines[0].endswith(" gain")
+    assert "ratio 0.6 [0.6, 0.6]" in lines[0]
 
 
 def test_refuses_trees_whose_benchmarks_differ(tmp_path):

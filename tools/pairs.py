@@ -14,10 +14,13 @@ measure different benchmarks.
 It writes the final JSON line of every run to ``--out`` as
 ``{"about", "command", "runs": [{"workload", "seed", "side", "pair",
 "trace", "result"}]}``, and prints, for each workload and metric, both
-sides' medians and quartiles, the pairs the change won (ties count for
-neither side) and whether a gain could be claimed: the change wins at
-least nine tenths of the pairs, and its median is better than the
-parent's by more than the parent's interquartile range. The metrics and
+sides' medians and quartiles, the median and quartiles of the per-pair
+ratio change / parent, the pairs the change won (ties count for neither
+side) and whether a gain could be claimed: the change wins at least nine
+tenths of the pairs, and its median is better than the parent's by more
+than the parent's interquartile range. That range spans seeds, so it
+holds the spread between the seeds' systems as well as noise; the
+ratio, taken within each pair, leaves that spread out. The metrics and
 their directions come from ``BENCHMARK.json``. The exit code is 1 when
 any run reported ``"correct": false`` (the file is still written), 2 on
 a usage error.
@@ -69,6 +72,16 @@ def _verdict(parent, change, better):
     return wins, wins * 10 >= 9 * len(parent) and gain > q3 - q1
 
 
+def _ratio(parent, change):
+    """Text of the median and quartiles of change / parent over the
+    pairs whose parent value is not zero."""
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    if len(ratios) < 2:
+        return "ratio n/a"
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return f"ratio {statistics.median(ratios):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
 def summarize(runs, directions):
     """One report line per workload and metric with values on both sides
     of every pair."""
@@ -95,7 +108,7 @@ def summarize(runs, directions):
                 f"{workload:13s} {name:40s} parent {statistics.median(parent):.4g} "
                 f"[{quartiles[0][0]:.4g}, {quartiles[0][2]:.4g}]  change "
                 f"{statistics.median(change):.4g} [{quartiles[1][0]:.4g}, "
-                f"{quartiles[1][2]:.4g}]  won {wins}/{len(pairs)}  "
+                f"{quartiles[1][2]:.4g}]  {_ratio(parent, change)}  won {wins}/{len(pairs)}  "
                 f"{'gain' if claim else 'no claim'}"
             )
     return lines
