@@ -14,39 +14,44 @@ the pattern itself and measures its fill ``nnz(L + U)``:
   symmetric pivoting, ``A = P L D L^T P^T``) on the dense matrix;
 * "dense": from :data:`DENSE_FILL` on otherwise, LAPACK ``?getrf`` on
   the dense matrix;
-* "band": below it, when reverse Cuthill-McKee orders the pattern into a
-  band whose storage, ``(2 kl + ku + 1) n`` entries, is at most
-  :data:`BAND_FILL` times that fill, LAPACK ``?gbtrf`` on the band
+* "band": below it, when reverse Cuthill-McKee from a pseudo-peripheral
+  node (:func:`_rcm_order`) orders the pattern into a band whose
+  storage, ``(2 kl + ku + 1) n`` entries, is at most :data:`BAND_FILL`
+  times that fill, LAPACK ``?gbtrf`` on the band
   (:class:`~morkit.sparse.BandMatrix`);
 * "sparse": otherwise SuperLU, each LU with its own minimum degree order.
 
 :data:`BAND_FILL` comes from per-factorization times: SuperLU against
-RCM plus ``?gbtrf``, each with a two-column solve (medians of 7, one
-BLAS thread, a 2-core Xeon). "ratio" is band storage over SuperLU's
-``nnz(L + U)``; "speedup" is SuperLU's time over the band's:
+``?gbtrf`` on the band of that order, each with a two-column solve; the
+order and the band's layout are built once per pattern and not timed
+(medians of 21, one BLAS thread, a 2-core Xeon). The chains are the
+benchmark's augmented matrix at a real shift and, for complex, with an
+imaginary diagonal added; the grids are 5-point Laplacians plus the
+identity. "ratio" is band storage over SuperLU's ``nnz(L + U)``;
+"speedup" is SuperLU's time over the band's:
 
 =======================  ======  ================  ================
 pattern                  ratio   float64 speedup   complex speedup
 =======================  ======  ================  ================
-chain, n = 99,999        3.25    6.6               3.4
-chain, n = 9,999         3.25    2.8               2.4
-2-D grid 25 x 25         3.95    5.7               2.1
-2-D grid 30 x 30         4.24    2.8               1.9
-2-D grid 40 x 40         5.05    2.8               1.1
-2-D grid 50 x 50         5.44    2.1               0.92
-2-D grid 70 x 70         6.71    0.89              0.43
-2-D grid 100 x 100       8.33    0.66              0.52
+chain, n = 99,999        1.75    4.6               5.0
+chain, n = 9,999         1.75    3.4               4.0
+2-D grid 25 x 25         3.95    4.9               2.5
+2-D grid 30 x 30         4.24    3.0               1.8
+2-D grid 40 x 40         5.05    2.7               1.1
+2-D grid 50 x 50         5.44    2.0               0.65-0.88
+2-D grid 70 x 70         6.71    1.1               0.49-0.74
+2-D grid 100 x 100       8.44    0.71              0.44
 =======================  ======  ================  ================
 
 On a grid the RCM band is as wide as the grid's side, so band storage
 grows like n^1.5 and ``?gbtrf``'s work like n^2. Complex shifts, most
-of a reduction's, break even near a ratio of 5.3, real ones near 6.5.
+of a reduction's, break even near a ratio of 5.3, real ones near 7.
 The threshold sits below both, at 4, which also keeps the band within 4
 times the memory of SuperLU's factors: chains go banded, grids from
 about 30 x 30 on stay on SuperLU. A reduction records its system's route
 in its trace (see :class:`~morkit.irka.IterationTrace`), with the
 bandwidths on the band route; the benchmark's chain, for one, records
-``lu_route band fill 4.0000099997999949e-05 kl 4 ku 4``.
+``lu_route band fill 4.0000099997999949e-05 kl 2 ku 2``.
 
 The "ldlt" route reads one triangle and does half of ``?getrf``'s work.
 It needs LAPACK's blocked algorithm: scipy's ``?sytrf`` wrapper defaults
@@ -64,7 +69,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import BandMatrix, as_canonical_csc, column_abs_max
+from .sparse import BandMatrix, as_canonical_csc, column_abs_max, inverse_order
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
@@ -82,9 +87,10 @@ class Route:
     little to pay for its indexing: LAPACK ``sytrf`` on the dense matrix
     when it equals its transpose exactly at every shift
     (:meth:`~morkit.sparse.ShiftedAugmented.is_symmetric`, ``kind``
-    "ldlt"), else ``getrf`` ("dense"). Below it, when the reverse
-    Cuthill-McKee band of A + A^T stores at most :data:`BAND_FILL` times
-    the fill, LAPACK ``gbtrf`` on the band ("band"; ``band`` is its
+    "ldlt"), else ``getrf`` ("dense"). Below it, when the band of
+    A + A^T in reverse Cuthill-McKee order from a pseudo-peripheral node
+    (:func:`_rcm_order`) stores at most :data:`BAND_FILL` times the
+    fill, LAPACK ``gbtrf`` on the band ("band"; ``band`` is its
     :data:`~morkit.sparse.BandLayout`, None on the other routes);
     otherwise SuperLU, each LU with its own minimum degree order
     ("sparse").
@@ -113,13 +119,69 @@ class Route:
 
 
 def _rcm_order(A):
-    """Reverse Cuthill-McKee order of the pattern of canonical CSC `A` + A^T."""
-    # imported here, so that runs that go dense never load it (1 MB)
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    """Reverse Cuthill-McKee order of the graph of canonical CSC `A` + A^T.
 
-    ones = np.ones(A.nnz, dtype=np.int8)
-    pattern = sp.csr_array((ones, A.indices, A.indptr), shape=A.shape)  # A^T
-    return reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
+    Each connected component is numbered from a pseudo-peripheral node
+    (:func:`_pseudo_peripheral`), its nodes' children in increasing
+    degree, ties by index, so that the order depends on the pattern
+    alone; components come in the order of their lowest node by degree,
+    then index. Started at a minimum-degree node instead, as scipy's
+    ``reverse_cuthill_mckee`` is, the search may start inside the graph
+    and two fronts interleave: the benchmark's chain then gets a band
+    twice as wide (kl = ku = 4 against 2).
+    """
+    # imported here, so that runs that go dense never load it (1 MB)
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    n = A.shape[0]
+    cols = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    off = A.indices != cols  # the diagonal is no edge
+    i, j = A.indices[off], cols[off]
+    edges = (np.concatenate([i, j]), np.concatenate([j, i]))
+    graph = sp.coo_array((np.ones(2 * i.size), edges), shape=A.shape).tocsr()
+    degree = np.diff(graph.indptr)
+    # on a symmetric graph the strong components are the connected ones
+    count, labels = connected_components(graph, connection="strong")
+    by_degree = np.argsort(degree, kind="stable")
+    first = np.full(count, n)  # each component's first position in by_degree
+    np.minimum.at(first, labels[by_degree], np.arange(n))
+    # relabel by (component, degree, index): a component is a contiguous
+    # block of labels, its lowest label its first node, and a CSR row
+    # with sorted indices lists its children in the order CM visits them
+    perm = np.lexsort((degree, first[labels]))
+    rank = inverse_order(perm).astype(graph.indices.dtype)
+    graph = graph[perm]
+    graph.indices = rank[graph.indices]
+    graph.has_sorted_indices = False
+    graph.sort_indices()
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels)[np.argsort(first)])])
+    pieces = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b = graph.indptr[lo], graph.indptr[hi]  # no edge leaves a component
+        block = sp.csr_array(
+            (graph.data[a:b], graph.indices[a:b] - lo, graph.indptr[lo:hi + 1] - a),
+            shape=(hi - lo, hi - lo))
+        pieces.append(lo + breadth_first_order(block, _pseudo_peripheral(block),
+                                               return_predecessors=False))
+    return perm[np.concatenate(pieces)[::-1]]
+
+
+def _pseudo_peripheral(graph):
+    """A pseudo-peripheral node of connected symmetric CSR `graph`, whose
+    node 0 has the lowest degree and labels grow with degree (George &
+    Liu, ACM TOMS 5, 1979): breadth-first search from node 0, then again
+    from the lowest-labelled node of the last level, as long as the
+    eccentricity grows."""
+    from scipy.sparse.csgraph import shortest_path
+
+    root, dist = 0, shortest_path(graph, unweighted=True, indices=0)
+    while True:
+        ecc = dist.max()
+        candidate = int(np.argmax(dist == ecc))
+        dist_c = shortest_path(graph, unweighted=True, indices=candidate)
+        if dist_c.max() <= ecc:
+            return root
+        root, dist = candidate, dist_c
 
 
 class SparseLU:

@@ -66,8 +66,10 @@ def chain_system(n1, n2, symmetric, seed=0):
     """A mass-spring chain with n2 massless connectors, each tied to two
     neighbouring masses, and two ports. The LU of its augmented matrix
     fills in far below ``morkit.lu.DENSE_FILL`` and reverse Cuthill-McKee
-    orders it into a narrow band, so its route (``system.route``) is the
-    band (generated systems go dense, grids stay sparse)."""
+    from a pseudo-peripheral node (an end of the chain) orders it into a
+    band with ``kl = ku = 2``, so its route (``system.route``) is the
+    band (generated systems go dense, grids from side 25 on stay
+    sparse)."""
     rng = np.random.default_rng(seed)
     M11 = sp.diags_array(rng.uniform(1.0, 2.0, n1))
     k = rng.uniform(1.0, 3.0, n1 + 1)
@@ -87,7 +89,8 @@ def chain_system(n1, n2, symmetric, seed=0):
 
 def band_of(A, order=None):
     """`A` as a :class:`~morkit.sparse.BandMatrix` in `order` (default:
-    the reverse Cuthill-McKee order of its pattern), as narrow as its
+    the band route's order of its pattern, ``morkit.lu._rcm_order``:
+    reverse Cuthill-McKee from a pseudo-peripheral node), as narrow as its
     stored entries allow, with the moduli the pivot check reads."""
     A = as_canonical_csc(A)
     order = _rcm_order(A) if order is None else order
@@ -110,9 +113,10 @@ def grid_laplacian(side):
 
 def grid_system(side, n2=8, seed=0):
     """Unit masses on a side x side grid of springs, with n2 massless
-    connectors each tied to two neighbouring masses, and two ports. Its
-    band stores more than ``morkit.lu.BAND_FILL`` times its pattern's
-    fill, so its route (``system.route``) stays sparse."""
+    connectors each tied to two neighbouring masses, and two ports. From
+    side 25 on its band, about `side` wide, stores more than
+    ``morkit.lu.BAND_FILL`` times its pattern's fill, so its route
+    (``system.route``) stays sparse; up to side 20 it goes banded."""
     rng = np.random.default_rng(seed)
     n1 = side * side
     K11 = 1e3 * grid_laplacian(side) + sp.eye_array(n1)

@@ -301,7 +301,7 @@ def test_threaded_sweep_through_a_changing_pattern_matches_sequential():
 
 def test_threaded_sweep_on_the_sparse_route_matches_sequential():
     # the grid's LUs stay sparse, so every point orders its own pattern
-    _threaded_sweep_through_a_changing_pattern(grid_system(20), "sparse")
+    _threaded_sweep_through_a_changing_pattern(grid_system(30), "sparse")
 
 
 def test_thread_count_from_the_environment(monkeypatch):
@@ -386,7 +386,7 @@ def test_speedup_report_routes_every_pass_by_its_first_factorization(monkeypatch
     # SuperLU (dense: the generated system; band: the chain)
     system = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
               "chain": lambda: chain_system(200, 20, True),
-              "grid": lambda: grid_system(20)}[kind]()
+              "grid": lambda: grid_system(30)}[kind]()
     rom = reduce(system, ProjectionBasis(V=np.eye(system.n1), W=np.eye(system.n1)))
     orderings = []
     splu = lu_module.spla.splu

@@ -1173,7 +1173,7 @@ def test_trace_records_the_factorization_route_once(make_system, kind, route):
     system = {"generated": lambda: make_system(40, 10, 2, 2, 0, symmetric=False),
               "symmetric": lambda: make_system(40, 10, 2, 2, 0),
               "chain": lambda: chain_system(200, 20, True),
-              "grid": lambda: grid_system(20)}[kind]()
+              "grid": lambda: grid_system(30)}[kind]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         _, trace = irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))

@@ -16,7 +16,8 @@ from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
 from morkit.lu import _BandLU, _DenseLDLT, _DenseLU, _rcm_order, factor
-from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, column_abs_max
+from morkit.sparse import (as_canonical_csc, assemble_shifted_augmented, band_layout,
+                           column_abs_max)
 from morkit.system import generate_synthetic, validate
 
 from conftest import GRID, band_of, chain_system, grid_ids, grid_system
@@ -309,6 +310,86 @@ def test_band_route_measures_the_chains_rcm_band():
     band = chain_system(400, 40, True).route.band
     assert (band.kl, band.ku) == (2, 2)
     np.testing.assert_array_equal(np.sort(band.order), np.arange(440))
+
+
+def test_band_route_starts_from_a_peripheral_node():
+    # a chain with a connector between every two masses: from an end of
+    # the chain each BFS level holds at most two nodes, so the band is
+    # (2, 2); a start at a minimum-degree node (any connector) can sit
+    # inside the chain, where two interleaved fronts give (4, 4)
+    def bandwidths(A):
+        A = as_canonical_csc(A)
+        order = _rcm_order(A)
+        np.testing.assert_array_equal(np.sort(order), np.arange(A.shape[0]))
+        return band_layout(A, order)[1:]
+
+    for n1 in (400, 1000):
+        system = chain_system(n1, n1 - 1, True)
+        band = system.route.band
+        assert (band.kl, band.ku) == (2, 2)
+        A = system.augmented.pattern
+        assert bandwidths(A) == (2, 2)
+        # the band does not depend on how the nodes are numbered
+        scramble = np.random.default_rng(n1).permutation(A.shape[0])
+        assert bandwidths(A[scramble][:, scramble]) == (2, 2)
+        # every component is ordered on its own: an isolated node, anywhere,
+        # widens nothing
+        B = sp.block_diag((A, sp.csc_array([[1.0]])), format="csc")
+        scramble = np.random.default_rng(n1 + 1).permutation(B.shape[0])
+        assert bandwidths(B) == bandwidths(B[scramble][:, scramble]) == (2, 2)
+
+
+def _reference_rcm(A):
+    """Reverse Cuthill-McKee of the graph of A + A^T, node by node: each
+    component from a George-Liu pseudo-peripheral node, found from its
+    lowest node by (degree, index); children in (degree, index) order."""
+    n = A.shape[0]
+    dense = A.toarray() != 0
+    neighbours = [sorted(set(np.flatnonzero(dense[v] | dense[:, v])) - {v}) for v in range(n)]
+    key = [(len(neighbours[v]), v) for v in range(n)]
+
+    def levels(root):
+        depth, front = {root: 0}, [root]
+        while front:
+            after = []
+            for v in front:
+                for w in neighbours[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        after.append(w)
+            front = after
+        return depth
+
+    order, seen = [], set()
+    for start in sorted(range(n), key=key.__getitem__):
+        if start in seen:
+            continue
+        root, depth = start, levels(start)
+        while True:
+            ecc = max(depth.values())
+            candidate = min((v for v, d in depth.items() if d == ecc), key=key.__getitem__)
+            candidate_depth = levels(candidate)
+            if max(candidate_depth.values()) <= ecc:
+                break
+            root, depth = candidate, candidate_depth
+        queue = [root]
+        seen.add(root)
+        for v in queue:
+            for w in sorted(neighbours[v], key=key.__getitem__):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        order += queue
+    return order[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 0.3), seed=st.integers(0, 2**16))
+def test_rcm_order_matches_a_node_by_node_reference(n, density, seed):
+    # any pattern, connected or not, symmetric or not
+    A = sp.random_array((n, n), density=density, rng=np.random.default_rng(seed),
+                        format="csc")
+    np.testing.assert_array_equal(_rcm_order(as_canonical_csc(A)), _reference_rcm(A))
 
 
 def test_route_probe_factors_a_pattern_without_its_diagonal():

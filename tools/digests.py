@@ -45,7 +45,10 @@ level began to solve every shift of a basis in one block modal solve
 (matrix products in place of one matrix-vector product per shift) and
 its closure to scale the directions in one batched pass;
 ``tools/equivalence.py`` passed, with every verdict, final order and
-iteration count kept. The current record::
+iteration count kept. The three chains' digests changed when the band
+route's reverse Cuthill-McKee order began at a pseudo-peripheral node,
+which halves their band (``kl = ku = 4`` to 2); ``tools/equivalence.py``
+passed, and the other 13 stayed. The current record::
 
     synth150-s0 276a7b1537609e8d
     synth150-s1 1c9a8c1fa4ff43ef
@@ -60,9 +63,9 @@ iteration count kept. The current record::
     nonsym200-s1 df47d14f045044aa
     nonsym200-s2 0c5db90c3ef401f8
     synth-fill-s0 a47691490318ffc3
-    chain5000-s0 ee67e32b15e671dc
-    chain5000-s0-2s 3f3d4a7ddc0ab124
-    chain50000-s0 22814a47565ca8aa
+    chain5000-s0 88328e4b8a4c1d24
+    chain5000-s0-2s 9889bdc7c6486980
+    chain50000-s0 c045d4f08a945fe6
 
 The systems:
 

@@ -7,9 +7,11 @@
 ``dump`` imports the library from ``DIR/src`` (default: the checkout this
 script sits in), with one BLAS thread. It reduces the two golden CLI cases
 of ``tests/test_golden.py`` and the 16 systems of ``tools/digests.py``, and
-runs acceptance criteria 1-3 from ``DIR/tests``. ``compare`` checks the
-change's dump against the rule below, prints a report of both, and exits
-1 if the change breaks the rule.
+runs acceptance criteria 1-3 from ``DIR/tests``. The dump names no path
+(the tree goes to stderr), so two checkouts of the same code dump the
+same bytes, and a system's entry can be byte-compared across trees.
+``compare`` checks the change's dump against the rule below, prints a
+report of both, and exits 1 if the change breaks the rule.
 
 Pass on every system:
 
@@ -157,7 +159,8 @@ def dump(tree, out):
         for name, make_system, config in _golden_cases(morkit, tmp) + digests.cases():
             systems[name] = _run(morkit, make_system(), config)
             print(name, "done", file=sys.stderr, flush=True)
-    data = {"tree": str(tree), "systems": systems, "criteria": _criteria(tree)}
+    print("tree", tree, file=sys.stderr)
+    data = {"systems": systems, "criteria": _criteria(tree)}
     Path(out).write_text(json.dumps(data))
     return 0
 
