@@ -359,8 +359,7 @@ def tangential_solve_right(system, direction, factorization):
         raise DimensionError(
             f"right direction has length {direction.shape[0]}, system has m={system.m}"
         )
-    rhs = np.concatenate([system.F1 @ direction, system.F2 @ direction])
-    sol = factorization.solve(rhs)
+    sol = factorization.solve(_rhs(system, system.F1, system.F2, direction, factorization))
     return sol[: system.n1]
 
 
@@ -377,9 +376,25 @@ def tangential_solve_left(system, direction, factorization):
         raise DimensionError(
             f"left direction has length {direction.shape[0]}, system has p={system.p}"
         )
-    rhs = np.concatenate([system.H1.T @ direction, system.H2.T @ direction])
-    sol = factorization.solve_transposed(rhs)
+    sol = factorization.solve_transposed(
+        _rhs(system, system.H1.T, system.H2.T, direction, factorization))
     return sol[: system.n1]
+
+
+def _rhs(system, top, bottom, direction, factorization):
+    """The right-hand side ``[top @ direction; bottom @ direction]``.
+
+    A real direction solved with real band factors (the band route's
+    real shifts) stays real, so the right-hand side is built and solved
+    in float64, without a complex copy of the n1 x m block. The other
+    routes keep the complex product: for a dense block it rounds the
+    real part differently in the last bit, and their outputs stay as
+    they were.
+    """
+    if (factorization.dtype == np.float64 and not direction.imag.any()
+            and system.route.kind == "band"):
+        direction = direction.real
+    return np.concatenate([top @ direction, bottom @ direction])
 
 
 # ---------------------------------------------------------------------------

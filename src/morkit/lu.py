@@ -18,7 +18,13 @@ the pattern itself and measures its fill ``nnz(L + U)``:
   node (:func:`_rcm_order`) orders the pattern into a band whose
   storage, ``(2 kl + ku + 1) n`` entries, is at most :data:`BAND_FILL`
   times that fill, LAPACK ``?gbtrf`` on the band
-  (:class:`~morkit.sparse.BandMatrix`);
+  (:class:`~morkit.sparse.BandMatrix`). At a real shift of a matrix
+  that equals its transpose exactly at every shift, ``?pbtrf``
+  (Cholesky, ``B = L L^T``) on the band's lower triangle
+  (:class:`~morkit.sparse.SymmetricBandMatrix`) and ``?pbtrs`` for both
+  solves; a matrix that is not positive definite there is factored by
+  ``?gbtrf`` instead. Complex shifts stay on ``?gbtrf``: the matrix is
+  then complex symmetric, not Hermitian, and LAPACK has no band LDL^T;
 * "sparse": otherwise SuperLU, each LU with its own minimum degree order.
 
 :data:`BAND_FILL` comes from per-factorization times: SuperLU against
@@ -35,6 +41,8 @@ pattern                  ratio   float64 speedup   complex speedup
 =======================  ======  ================  ================
 chain, n = 99,999        1.75    4.6               5.0
 chain, n = 9,999         1.75    3.4               4.0
+chain, Cholesky, 99,999  0.75    7.0               --
+chain, Cholesky, 9,999   0.75    5.5               --
 2-D grid 25 x 25         3.95    4.9               2.5
 2-D grid 30 x 30         4.24    3.0               1.8
 2-D grid 40 x 40         5.05    2.7               1.1
@@ -42,6 +50,13 @@ chain, n = 9,999         1.75    3.4               4.0
 2-D grid 70 x 70         6.71    1.1               0.49-0.74
 2-D grid 100 x 100       8.44    0.71              0.44
 =======================  ======  ================  ================
+
+The Cholesky rows are ``?pbtrf``/``?pbtrs`` on the lower triangle of
+the same real band (``kl = ku = 2``), "ratio" its ``3 n`` entries over
+SuperLU's fill. In their runs ``?gbtrf`` on the full band read 5.7
+and 4.7 (4.6 and 3.4 above, from other runs). The difference is the
+factorization: a two-column ``?pbtrs`` costs about what ``?gbtrs``
+does.
 
 On a grid the RCM band is as wide as the grid's side, so band storage
 grows like n^1.5 and ``?gbtrf``'s work like n^2. Complex shifts, most
@@ -69,7 +84,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import BandMatrix, as_canonical_csc, column_abs_max, inverse_order
+from .sparse import (BandMatrix, SymmetricBandMatrix, as_canonical_csc, column_abs_max,
+                     inverse_order)
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
@@ -90,32 +106,46 @@ class Route:
     "ldlt"), else ``getrf`` ("dense"). Below it, when the band of
     A + A^T in reverse Cuthill-McKee order from a pseudo-peripheral node
     (:func:`_rcm_order`) stores at most :data:`BAND_FILL` times the
-    fill, LAPACK ``gbtrf`` on the band ("band"; ``band`` is its
-    :data:`~morkit.sparse.BandLayout`, None on the other routes);
-    otherwise SuperLU, each LU with its own minimum degree order
-    ("sparse").
+    fill, LAPACK on the band ("band"; ``band`` is its
+    :data:`~morkit.sparse.BandLayout`, None on the other routes):
+    ``pbtrf`` at the real shifts of a matrix that equals its transpose
+    exactly, with ``gbtrf`` when it is not positive definite, and
+    ``gbtrf`` otherwise; else SuperLU, each LU with its own minimum
+    degree order ("sparse"). ``symmetric`` records that exact symmetry,
+    tested on the ldlt, dense and band routes (False on the sparse one).
     """
 
     def __init__(self, shifted):
         A = shifted.pattern
         n = A.shape[0]
-        units = sp.csc_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
-        probe = spla.splu(
-            units + n * sp.eye_array(n, format="csc"),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=PIVOT_TOL,
-            options={"Equil": False},
-        )
-        fill_nnz = probe.L.nnz + probe.U.nnz - n  # L's unit diagonal is stored
+        fill_nnz = _fill_nnz(A)
         self.fill = fill_nnz / n**2
-        self.kind, self.band = "dense", None
+        self.band, self.symmetric = None, False
         if self.fill >= DENSE_FILL:
-            if shifted.is_symmetric():
-                self.kind = "ldlt"
-        else:
-            band = shifted.band_layout(_rcm_order(A))
-            fits = (2 * band.kl + band.ku + 1) * n <= BAND_FILL * fill_nnz
-            self.kind, self.band = ("band", band) if fits else ("sparse", None)
+            self.symmetric = shifted.is_symmetric()
+            self.kind = "ldlt" if self.symmetric else "dense"
+            return
+        band = shifted.band_layout(_rcm_order(A))
+        if (2 * band.kl + band.ku + 1) * n > BAND_FILL * fill_nnz:
+            self.kind = "sparse"
+            return
+        self.kind, self.symmetric = "band", shifted.is_symmetric()
+        self.band = shifted.lower_band_layout(band) if self.symmetric else band
+
+
+def _fill_nnz(A):
+    """``nnz(L + U)`` of SuperLU on the pattern of canonical CSC `A`, unit
+    entries under a diagonal of n. The factors are freed on return, before
+    the route's other work on the pattern."""
+    n = A.shape[0]
+    units = sp.csc_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    probe = spla.splu(
+        units + n * sp.eye_array(n, format="csc"),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=PIVOT_TOL,
+        options={"Equil": False},
+    )
+    return probe.L.nnz + probe.U.nnz - n  # L's unit diagonal is stored
 
 
 def _rcm_order(A):
@@ -135,10 +165,11 @@ def _rcm_order(A):
 
     n = A.shape[0]
     cols = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    off = A.indices != cols  # the diagonal is no edge
-    i, j = A.indices[off], cols[off]
-    edges = (np.concatenate([i, j]), np.concatenate([j, i]))
-    graph = sp.coo_array((np.ones(2 * i.size), edges), shape=A.shape).tocsr()
+    # A's CSC arrays hold A^T as CSR, and its sum with A, the graph, is
+    # symmetric CSR with sorted rows; the diagonal, weighted 0, drops out
+    weights = (A.indices != cols).astype(np.float64)
+    half = sp.csr_array((weights, A.indices, A.indptr), shape=A.shape)
+    graph = half + half.T
     degree = np.diff(graph.indptr)
     # on a symmetric graph the strong components are the connected ones
     count, labels = connected_components(graph, connection="strong")
@@ -190,7 +221,10 @@ class SparseLU:
     Every route answers :meth:`solve`, :meth:`solve_transposed`, ``n``
     and ``dtype``. The factors are SuperLU's or, on the ldlt, dense and
     band routes, LAPACK's (:class:`_DenseLDLT`, :class:`_DenseLU`,
-    :class:`_BandLU`). SuperLU's alone answer ``perm_r``, ``perm_c`` and
+    :class:`_BandLU`, and :class:`_BandCholesky` at the real shifts of
+    an exactly symmetric band system, with :class:`_BandLU` when such a
+    shift's matrix is not positive definite). SuperLU's alone answer
+    ``perm_r``, ``perm_c`` and
     :meth:`permutation_matrices`, with ``Pr @ A @ Pc = L @ U``, which
     ``morkit verify`` checks. LAPACK's ``L`` and ``U`` are copies of
     their stored factors, built when read, for their sizes, which only
@@ -385,6 +419,38 @@ class _BandLU:
         return _band_csc(self._lub[: self._kl + self._ku + 1].T, -(self._kl + self._ku))
 
 
+class _BandCholesky:
+    """LAPACK ``?pbtrf`` factor L, ``B = L L^T``, of a symmetric band
+    B = A[order][:, order] from its lower triangle, behind the part of
+    SuperLU's interface that :class:`SparseLU` uses for solves. Since
+    ``A = A^T``, the transposed solve is the plain one.
+
+    ``L`` is a copy of the stored factor, built when read, for its size:
+    each column's ``kd + 1`` entries from its diagonal down. ``U`` is
+    L's diagonal alone (L^T stores nothing more), so that ``nnz(L) +
+    nnz(U) - n`` counts the stored factor, as for the LU factors.
+    """
+
+    def __init__(self, chol, order):
+        self._chol, self._order = chol, order
+        self._pbtrs = lapack.get_lapack_funcs("pbtrs", (chol,))
+
+    def solve(self, rhs, trans="N"):
+        order = self._order
+        y, _ = self._pbtrs(self._chol, rhs[order], lower=1)
+        x = np.empty_like(y)
+        x[order] = y
+        return x
+
+    @property
+    def L(self):
+        return _band_csc(self._chol.T, 0)
+
+    @property
+    def U(self):
+        return sp.diags_array(self._chol[0], format="csc")
+
+
 def _band_csc(values, first):
     """Square CSC matrix whose column j holds ``values[j, t]`` in row
     ``j + first + t`` wherever that row exists, zeros included, as band
@@ -417,10 +483,15 @@ def factor(A, route=None):
 
     Parameters
     ----------
-    A : sparse matrix or BandMatrix
+    A : sparse matrix, BandMatrix or SymmetricBandMatrix
         Square, real or complex. A :class:`~morkit.sparse.BandMatrix`,
         as the band route assembles them, is factored by LAPACK
-        ``gbtrf`` (partial pivoting within the band).
+        ``gbtrf`` (partial pivoting within the band). A
+        :class:`~morkit.sparse.SymmetricBandMatrix`, the band route's
+        assembly at a real shift of an exactly symmetric system, is
+        factored by LAPACK ``pbtrf`` (Cholesky, no pivoting), and when
+        it is not positive definite assembled in full and factored by
+        ``gbtrf``.
     route : None or Route
         The :class:`Route` of A's pattern. On the dense route A is
         factored by LAPACK ``getrf`` (classical partial pivoting) with
@@ -434,8 +505,11 @@ def factor(A, route=None):
     SingularMatrixError
         If a zero (or negligible, ``|u_jj| <= eps * n * colmax``) pivot
         is encountered; the offending column is reported when the
-        factorization got far enough to identify it.
+        factorization got far enough to identify it. Cholesky's pivot is
+        ``l_jj^2``.
     """
+    if isinstance(A, SymmetricBandMatrix):
+        return _factor_band_cholesky(A)
     if isinstance(A, BandMatrix):
         return _factor_band(A)
     if A.shape[0] != A.shape[1]:
@@ -514,20 +588,36 @@ def _factor_band(band):
     return SparseLU(_BandLU(lub, piv, band), lub.dtype, lub.shape[1])
 
 
+def _factor_band_cholesky(band):
+    """:func:`factor`'s band route at a real shift of a symmetric
+    matrix: LAPACK ``pbtrf`` on a SymmetricBandMatrix, whose storage it
+    overwrites. A matrix that is not positive definite is assembled in
+    full band storage and factored by ``gbtrf`` instead."""
+    pbtrf = lapack.get_lapack_funcs("pbtrf", (band.data,))
+    chol, info = pbtrf(band.data, lower=1, overwrite_ab=1)
+    if info > 0:  # the leading minor of order info is not positive definite
+        return _factor_band(band.full())
+    # B = L L^T eliminates B's column j with the pivot L[j, j]^2
+    _check_pivots(band, np.square(chol[0]), band.order)
+    return SparseLU(_BandCholesky(chol, band.order), chol.dtype, chol.shape[1])
+
+
 def _check_pivots(A, pivots, pivot_cols=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
-    ``pivots[j]`` is U's pivot (D's on the ldlt route) of A's column
-    ``pivot_cols[j]``: j when None, and when a function, its result,
-    asked for only when some pivot is small enough to need the columns.
-    `A` is canonical CSC, or a :class:`~morkit.sparse.BandMatrix`
-    B, whose pivot j is of its own column j and which keeps its moduli
-    for this check. A pivot is negligible when ``|u_jj| <= eps * n *
-    colmax``, colmax the largest modulus in its column of A.
+    ``pivots[j]`` is U's pivot (D's on the ldlt route, ``L[j, j]^2``
+    on band Cholesky) of A's column ``pivot_cols[j]``: j when None, and
+    when a function, its result, asked for only when some pivot is small
+    enough to need the columns. `A` is canonical CSC, or a
+    :class:`~morkit.sparse.BandMatrix` or
+    :class:`~morkit.sparse.SymmetricBandMatrix` B, whose pivot j is of
+    its own column j and which keeps its moduli for this check. A pivot
+    is negligible when ``|u_jj| <= eps * n * colmax``, colmax the largest
+    modulus in its column of A.
     """
     udiag = np.abs(pivots)
     scale = np.finfo(np.float64).eps * udiag.shape[0]
-    if isinstance(A, BandMatrix):
+    if isinstance(A, (BandMatrix, SymmetricBandMatrix)):
         abs_max, pivot_colmax = A.abs_max, A.column_abs_max
     else:
         absdata = np.abs(A.data[: A.nnz])

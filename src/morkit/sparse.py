@@ -10,7 +10,9 @@ rows and columns were reordered into a band, which the band route of
 The shifted augmented matrix has one assembler, :class:`ShiftedAugmented`:
 one index map per system (built once, as ``system.augmented``), from
 which every shift's matrix is scattered into CSC or band storage, on one
-pattern whatever the shift.
+pattern whatever the shift. At a real shift of a system whose matrix
+equals its transpose, it fills only the band's lower triangle
+(:class:`SymmetricBandMatrix`), which the band route factors by Cholesky.
 """
 
 from collections import namedtuple
@@ -62,6 +64,9 @@ class ShiftedAugmented:
     and :meth:`band` compute ``(sigma^2 M11 + sigma L11) + K11`` once on
     the union and scatter it into CSC or band storage, the latter in the
     layout (:meth:`band_layout`) that :class:`morkit.lu.Route` keeps.
+    The union's entries on and above the diagonal come first: a matrix
+    that equals its transpose is determined by them, and its lower band
+    storage is scattered from them alone.
     """
 
     def __init__(self, system):
@@ -71,21 +76,29 @@ class ShiftedAugmented:
         tags = [sp.csc_array((np.full(b.nnz, 1 << k, np.int8), b.indices, b.indptr), shape=b.shape)
                 for k, b in enumerate(shifted)]
         union = tags[0] + tags[1] + tags[2]
+        cols = np.repeat(np.arange(system.n1, dtype=union.indices.dtype), np.diff(union.indptr))
+        upper = union.indices <= cols
+        first = np.argsort(~upper, kind="stable")
+        self._upper11 = int(np.count_nonzero(upper))
         self._shifted = []  # M11, L11, K11 values on the union, 0 where absent
         for k, block in enumerate(shifted):
             values = np.zeros(union.nnz)
             values[(union.data & (1 << k)) != 0] = block.data
-            self._shifted.append(values)
+            self._shifted.append(values[first])
         union.data = np.zeros(union.nnz)
-        self.pattern, self._at = _stack_block_columns(
+        self.pattern, at = _stack_block_columns(
             ((union, system.K21), (system.K12, system.K22)), system.n1)
+        self._at = at[first]
         self._abs_max_fixed = np.abs(self.pattern.data).max(initial=0.0)
 
-    def _s11(self, sigma):
+    def _s11(self, sigma, upper=False):
+        """S11 at `sigma` on the union, or on its leading entries on and
+        above the diagonal (`upper`)."""
         sigma = complex(sigma)
         if sigma.imag == 0.0:  # real arithmetic is exact here, and cheaper to factor
             sigma = sigma.real
-        M, L, K = self._shifted
+        count = self._upper11 if upper else None
+        M, L, K = (values[:count] for values in self._shifted)
         return (sigma * sigma) * M + sigma * L + K  # scipy's sum order: equal bit for bit
 
     def csc(self, sigma):
@@ -124,35 +137,91 @@ class ShiftedAugmented:
 
     def band_layout(self, order):
         """The :data:`BandLayout` of ``pattern`` with its rows and
-        columns taken in `order`, as narrow as the pattern allows."""
-        at, kl, ku = band_layout(self.pattern, order)
-        fixed = np.ones(at.shape[0], dtype=bool)
+        columns taken in `order`, as narrow as the pattern allows, without
+        the lower storage's maps (see :meth:`lower_band_layout`). The
+        fixed entries are kept in the order of their places in the band,
+        which a shift's scatter visits faster than their CSC order."""
+        P = self.pattern
+        at, kl, ku = band_layout(P, order)
+        fixed = np.ones(P.nnz, dtype=bool)
         fixed[self._at] = False
-        return BandLayout(order, kl, ku, at[self._at], at[fixed], self.pattern.data[fixed])
+        fixed = np.flatnonzero(fixed)
+        fixed = fixed[np.argsort(at[fixed], kind="stable")]
+        # positions stay intp: every shift, complex ones and the sweep's
+        # included, scatters through these maps, and int32 ones cost numpy
+        # a cast per scatter (0.5 ms of 5.4 on the chain at n = 99,999)
+        return BandLayout(order, kl, ku, at[self._at], at[fixed], P.data[fixed], None)
+
+    def lower_band_layout(self, layout):
+        """`layout` (:meth:`band_layout`) with the maps of ``?pbtrf``'s
+        lower storage (``lower``, a :data:`LowerBand`), for a matrix that
+        equals its transpose exactly (:meth:`is_symmetric`; then ``kl ==
+        ku``). Each of S11's entries on or above the diagonal fills the
+        place, in the band's lower triangle, of the pair it forms with
+        its mirror; the fixed entries there are taken as they are."""
+        kl = layout.kl
+        # int32 where it fits: the maps live as long as the system, and only
+        # real shifts pay the cast (0.5 ms each on the chain, 1 MB saved)
+        idx = sp.get_index_dtype(maxval=(kl + 1) * self.pattern.shape[0])
+
+        def column_and_offset(at):  # an entry's column in the band, its row less its column
+            j, d = np.divmod(at, 3 * kl + 1)
+            return j, d - 2 * kl
+
+        j, d = column_and_offset(layout.at11[: self._upper11])
+        at11 = (np.abs(d) + np.minimum(j, j + d) * (kl + 1)).astype(idx)
+        j, d = column_and_offset(layout.at_fixed)
+        keep = d >= 0
+        at_fixed = (d[keep] + j[keep] * (kl + 1)).astype(idx)
+        return layout._replace(lower=LowerBand(at11, at_fixed, layout.values_fixed[keep]))
 
     def band(self, sigma, layout):
-        """The augmented matrix at `sigma` as a :class:`BandMatrix` in
-        `layout` (:meth:`band_layout`), of the dtype :meth:`csc` gives."""
-        s11 = self._s11(sigma)
-        data = _band_zeros(layout.kl, layout.ku, self.pattern.shape[0], s11.dtype)
-        flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
-        flat[layout.at11] = s11
-        flat[layout.at_fixed] = layout.values_fixed
-        abs11 = np.abs(s11)
+        """The augmented matrix at `sigma` in `layout` (:meth:`band_layout`),
+        of the dtype :meth:`csc` gives: a :class:`BandMatrix`, or, at a
+        real sigma when `layout` has the lower storage's maps
+        (:meth:`lower_band_layout`), a :class:`SymmetricBandMatrix`."""
+        n = self.pattern.shape[0]
+        lower = layout.lower if complex(sigma).imag == 0.0 else None
+        s11 = self._s11(sigma, upper=lower is not None)
+
+        def whole11():
+            return s11 if lower is None else self._s11(sigma)
 
         def colmax():
             absdata = np.abs(self.pattern.data)
-            absdata[self._at] = abs11
+            absdata[self._at] = np.abs(whole11())
             return column_abs_max(self.pattern, absdata)[layout.order]
 
-        abs_max = max(abs11.max(initial=0.0), self._abs_max_fixed)
-        return BandMatrix(data, layout.kl, layout.ku, layout.order, abs_max, colmax)
+        # on a matrix equal to its transpose, S11's largest modulus is one
+        # on or above the diagonal
+        abs_max = max(np.abs(s11).max(initial=0.0), self._abs_max_fixed)
+
+        def full():
+            data = _band_zeros(layout.kl, layout.ku, n, s11.dtype)
+            flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
+            flat[layout.at11] = whole11()
+            flat[layout.at_fixed] = layout.values_fixed
+            return BandMatrix(data, layout.kl, layout.ku, layout.order, abs_max, colmax)
+
+        if lower is None:
+            return full()
+        data = np.zeros((layout.kl + 1, n), order="F")
+        flat = data.reshape(-1, order="F")
+        flat[lower.at11] = s11
+        flat[lower.at_fixed] = lower.values_fixed
+        return SymmetricBandMatrix(data, layout.order, abs_max, colmax, full)
 
 
 # where ShiftedAugmented.band scatters a shift's matrix: the pattern's band
-# in `order` (kl sub-, ku superdiagonals) and the flattened positions there
-# of S11's entries and of the fixed blocks' (whose values it keeps)
-BandLayout = namedtuple("BandLayout", "order kl ku at11 at_fixed values_fixed")
+# in `order` (kl sub-, ku superdiagonals), the flattened positions there
+# of S11's entries and of the fixed blocks' (whose values it keeps), and
+# the maps of the lower storage (a LowerBand) or None
+BandLayout = namedtuple("BandLayout", "order kl ku at11 at_fixed values_fixed lower")
+
+# ?pbtrf's lower storage of a symmetric band: the flattened positions there
+# of S11's entries on and above the diagonal (the union's leading ones) and
+# of the fixed blocks' entries in the lower triangle, with their values
+LowerBand = namedtuple("LowerBand", "at11 at_fixed values_fixed")
 
 
 def _stack_block_columns(block_columns, n_top):
@@ -210,6 +279,21 @@ class BandMatrix:
     def __init__(self, data, kl, ku, order, abs_max, column_abs_max):
         self.data, self.kl, self.ku, self.order = data, kl, ku, order
         self.abs_max, self.column_abs_max = abs_max, column_abs_max
+
+
+class SymmetricBandMatrix:
+    """The lower triangle of a real symmetric :class:`BandMatrix`.
+
+    ``data`` (Fortran order, kd + 1 rows, kd = kl = ku) holds B[i, j] at
+    ``data[i - j, j]`` for i >= j, as ``?pbtrf`` reads it. ``order``,
+    ``abs_max`` and ``column_abs_max()`` are those of the whole matrix,
+    and ``full()`` assembles it as a :class:`BandMatrix`, for the LU that
+    takes over when the matrix is not positive definite.
+    """
+
+    def __init__(self, data, order, abs_max, column_abs_max, full):
+        self.data, self.order = data, order
+        self.abs_max, self.column_abs_max, self.full = abs_max, column_abs_max, full
 
 
 def column_abs_max(A, absdata):

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from morkit import InterpolationData, SecondOrderIndex1System, generate_synthetic
 from morkit.lu import _rcm_order
-from morkit.sparse import BandMatrix, as_canonical_csc, band_layout, column_abs_max
+from morkit.sparse import (BandMatrix, SymmetricBandMatrix, as_canonical_csc, band_layout,
+                           column_abs_max)
 
 # dimensions (n1, n2), port layouts (m, p, symmetric), generator seeds
 DIMS = [(40, 10), (120, 25), (200, 40)]
@@ -100,6 +101,19 @@ def band_of(A, order=None):
     absdata = np.abs(A.data)
     colmax = column_abs_max(A, absdata)[order]
     return BandMatrix(data, kl, ku, order, absdata.max(initial=0.0), lambda: colmax)
+
+
+def lower_band_of(A, order=None):
+    """Symmetric `A`'s lower band triangle as a
+    :class:`~morkit.sparse.SymmetricBandMatrix` in `order` (default: as
+    :func:`band_of`), whose ``full()`` is :func:`band_of` in that order."""
+    full = band_of(A, order)
+    kd, n = full.kl, full.data.shape[1]
+    data = np.zeros((kd + 1, n), dtype=full.data.dtype, order="F")
+    for d in range(kd + 1):  # B's d-th subdiagonal, from band storage's row kl + ku + d
+        data[d, : n - d] = full.data[2 * kd + d, : n - d]
+    return SymmetricBandMatrix(data, full.order, full.abs_max, full.column_abs_max,
+                               lambda: band_of(A, full.order))
 
 
 def grid_laplacian(side):

@@ -3,6 +3,7 @@ and wall times (the reductions themselves are not run here)."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "converge.py"
 _spec = importlib.util.spec_from_file_location("converge", _PATH)
@@ -60,8 +61,20 @@ def test_route_names_the_factorization_path():
     class BandMatrix:
         pass
 
-    assert converge._route((object(), Route("dense")), {}) == "dense"
-    assert converge._route((object(),), {"route": Route("ldlt")}) == "ldlt"
-    assert converge._route((object(), Route("sparse")), {}) == "sparse"
-    assert converge._route((object(),), {}) == "sparse"  # K22's own LU
-    assert converge._route((BandMatrix(),), {}) == "band"
+    class SymmetricBandMatrix:
+        pass
+
+    class _BandCholesky:
+        pass
+
+    lu = SimpleNamespace(_factors=object())
+    assert converge._route((object(), Route("dense")), {}, lu) == "dense"
+    assert converge._route((object(),), {"route": Route("ldlt")}, lu) == "ldlt"
+    assert converge._route((object(), Route("sparse")), {}, lu) == "sparse"
+    assert converge._route((object(),), {}, lu) == "sparse"  # K22's own LU
+    assert converge._route((BandMatrix(),), {}, lu) == "band"
+    # a symmetric band at a real shift: Cholesky, or LU when it is not
+    # positive definite
+    chol = SimpleNamespace(_factors=_BandCholesky())
+    assert converge._route((SymmetricBandMatrix(),), {}, chol) == "band-chol"
+    assert converge._route((SymmetricBandMatrix(),), {}, lu) == "band"

@@ -15,12 +15,12 @@ from scipy.linalg import lapack
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import _BandLU, _DenseLDLT, _DenseLU, _rcm_order, factor
+from morkit.lu import _BandCholesky, _BandLU, _DenseLDLT, _DenseLU, _rcm_order, factor
 from morkit.sparse import (as_canonical_csc, assemble_shifted_augmented, band_layout,
                            column_abs_max)
 from morkit.system import generate_synthetic, validate
 
-from conftest import GRID, band_of, chain_system, grid_ids, grid_system
+from conftest import GRID, band_of, chain_system, grid_ids, grid_system, lower_band_of
 
 
 def _random_square(n, seed, density=0.25):
@@ -289,21 +289,26 @@ def test_band_threshold_chooses_the_route():
     # below DENSE_FILL, the RCM band's storage against BAND_FILL times the
     # pattern's fill: a chain goes banded, a 2-D grid (band about its side
     # wide) stays on SuperLU; generated systems go dense, by LDL^T when
-    # symmetric
+    # symmetric. A symmetric chain's real shifts factor by band Cholesky,
+    # a nonsymmetric one's by band LU. The factors at a real and at a
+    # complex shift
     for system, kind, factors in (
-            (chain_system(400, 40, True), "band", _BandLU),
-            (grid_system(40), "sparse", spla.SuperLU),
-            (generate_synthetic(60, 12, 2, 2, seed=3), "ldlt", _DenseLDLT),
-            (generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False), "dense", _DenseLU)):
+            (chain_system(400, 40, True), "band", (_BandCholesky, _BandLU)),
+            (chain_system(400, 40, False), "band", (_BandLU, _BandLU)),
+            (grid_system(40), "sparse", (spla.SuperLU, spla.SuperLU)),
+            (generate_synthetic(60, 12, 2, 2, seed=3), "ldlt", (_DenseLDLT, _DenseLDLT)),
+            (generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False), "dense",
+             (_DenseLU, _DenseLU))):
         route = system.route
         assert route.kind == kind
+        assert route.symmetric == (factors[0] in (_BandCholesky, _DenseLDLT))
         assert (route.band is not None) == (kind == "band")
         if kind == "band":
             n = system.n1 + system.n2
             fill_nnz = route.fill * n**2
             assert (2 * route.band.kl + route.band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
-        for sigma in (1.0, 2.0 + 30.0j):
-            assert isinstance(factor_augmented(system, sigma)._factors, factors)
+        for sigma, want in zip((1.0, 2.0 + 30.0j), factors):
+            assert isinstance(factor_augmented(system, sigma)._factors, want)
 
 
 def test_band_route_measures_the_chains_rcm_band():
@@ -749,3 +754,88 @@ def test_band_route_recovers_a_scrambled_band(n, kl, ku, seed, complex_values):
     for got, matrix in ((lu.solve(rhs), dense), (lu.solve_transposed(rhs), dense.T)):
         want = np.linalg.solve(matrix, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid=st.booleans(),
+    n1=st.integers(20, 300),
+    n2=st.integers(1, 15),
+    seed=st.integers(0, 2**16),
+    log_sigma=st.floats(0.0, 4.0),
+)
+def test_band_cholesky_solves_agree_with_superlu(grid, n1, n2, seed, log_sigma):
+    # seeded symmetric band systems at a real shift from 1 to 1e4, where
+    # they are positive definite: the band Cholesky's solve and
+    # transposed solve are SuperLU's to 1e-12 relative (measured at most
+    # 4.8e-16 over 240 systems and shifts)
+    system = grid_system(20, seed=seed) if grid else chain_system(n1, n2, True, seed=seed)
+    assert system.route.kind == "band" and system.route.symmetric
+    sigma = 10.0**log_sigma
+    chol = factor_augmented(system, sigma)
+    assert isinstance(chol._factors, _BandCholesky) and chol.dtype == np.float64
+    superlu = factor(system.augmented.csc(sigma))
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((chol.n, 2)) + 1j * rng.standard_normal((chol.n, 2))
+    for solve in ("solve", "solve_transposed"):
+        got, want = getattr(chol, solve)(rhs), getattr(superlu, solve)(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_indefinite_symmetric_band_falls_back_to_band_lu():
+    # a negative K22 keeps the chain's augmented matrix symmetric, but not
+    # positive definite: pbtrf stops, and gbtrf factors the same shift
+    base = chain_system(200, 20, True)
+    system = dataclasses.replace(base, K22=-base.K22)
+    assert system.route.kind == "band" and system.route.symmetric
+    A = system.augmented.csc(5.0)
+    assert np.linalg.eigvalsh(A.toarray()).min() < 0.0
+    band = system.augmented.band(5.0, system.route.band)
+    assert lapack.dpbtrf(band.data, lower=1)[1] > 0
+    lu = factor_augmented(system, 5.0)
+    assert isinstance(lu._factors, _BandLU) and lu.dtype == np.float64
+    superlu = factor(A)
+    rhs = np.random.default_rng(5).standard_normal((lu.n, 2))
+    for solve in ("solve", "solve_transposed"):
+        got, want = getattr(lu, solve)(rhs), getattr(superlu, solve)(rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_band_cholesky_names_the_column_of_a_negligible_pivot():
+    # columns 0 and 2 agree to within 2 eps: positive definite, and pbtrf
+    # completes, but in the RCM order (2, 0, 3, 1) the pivot of band
+    # position 1, A's column 0, is negligible (2 eps); the error names
+    # column 0. Within eps, pbtrf meets a pivot that rounds to zero, and
+    # the band LU that takes over names the same column
+    eps = np.finfo(np.float64).eps
+    for delta, completes in ((2 * eps, True), (eps, False)):
+        A = sp.csc_array(np.array([[1.0, 0.0, 1.0, 0.0],
+                                   [0.0, 1.0, 0.0, 0.0],
+                                   [1.0, 0.0, 1.0 + delta, 0.0],
+                                   [0.0, 0.0, 0.0, 1.0]]))
+        band = lower_band_of(A)
+        np.testing.assert_array_equal(band.order, [2, 0, 3, 1])
+        assert (lapack.dpbtrf(band.data, lower=1)[1] == 0) == completes
+        with pytest.raises(SingularMatrixError, match="negligible") as err:
+            factor(band)
+        assert err.value.column == 0
+
+
+def test_band_cholesky_readouts_have_the_stored_factors_size():
+    # L is the stored factor, kd + 1 entries of each column less the
+    # corner, with B = L L^T; U is its diagonal, so that nnz(L) + nnz(U)
+    # - n counts the stored factor, as the tracer reads it
+    system = chain_system(200, 20, True)
+    sigma = 5.0
+    lu = factor_augmented(system, sigma)
+    assert isinstance(lu._factors, _BandCholesky)
+    n, kd = lu.n, system.route.band.kl
+    L, U = lu.L, lu.U
+    stored = (kd + 1) * n - kd * (kd + 1) // 2
+    assert L.nnz == stored and U.nnz == n
+    assert L.nnz + U.nnz - n == stored
+    assert sp.triu(L, k=1).nnz == 0
+    np.testing.assert_array_equal(U.toarray(), np.diag(L.diagonal()))
+    order = system.route.band.order
+    B = system.augmented.csc(sigma).toarray()[order][:, order]
+    np.testing.assert_allclose((L @ L.T).toarray(), B, rtol=1e-13, atol=1e-13)

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morkit.sparse import (
+    BandMatrix,
     ShiftedAugmented,
+    SymmetricBandMatrix,
     as_canonical_csc,
     assemble_shifted_augmented,
     is_symmetric,
 )
 from morkit.system import SecondOrderIndex1System, generate_synthetic
 
-from conftest import band_of
+from conftest import band_of, chain_system
 
 
 def test_as_canonical_csc_idempotent():
@@ -211,6 +213,43 @@ def test_shifted_band_is_the_assembled_matrix_in_band_storage(kind, sigma):
     for b in (band, csc):
         assert b.abs_max == np.abs(want).max()
         np.testing.assert_array_equal(b.column_abs_max(), np.abs(want).max(axis=0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 3j, 0.25 - 4j])
+@pytest.mark.parametrize("kind", ["chain", "generated"])
+def test_symmetric_band_is_the_lower_triangle_of_the_assembled_matrix(kind, sigma):
+    # a system equal to its transpose, in any order of the rows and
+    # columns: at a real sigma the lower storage holds the permuted
+    # matrix's lower triangle, with the whole matrix's moduli, and full()
+    # is its whole band; a complex sigma takes the whole band at once
+    system = chain_system(40, 6, True) if kind == "chain" else generate_synthetic(
+        30, 8, 2, 2, seed=4)
+    shifted = ShiftedAugmented(system)
+    assert shifted.is_symmetric()
+    A = shifted.csc(sigma)
+    order = np.random.default_rng(3).permutation(A.shape[0]).astype(np.int32)
+    layout = shifted.lower_band_layout(shifted.band_layout(order))
+    assert layout.kl == layout.ku
+    band = shifted.band(sigma, layout)
+    want = A.toarray()[order][:, order]
+    whole = band
+    if complex(sigma).imag == 0.0:
+        assert isinstance(band, SymmetricBandMatrix)
+        assert band.data.dtype == np.float64 and band.data.flags.f_contiguous
+        n, kd = want.shape[0], layout.kl
+        lower = np.zeros_like(band.data)
+        for d in range(kd + 1):
+            lower[d, : n - d] = np.diagonal(want, -d)
+        np.testing.assert_array_equal(band.data, lower)
+        assert band.abs_max == np.abs(want).max()
+        np.testing.assert_array_equal(band.column_abs_max(), np.abs(want).max(axis=0))
+        whole = band.full()
+    assert isinstance(whole, BandMatrix)
+    np.testing.assert_array_equal(_unband(whole), want)
+    assert whole.abs_max == np.abs(want).max()
+    # the layout without the lower maps scatters the same whole band
+    np.testing.assert_array_equal(
+        shifted.band(sigma, shifted.band_layout(order)).data, whole.data)
 
 
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, 3e4, -1e-3])

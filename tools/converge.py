@@ -18,8 +18,9 @@ one BLAS thread, and records:
 * the inner IRKA runs (``irka_first_order``), their iterations and how
   many of them converged;
 * the ``lu.factor`` calls by route and arithmetic, such as
-  ``dense-complex`` (K22's own LU counts as ``sparse-real`` when the
-  reduction makes it; a system loaded from files has it already);
+  ``dense-complex`` or ``band-chol-real`` (band Cholesky; K22's own LU
+  counts as ``sparse-real`` when the reduction makes it; a system
+  loaded from files has it already);
 * the wall time of ``irka_second_order_index1``, building or loading the
   system not included.
 
@@ -65,11 +66,15 @@ def _cases(morkit, digests, equivalence, tmp):
             + [(README_CASE, readme_system, morkit.IrkaConfig(r=20))])
 
 
-def _route(args, kwargs):
-    """Route kind of one ``lu.factor(A, route=None)`` call."""
+def _route(args, kwargs, out):
+    """Route kind of one ``lu.factor(A, route=None)`` call that returned
+    `out`: "band-chol" for band Cholesky factors, "band" for band LU ones
+    (a symmetric band's fallback included)."""
     A = args[0] if args else kwargs["A"]
     route = args[1] if len(args) > 1 else kwargs.get("route")
-    if type(A).__name__ == "BandMatrix":
+    if type(out._factors).__name__ == "_BandCholesky":
+        return "band-chol"
+    if type(A).__name__ in ("BandMatrix", "SymmetricBandMatrix"):
         return "band"
     return route.kind if route is not None and route.kind in ("dense", "ldlt") else "sparse"
 
@@ -89,7 +94,7 @@ def measure(tree, name):
 
     def counting_factor(*args, **kwargs):
         out = factor(*args, **kwargs)
-        key = f"{_route(args, kwargs)}-{'complex' if out.dtype.kind == 'c' else 'real'}"
+        key = f"{_route(args, kwargs, out)}-{'complex' if out.dtype.kind == 'c' else 'real'}"
         factors[key] = factors.get(key, 0) + 1
         return out
 

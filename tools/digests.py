@@ -48,7 +48,11 @@ its closure to scale the directions in one batched pass;
 iteration count kept. The three chains' digests changed when the band
 route's reverse Cuthill-McKee order began at a pseudo-peripheral node,
 which halves their band (``kl = ku = 4`` to 2); ``tools/equivalence.py``
-passed, and the other 13 stayed. The current record::
+passed, and the other 13 stayed. The three chains' digests changed again
+when the real shifts of exactly symmetric band systems began to factor by
+band Cholesky (``?pbtrf``/``?pbtrs``), with their right-hand sides built
+in float64; ``tools/equivalence.py`` passed, and the other 13 stayed.
+The current record::
 
     synth150-s0 276a7b1537609e8d
     synth150-s1 1c9a8c1fa4ff43ef
@@ -63,9 +67,9 @@ passed, and the other 13 stayed. The current record::
     nonsym200-s1 df47d14f045044aa
     nonsym200-s2 0c5db90c3ef401f8
     synth-fill-s0 a47691490318ffc3
-    chain5000-s0 88328e4b8a4c1d24
-    chain5000-s0-2s 9889bdc7c6486980
-    chain50000-s0 c045d4f08a945fe6
+    chain5000-s0 5030ceaaa273da34
+    chain5000-s0-2s f3abe7955a61733a
+    chain50000-s0 96b59bb248a9b29c
 
 The systems:
 
