@@ -1,10 +1,12 @@
 """Sparse LU factorization with threshold partial pivoting.
 
 Thin, contract-enforcing layer over SuperLU and LAPACK. Every route's
-factors (:class:`SparseLU`) answer ``solve``, ``solve_transposed``,
-``n`` and ``dtype``, all the reduction needs. ``perm_r``, ``perm_c``,
-``permutation_matrices()`` and ``Pr @ A @ Pc == L @ U``, exact because
-equilibration is disabled, are SuperLU's alone (route None or "sparse").
+factors are one :class:`SparseLU`: ``solve``, ``solve_transposed``,
+``n`` and ``dtype``, all the reduction needs, and ``routine``, the
+routine that factored. ``perm_r``, ``perm_c``, ``permutation_matrices()`` and
+``Pr @ A @ Pc == L @ U``, exact because equilibration is disabled, are
+SuperLU's alone (route None or "sparse"); on the LAPACK routes ``L``
+and ``U`` only read out the stored factor's size.
 A :class:`Route` decides, once per sparsity pattern, how every
 matrix of that pattern is factored. It runs one SuperLU factorization of
 the pattern itself and measures its fill ``nnz(L + U)``:
@@ -77,6 +79,8 @@ benchmark's synth-fill size, a 2-core Xeon), ``zsytrf`` takes 41 ms
 against ``zgetrf``'s 72 ms and ``dsytrf`` 20 ms against ``dgetrf``'s
 32 ms; with the default workspace ``zsytrf`` took 247 ms.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,17 +222,15 @@ def _pseudo_peripheral(graph):
 class SparseLU:
     """Factorization of a square sparse matrix, for solves with it.
 
-    Every route answers :meth:`solve`, :meth:`solve_transposed`, ``n``
-    and ``dtype``. The factors are SuperLU's or, on the ldlt, dense and
-    band routes, LAPACK's (:class:`_DenseLDLT`, :class:`_DenseLU`,
-    :class:`_BandLU`, and :class:`_BandCholesky` at the real shifts of
-    an exactly symmetric band system, with :class:`_BandLU` when such a
-    shift's matrix is not positive definite). SuperLU's alone answer
-    ``perm_r``, ``perm_c`` and
+    Every route answers :meth:`solve` and :meth:`solve_transposed`,
+    through its routine's own solve, ``n``, ``dtype`` and ``routine``.
+    SuperLU's factors alone answer ``perm_r``, ``perm_c`` and
     :meth:`permutation_matrices`, with ``Pr @ A @ Pc = L @ U``, which
-    ``morkit verify`` checks. LAPACK's ``L`` and ``U`` are copies of
-    their stored factors, built when read, for their sizes, which only
-    the benchmark's tracer reads; they satisfy no such identity.
+    ``morkit verify`` checks. On the LAPACK routes ``L`` and ``U`` read
+    out a size alone, copying nothing: ``L.nnz`` is the stored factor
+    array's entries and ``U.nnz`` n, so that ``L.nnz + U.nnz - n``
+    counts it as it counts SuperLU's factors. Only the benchmark's tracer
+    reads them; they go once it reads ``n``, ``dtype`` and stored bytes.
 
     Attributes
     ----------
@@ -236,6 +238,8 @@ class SparseLU:
         Matrix dimension.
     dtype : numpy.dtype
         Arithmetic of the factors: float64 or complex128.
+    routine : str
+        "gstrf" (SuperLU), "getrf", "sytrf", "gbtrf" or "pbtrf" (LAPACK).
     L, U : scipy.sparse.csc_array
         SuperLU's unit-lower and upper triangular factors; on the other
         routes, size readouts (see above).
@@ -244,17 +248,21 @@ class SparseLU:
         1`` and ``Pc[k, perm_c[k]] = 1``.
     """
 
-    def __init__(self, factors, dtype, n):
-        self._factors = factors
-        self.dtype = dtype
-        self.n = n
+    def __init__(self, solve, dtype, n, routine, factors, order=None):
+        self._solve_factored = solve  # (rhs, "N" or "T"), rows in `order`
+        self.dtype, self.n, self.routine = dtype, n, routine
+        self._factors, self._order = factors, order
 
     @property
     def L(self):
+        if self.routine != "gstrf":
+            return SimpleNamespace(nnz=self._factors.size)
         return as_canonical_csc(self._factors.L)
 
     @property
     def U(self):
+        if self.routine != "gstrf":
+            return SimpleNamespace(nnz=self.n)
         return as_canonical_csc(self._factors.U)
 
     @property
@@ -279,15 +287,22 @@ class SparseLU:
             raise DimensionError(
                 f"right-hand side has {rhs.shape[0]} rows, factorization has {self.n}"
             )
+        order = self._order
+        if order is not None:
+            rhs = rhs[order]
         if np.iscomplexobj(rhs) and not np.issubdtype(self.dtype, np.complexfloating):
             # real factorization, complex right-hand side: solve parts
             # separately, and a zero imaginary part not at all
-            real = self._factors.solve(np.ascontiguousarray(rhs.real), trans=trans)
-            if not rhs.imag.any():
-                return real.astype(np.complex128)
-            imag = self._factors.solve(np.ascontiguousarray(rhs.imag), trans=trans)
-            return real + 1j * imag
-        return self._factors.solve(rhs.astype(self.dtype, copy=False), trans=trans)
+            x = self._solve_factored(np.ascontiguousarray(rhs.real), trans)
+            if rhs.imag.any():
+                x = x + 1j * self._solve_factored(np.ascontiguousarray(rhs.imag), trans)
+            else:
+                x = x.astype(np.complex128)
+        else:
+            x = self._solve_factored(rhs.astype(self.dtype, copy=False), trans)
+        if order is not None:
+            x[order] = x.copy()  # from the factored matrix's order to A's
+        return x
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a dense vector or block of vectors."""
@@ -298,67 +313,7 @@ class SparseLU:
         return self._solve(rhs, "T")
 
 
-class _DenseLU:
-    """LAPACK ``?getrf`` factors ``A = P L U`` of a dense Fortran-order
-    matrix, behind the part of SuperLU's interface that :class:`SparseLU`
-    uses for solves. ``L`` (unit lower) and ``U`` are copies of the
-    stored triangles, built when read, for their sizes."""
-
-    def __init__(self, lu, piv):
-        self._lu, self._piv = lu, piv  # piv: row i was swapped with row piv[i]
-        self._getrs = lapack.get_lapack_funcs("getrs", (lu,))
-
-    def solve(self, rhs, trans="N"):
-        x, _ = self._getrs(self._lu, self._piv, rhs, trans={"N": 0, "T": 1}[trans])
-        return x
-
-    @property
-    def L(self):
-        L = _triangle_csc(self._lu, lower=True)
-        L.data[L.indptr[:-1]] = 1.0  # each column starts at its unit diagonal
-        return L
-
-    @property
-    def U(self):
-        return _triangle_csc(self._lu, lower=False)
-
-
-class _DenseLDLT:
-    """LAPACK ``?sytrf`` factors ``A = P L D L^T P^T`` of a dense
-    symmetric matrix, from its lower triangle, behind the part of
-    SuperLU's interface that :class:`SparseLU` uses for solves. Since
-    ``A = A^T``, the transposed solve is the plain one.
-
-    ``L`` (the unit lower triangle of multipliers) and ``U`` (the block
-    diagonal D, its 2 x 2 blocks' off-diagonal entries included) are
-    copies of the stored factors, built when read, for their sizes.
-    """
-
-    def __init__(self, ldu, ipiv):
-        self._ldu, self._ipiv = ldu, ipiv  # ipiv as LAPACK's, 1-based
-        self._sytrs = lapack.get_lapack_funcs("sytrs", (ldu,))
-
-    def solve(self, rhs, trans="N"):
-        x, _ = self._sytrs(self._ldu, self._ipiv, rhs, lower=1)
-        return x
-
-    @property
-    def L(self):
-        L = _triangle_csc(self._ldu, lower=True)
-        L.data[L.indptr[:-1]] = 1.0  # each column starts at its unit diagonal
-        # below a 2 x 2 block's first diagonal entry sits D's, not a multiplier
-        L.data[L.indptr[_block_starts(self._ipiv)] + 1] = 0.0
-        return L
-
-    @property
-    def U(self):
-        n = self._ldu.shape[0]
-        first = _block_starts(self._ipiv)
-        rows = np.concatenate([np.arange(n), first + 1, first])
-        cols = np.concatenate([np.arange(n), first, first + 1])
-        # D is stored in the lower triangle only
-        values = self._ldu[np.maximum(rows, cols), np.minimum(rows, cols)]
-        return sp.csc_array((values, (rows, cols)), shape=(n, n))
+_TRANS = {"N": 0, "T": 1}  # LAPACK's trans argument
 
 
 def _block_starts(ipiv):
@@ -382,100 +337,6 @@ def _ldlt_order(ipiv):
         order[j], order[p] = order[p], order[j]
         k = j + 1
     return order
-
-
-class _BandLU:
-    """LAPACK ``?gbtrf`` factors of a :class:`~morkit.sparse.BandMatrix`
-    B = A[order][:, order], behind the part of SuperLU's interface that
-    :class:`SparseLU` uses for solves.
-
-    ``L`` and ``U`` are copies of the stored band, built when read, for
-    their sizes: ``L`` holds each column's ``kl + 1`` stored entries
-    under a unit diagonal, in the rows ``?gbtrf`` left them (it defers
-    its row interchanges), and ``U`` the band's ``kl + ku + 1`` rows.
-    """
-
-    def __init__(self, lub, piv, band):
-        self._lub, self._piv = lub, piv  # piv: row j was swapped with row piv[j]
-        self._kl, self._ku, self._order = band.kl, band.ku, band.order
-        self._gbtrs = lapack.get_lapack_funcs("gbtrs", (lub,))
-
-    def solve(self, rhs, trans="N"):
-        order = self._order
-        y, _ = self._gbtrs(self._lub, self._kl, self._ku, rhs[order], self._piv,
-                           trans={"N": 0, "T": 1}[trans])
-        x = np.empty_like(y)
-        x[order] = y
-        return x
-
-    @property
-    def L(self):
-        values = self._lub[self._kl + self._ku:].T.copy()  # U's diagonal, then multipliers
-        values[:, 0] = 1.0
-        return _band_csc(values, 0)
-
-    @property
-    def U(self):
-        return _band_csc(self._lub[: self._kl + self._ku + 1].T, -(self._kl + self._ku))
-
-
-class _BandCholesky:
-    """LAPACK ``?pbtrf`` factor L, ``B = L L^T``, of a symmetric band
-    B = A[order][:, order] from its lower triangle, behind the part of
-    SuperLU's interface that :class:`SparseLU` uses for solves. Since
-    ``A = A^T``, the transposed solve is the plain one.
-
-    ``L`` is a copy of the stored factor, built when read, for its size:
-    each column's ``kd + 1`` entries from its diagonal down. ``U`` is
-    L's diagonal alone (L^T stores nothing more), so that ``nnz(L) +
-    nnz(U) - n`` counts the stored factor, as for the LU factors.
-    """
-
-    def __init__(self, chol, order):
-        self._chol, self._order = chol, order
-        self._pbtrs = lapack.get_lapack_funcs("pbtrs", (chol,))
-
-    def solve(self, rhs, trans="N"):
-        order = self._order
-        y, _ = self._pbtrs(self._chol, rhs[order], lower=1)
-        x = np.empty_like(y)
-        x[order] = y
-        return x
-
-    @property
-    def L(self):
-        return _band_csc(self._chol.T, 0)
-
-    @property
-    def U(self):
-        return sp.diags_array(self._chol[0], format="csc")
-
-
-def _band_csc(values, first):
-    """Square CSC matrix whose column j holds ``values[j, t]`` in row
-    ``j + first + t`` wherever that row exists, zeros included, as band
-    factors store them."""
-    n, width = values.shape
-    rows = np.arange(n)[:, None] + np.arange(first, first + width)
-    keep = (rows >= 0) & (rows < n)
-    idx = sp.get_index_dtype(maxval=max(n, keep.size))
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return sp.csc_array((values[keep], rows[keep].astype(idx), indptr), shape=(n, n))
-
-
-def _triangle_csc(a, lower):
-    """The lower or upper triangle of square `a`, diagonal included, as
-    CSC storing every entry of the triangle (zeros too), as dense
-    factors hold them."""
-    n = a.shape[0]
-    # column j of a is row j of a.T; its triangle is rows j.. or ..j
-    keep = np.tri(n, dtype=bool)
-    if lower:
-        keep = keep.T
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
-    rows = np.nonzero(keep)[1].astype(np.int32)
-    return sp.csc_array((a.T[keep], rows, indptr), shape=(n, n))
 
 
 def factor(A, route=None):
@@ -531,7 +392,7 @@ def factor(A, route=None):
     # SuperLU's own U, whose diagonal needs no sorted copy; U's column j
     # holds the pivot of A's column argsort(perm_c)[j]
     _check_pivots(A, superlu.U.diagonal(), np.argsort(superlu.perm_c))
-    return SparseLU(superlu, A.dtype, A.shape[0])
+    return SparseLU(superlu.solve, A.dtype, A.shape[0], "gstrf", superlu)
 
 
 def _factor_dense(A):
@@ -541,7 +402,11 @@ def _factor_dense(A):
     if info > 0:  # U[info-1, info-1] is exactly zero
         raise SingularMatrixError("dense LU met an exactly zero pivot", column=int(info - 1))
     _check_pivots(A, np.diagonal(lu))
-    return SparseLU(_DenseLU(lu, piv), A.dtype, A.shape[0])
+    getrs = lapack.get_lapack_funcs("getrs", (lu,))
+
+    def solve(rhs, trans):  # piv: row i was swapped with row piv[i]
+        return getrs(lu, piv, rhs, trans=_TRANS[trans])[0]
+    return SparseLU(solve, A.dtype, A.shape[0], "getrf", lu)
 
 
 _SYTRF_LWORK = {}  # LAPACK's optimal ?sytrf workspace per (typecode, n)
@@ -571,7 +436,11 @@ def _factor_ldlt(A):
         blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
         pivots[first] = pivots[first + 1] = np.linalg.svd(blocks, compute_uv=False)[:, 1]
     _check_pivots(A, pivots, lambda: _ldlt_order(ipiv))
-    return SparseLU(_DenseLDLT(ldu, ipiv), A.dtype, n)
+    sytrs = lapack.get_lapack_funcs("sytrs", (ldu,))
+
+    def solve(rhs, trans):  # A = A^T: the transposed solve is the plain one
+        return sytrs(ldu, ipiv, rhs, lower=1)[0]
+    return SparseLU(solve, A.dtype, n, "sytrf", ldu)
 
 
 def _factor_band(band):
@@ -585,7 +454,11 @@ def _factor_band(band):
                                   column=int(order[info - 1]))
     # B's column j, pivoted by U[j, j], is A's column order[j]
     _check_pivots(band, lub[kl + ku], order)
-    return SparseLU(_BandLU(lub, piv, band), lub.dtype, lub.shape[1])
+    gbtrs = lapack.get_lapack_funcs("gbtrs", (lub,))
+
+    def solve(rhs, trans):  # piv: row j was swapped with row piv[j]
+        return gbtrs(lub, kl, ku, rhs, piv, trans=_TRANS[trans])[0]
+    return SparseLU(solve, lub.dtype, lub.shape[1], "gbtrf", lub, order)
 
 
 def _factor_band_cholesky(band):
@@ -599,7 +472,11 @@ def _factor_band_cholesky(band):
         return _factor_band(band.full())
     # B = L L^T eliminates B's column j with the pivot L[j, j]^2
     _check_pivots(band, np.square(chol[0]), band.order)
-    return SparseLU(_BandCholesky(chol, band.order), chol.dtype, chol.shape[1])
+    pbtrs = lapack.get_lapack_funcs("pbtrs", (chol,))
+
+    def solve(rhs, trans):  # B = B^T: the transposed solve is the plain one
+        return pbtrs(chol, rhs, lower=1)[0]
+    return SparseLU(solve, chol.dtype, chol.shape[1], "pbtrf", chol, band.order)
 
 
 def _check_pivots(A, pivots, pivot_cols=None):

@@ -54,27 +54,9 @@ def test_summary_reports_failed_reductions_and_keeps_system_order():
 
 
 def test_route_names_the_factorization_path():
-    class Route:
-        def __init__(self, kind):
-            self.kind = kind
-
-    class BandMatrix:
-        pass
-
-    class SymmetricBandMatrix:
-        pass
-
-    class _BandCholesky:
-        pass
-
-    lu = SimpleNamespace(_factors=object())
-    assert converge._route((object(), Route("dense")), {}, lu) == "dense"
-    assert converge._route((object(),), {"route": Route("ldlt")}, lu) == "ldlt"
-    assert converge._route((object(), Route("sparse")), {}, lu) == "sparse"
-    assert converge._route((object(),), {}, lu) == "sparse"  # K22's own LU
-    assert converge._route((BandMatrix(),), {}, lu) == "band"
-    # a symmetric band at a real shift: Cholesky, or LU when it is not
-    # positive definite
-    chol = SimpleNamespace(_factors=_BandCholesky())
-    assert converge._route((SymmetricBandMatrix(),), {}, chol) == "band-chol"
-    assert converge._route((SymmetricBandMatrix(),), {}, lu) == "band"
+    # by the routine that factored: band Cholesky, band LU (a symmetric
+    # band's fallback at a real shift included), the two dense routines
+    # and SuperLU (the sparse route's, and K22's own LU)
+    for routine, key in (("pbtrf", "band-chol"), ("gbtrf", "band"), ("getrf", "dense"),
+                         ("sytrf", "ldlt"), ("gstrf", "sparse")):
+        assert converge._route(SimpleNamespace(routine=routine)) == key

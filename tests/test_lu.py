@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -15,7 +14,7 @@ from scipy.linalg import lapack
 from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
-from morkit.lu import _BandCholesky, _BandLU, _DenseLDLT, _DenseLU, _rcm_order, factor
+from morkit.lu import _rcm_order, factor
 from morkit.sparse import (as_canonical_csc, assemble_shifted_augmented, band_layout,
                            column_abs_max)
 from morkit.system import generate_synthetic, validate
@@ -229,7 +228,7 @@ def _dense(A):
     """A's LU on the dense route, as for a pattern that fills in
     completely."""
     lu = factor(A, SimpleNamespace(kind="dense"))
-    assert isinstance(lu._factors, _DenseLU)
+    assert lu.routine == "getrf"
     return lu
 
 
@@ -237,7 +236,7 @@ def _band(A):
     """A's LU on the band route, in the reverse Cuthill-McKee order of
     its pattern."""
     lu = factor(band_of(A))
-    assert isinstance(lu._factors, _BandLU)
+    assert lu.routine == "gbtrf"
     return lu
 
 
@@ -245,7 +244,7 @@ def _ldlt(A):
     """A's LDL^T on the ldlt route, as for a symmetric pattern that
     fills in completely."""
     lu = factor(A, SimpleNamespace(kind="ldlt"))
-    assert isinstance(lu._factors, _DenseLDLT)
+    assert lu.routine == "sytrf"
     return lu
 
 
@@ -259,7 +258,7 @@ def _assert_solves(lu, A, rtol=1e-12):
 
 
 ROUTES = {"sparse": factor, "dense": _dense, "band": _band}
-DENSE_FACTORS = {"dense": _DenseLU, "ldlt": _DenseLDLT}
+DENSE_ROUTINES = {"dense": "getrf", "ldlt": "sytrf"}
 
 
 def test_fill_threshold_chooses_the_route(monkeypatch):
@@ -280,8 +279,8 @@ def test_fill_threshold_chooses_the_route(monkeypatch):
             monkeypatch.setattr(lu_module, "DENSE_FILL", threshold)
             fresh = system()
             assert fresh.route.kind == kind
-            factors = factor_augmented(fresh, 5.0)._factors
-            assert isinstance(factors, DENSE_FACTORS[dense_kind]) == (kind == dense_kind)
+            routine = factor_augmented(fresh, 5.0).routine
+            assert (routine == DENSE_ROUTINES[dense_kind]) == (kind == dense_kind)
     assert chain_system(400, 40, True).route.kind == "sparse"
 
 
@@ -290,25 +289,25 @@ def test_band_threshold_chooses_the_route():
     # pattern's fill: a chain goes banded, a 2-D grid (band about its side
     # wide) stays on SuperLU; generated systems go dense, by LDL^T when
     # symmetric. A symmetric chain's real shifts factor by band Cholesky,
-    # a nonsymmetric one's by band LU. The factors at a real and at a
+    # a nonsymmetric one's by band LU. The routines at a real and at a
     # complex shift
-    for system, kind, factors in (
-            (chain_system(400, 40, True), "band", (_BandCholesky, _BandLU)),
-            (chain_system(400, 40, False), "band", (_BandLU, _BandLU)),
-            (grid_system(40), "sparse", (spla.SuperLU, spla.SuperLU)),
-            (generate_synthetic(60, 12, 2, 2, seed=3), "ldlt", (_DenseLDLT, _DenseLDLT)),
+    for system, kind, routines in (
+            (chain_system(400, 40, True), "band", ("pbtrf", "gbtrf")),
+            (chain_system(400, 40, False), "band", ("gbtrf", "gbtrf")),
+            (grid_system(40), "sparse", ("gstrf", "gstrf")),
+            (generate_synthetic(60, 12, 2, 2, seed=3), "ldlt", ("sytrf", "sytrf")),
             (generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False), "dense",
-             (_DenseLU, _DenseLU))):
+             ("getrf", "getrf"))):
         route = system.route
         assert route.kind == kind
-        assert route.symmetric == (factors[0] in (_BandCholesky, _DenseLDLT))
+        assert route.symmetric == (routines[0] in ("pbtrf", "sytrf"))
         assert (route.band is not None) == (kind == "band")
         if kind == "band":
             n = system.n1 + system.n2
             fill_nnz = route.fill * n**2
             assert (2 * route.band.kl + route.band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
-        for sigma, want in zip((1.0, 2.0 + 30.0j), factors):
-            assert isinstance(factor_augmented(system, sigma)._factors, want)
+        for sigma, want in zip((1.0, 2.0 + 30.0j), routines):
+            assert factor_augmented(system, sigma).routine == want
 
 
 def test_band_route_measures_the_chains_rcm_band():
@@ -431,7 +430,7 @@ def test_ldlt_route_needs_exact_symmetry(block):
     system = _asymmetric(base, block, i, j, np.nextafter(dense[i, j], np.inf))
     assert validate(system).symmetric
     assert system.route.kind == "dense"
-    assert isinstance(factor_augmented(system, 2.0 + 30.0j)._factors, _DenseLU)
+    assert factor_augmented(system, 2.0 + 30.0j).routine == "getrf"
 
 
 def test_ldlt_route_needs_a_symmetric_pattern():
@@ -463,7 +462,7 @@ def test_ldlt_solves_match_a_dense_solve(sigma, rhs_dtype):
     # shift; the transposed solve is the plain one, since A = A^T
     system = generate_synthetic(60, 12, 2, 2, seed=3)
     lu = factor_augmented(system, sigma)
-    assert isinstance(lu._factors, _DenseLDLT)
+    assert lu.routine == "sytrf"
     assert lu.dtype == (np.float64 if sigma.imag == 0.0 else np.complex128)
     dense = system.augmented.csc(sigma).toarray()
     rng = np.random.default_rng(3)
@@ -490,21 +489,20 @@ _ZERO_DIAGONAL = np.array([[0.0, 1.0, 2.0, 0.0, 3.0],
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_ldlt_interchanges_and_takes_two_by_two_blocks(dtype):
+    # LAPACK's own sytrf on the matrix shows both; the route's solves
+    # go through them
     A = _ZERO_DIAGONAL.astype(dtype)
     if dtype == np.complex128:
         A = A * (1.0 + 0.5j)  # complex symmetric, not Hermitian
-    lu = _ldlt(sp.csc_array(A))
-    ipiv = lu._factors._ipiv
+    sytrf = lapack.get_lapack_funcs("sytrf", (A,))
+    ipiv, info = sytrf(A, lower=1)[1:]
+    assert info == 0
     assert (ipiv < 0).any()  # a 2 x 2 block
     assert (np.abs(ipiv) != np.arange(1, 6)).any()  # an interchange
+    lu = _ldlt(sp.csc_array(A))
     rhs = np.arange(1.0, 11.0).reshape(5, 2)
-    for x in (lu.solve(rhs), lu.solve_transposed(rhs)):
-        np.testing.assert_allclose(A @ x, rhs, rtol=1e-13, atol=1e-13)
-    # the stored factors: unit lower multipliers and the block diagonal D
-    L, D = lu.L.toarray(), lu.U.toarray()
-    assert np.all(np.diagonal(L) == 1.0) and not np.triu(L, k=1).any()
-    np.testing.assert_array_equal(D, D.T)
-    assert not np.tril(D, k=-2).any()
+    for x, matrix in ((lu.solve(rhs), A), (lu.solve_transposed(rhs), A.T)):
+        np.testing.assert_allclose(x, np.linalg.solve(matrix, rhs), rtol=1e-13, atol=1e-13)
 
 
 def test_ldlt_names_the_column_of_an_exactly_zero_pivot():
@@ -571,22 +569,19 @@ def test_dense_route_factorization_identity(n, seed, dtype):
     A = _random_square(n, seed).astype(dtype)
     if dtype == np.complex128:
         A = A + 1j * _random_square(n, seed + 10)
-    # the factors promise solves with A and A^T; L and U, their stored
-    # triangles, are unit lower and upper triangular
+    # the factors promise A = P L U through their solves with A and A^T,
+    # in the matrix's arithmetic
     lu = _dense(A)
     assert lu.dtype == dtype
     _assert_solves(lu, A)
-    assert np.all(lu.L.diagonal() == 1.0)
-    assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
 
 
 def test_dense_route_pivots_rows():
-    # a zero leading entry forces a row swap, which piv records, and the
-    # solves go through it
+    # a zero leading entry forces a row swap, which LAPACK's own getrf
+    # records in piv, and the solves go through it
     A = sp.csc_array(np.array([[0.0, 2.0, 1.0], [3.0, 1.0, 0.0], [1.0, 0.0, 4.0]]))
-    lu = _dense(A)
-    assert not np.array_equal(lu._factors._piv, np.arange(3))
-    _assert_solves(lu, A, rtol=1e-14)
+    assert not np.array_equal(lapack.dgetrf(A.toarray())[1], np.arange(3))
+    _assert_solves(_dense(A), A, rtol=1e-14)
 
 
 @pytest.mark.parametrize("route", ["sparse", "dense", "band"])
@@ -640,51 +635,45 @@ def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
 
 
 def test_dense_route_pivot_check_is_relative_to_the_column():
-    # the pivot 1.0 is negligible against the other column, not its own
+    # the pivot 1.0 is negligible against the other column, not its own:
+    # the factorization passes, and its solves are the matrix's
     A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(np.abs(_dense(A).U.diagonal()), [1e20, 1.0])
+    _assert_solves(_dense(A), A, rtol=1e-15)
 
 
 def test_band_route_pivot_check_is_relative_to_the_column():
     # as on the dense route, through the RCM order (1, 0) of the columns
     A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
-    lu = _band(A)
-    np.testing.assert_array_equal(np.abs(lu.U.diagonal()), [1.0, 1e20])
-    np.testing.assert_array_equal(lu._factors._order, [1, 0])
+    np.testing.assert_array_equal(band_of(A).order, [1, 0])
+    _assert_solves(_band(A), A, rtol=1e-15)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2)])
 def test_band_route_factorization_identity(n, seed, dtype):
-    # the factors promise solves with A and A^T; L and U, copies of the
-    # stored band, are unit lower and upper triangular
+    # the factors promise P L U of A in RCM order through their solves
+    # with A and A^T, in the matrix's arithmetic
     A = _random_square(n, seed).astype(dtype)
     if dtype == np.complex128:
         A = A + 1j * _random_square(n, seed + 10)
     lu = _band(A)
     assert lu.dtype == dtype
     _assert_solves(lu, A)
-    assert np.all(lu.L.diagonal() == 1.0)
-    assert sp.triu(lu.L, k=1).nnz == 0 and sp.tril(lu.U, k=-1).nnz == 0
-    # the factors store the whole band: kl + 1 entries of each column of
-    # L and kl + ku + 1 of U, less the corners
-    kl, ku = lu._factors._kl, lu._factors._ku
-    assert lu.L.nnz == sum(min(kl, n - 1 - j) + 1 for j in range(n))
-    assert lu.U.nnz == sum(min(kl + ku, j) + 1 for j in range(n))
 
 
 def test_band_route_pivots_rows_through_a_zero_diagonal():
     # a tridiagonal matrix whose leading diagonal entry (and another
-    # inside the band) is zero: gbtrf must swap rows, and the solves go
-    # through its deferred interchanges
+    # inside the band) is zero: LAPACK's own gbtrf swaps rows, and the
+    # solves go through its deferred interchanges
     A = sp.csc_array(np.array([[0.0, 2.0, 0.0, 0.0, 0.0],
                                [3.0, 1.0, 1.0, 0.0, 0.0],
                                [0.0, 1.0, 4.0, 2.0, 0.0],
                                [0.0, 0.0, 5.0, 0.0, 1.0],
                                [0.0, 0.0, 0.0, 1.0, 2.0]]))
-    lu = factor(band_of(A, np.arange(5, dtype=np.int32)))  # already banded
-    assert np.count_nonzero(lu._factors._piv != np.arange(5)) >= 2
-    _assert_solves(lu, A, rtol=1e-14)
+    band = band_of(A, np.arange(5, dtype=np.int32))  # already banded
+    piv = lapack.dgbtrf(band.data.copy(), band.kl, band.ku)[1]
+    assert np.count_nonzero(piv != np.arange(5)) >= 2
+    _assert_solves(factor(band), A, rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -748,7 +737,7 @@ def test_band_route_recovers_a_scrambled_band(n, kl, ku, seed, complex_values):
     band = band_of(A, _rcm_order(as_canonical_csc(A)))
     assert max(band.kl, band.ku) <= max(kl, ku)
     lu = factor(band)
-    assert isinstance(lu._factors, _BandLU)
+    assert lu.routine == "gbtrf"
     dense = A.toarray()
     rhs = rng.standard_normal((n, 2))
     for got, matrix in ((lu.solve(rhs), dense), (lu.solve_transposed(rhs), dense.T)):
@@ -773,7 +762,7 @@ def test_band_cholesky_solves_agree_with_superlu(grid, n1, n2, seed, log_sigma):
     assert system.route.kind == "band" and system.route.symmetric
     sigma = 10.0**log_sigma
     chol = factor_augmented(system, sigma)
-    assert isinstance(chol._factors, _BandCholesky) and chol.dtype == np.float64
+    assert chol.routine == "pbtrf" and chol.dtype == np.float64
     superlu = factor(system.augmented.csc(sigma))
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal((chol.n, 2)) + 1j * rng.standard_normal((chol.n, 2))
@@ -782,18 +771,23 @@ def test_band_cholesky_solves_agree_with_superlu(grid, n1, n2, seed, log_sigma):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_indefinite_symmetric_band_falls_back_to_band_lu():
-    # a negative K22 keeps the chain's augmented matrix symmetric, but not
-    # positive definite: pbtrf stops, and gbtrf factors the same shift
+def _indefinite_chain():
+    """A chain whose negative K22 keeps its augmented matrix symmetric,
+    but not positive definite at a real shift."""
     base = chain_system(200, 20, True)
-    system = dataclasses.replace(base, K22=-base.K22)
+    return dataclasses.replace(base, K22=-base.K22)
+
+
+def test_indefinite_symmetric_band_falls_back_to_band_lu():
+    # pbtrf stops, and gbtrf factors the same shift
+    system = _indefinite_chain()
     assert system.route.kind == "band" and system.route.symmetric
     A = system.augmented.csc(5.0)
     assert np.linalg.eigvalsh(A.toarray()).min() < 0.0
     band = system.augmented.band(5.0, system.route.band)
     assert lapack.dpbtrf(band.data, lower=1)[1] > 0
     lu = factor_augmented(system, 5.0)
-    assert isinstance(lu._factors, _BandLU) and lu.dtype == np.float64
+    assert lu.routine == "gbtrf" and lu.dtype == np.float64
     superlu = factor(A)
     rhs = np.random.default_rng(5).standard_normal((lu.n, 2))
     for solve in ("solve", "solve_transposed"):
@@ -822,20 +816,45 @@ def test_band_cholesky_names_the_column_of_a_negligible_pivot():
 
 
 def test_band_cholesky_readouts_have_the_stored_factors_size():
-    # L is the stored factor, kd + 1 entries of each column less the
-    # corner, with B = L L^T; U is its diagonal, so that nnz(L) + nnz(U)
-    # - n counts the stored factor, as the tracer reads it
+    # L.nnz is the stored factor's kd + 1 rows of n entries, corner
+    # included, and U.nnz n, so that nnz(L) + nnz(U) - n counts the
+    # stored factor, as the tracer reads it; the factor solves B = L L^T
     system = chain_system(200, 20, True)
     sigma = 5.0
     lu = factor_augmented(system, sigma)
-    assert isinstance(lu._factors, _BandCholesky)
+    assert lu.routine == "pbtrf"
     n, kd = lu.n, system.route.band.kl
-    L, U = lu.L, lu.U
-    stored = (kd + 1) * n - kd * (kd + 1) // 2
-    assert L.nnz == stored and U.nnz == n
-    assert L.nnz + U.nnz - n == stored
-    assert sp.triu(L, k=1).nnz == 0
-    np.testing.assert_array_equal(U.toarray(), np.diag(L.diagonal()))
-    order = system.route.band.order
-    B = system.augmented.csc(sigma).toarray()[order][:, order]
-    np.testing.assert_allclose((L @ L.T).toarray(), B, rtol=1e-13, atol=1e-13)
+    assert lu.L.nnz == (kd + 1) * n and lu.U.nnz == n
+    _assert_solves(lu, system.augmented.csc(sigma))
+
+
+# (routine, dtype, factors, the stored factor array's entries or None)
+_TRACED = {
+    "getrf": lambda: ("getrf", np.complex128, _dense(_random_square(8, 0) * (1 + 1j)), 64),
+    "sytrf": lambda: ("sytrf", np.float64, _ldlt(sp.csc_array(_ZERO_DIAGONAL)), 25),
+    "gbtrf": lambda: ("gbtrf", np.complex128,
+                      factor_augmented(chain_system(200, 20, True), 2.0 + 30.0j),
+                      (2 * 2 + 2 + 1) * 220),
+    "pbtrf": lambda: ("pbtrf", np.float64, factor_augmented(chain_system(200, 20, True), 5.0),
+                      (2 + 1) * 220),
+    "gbtrf-fallback": lambda: ("gbtrf", np.float64, factor_augmented(_indefinite_chain(), 5.0),
+                               (2 * 2 + 2 + 1) * 220),
+    "gstrf": lambda: ("gstrf", np.float64, factor(_random_square(25, 1)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRACED))
+def test_every_route_answers_what_the_tracer_reads(case):
+    # the benchmark's tracer reads n, dtype, L.nnz and U.nnz of every
+    # factorization, whatever its routine; on LAPACK's routes L.nnz +
+    # U.nnz - n is the stored factor array's size (the chain's band:
+    # kl = ku = 2, n = 220)
+    routine, dtype, lu, stored = _TRACED[case]()
+    assert lu.routine == routine and lu.dtype == dtype
+    assert isinstance(lu.n, int) and isinstance(lu.L.nnz, int) and isinstance(lu.U.nnz, int)
+    if stored is None:  # SuperLU's own triangles
+        assert lu.L.nnz == lu.L.indptr[-1] and lu.U.nnz == lu.U.indptr[-1]
+        assert lu.L.nnz >= lu.n and lu.U.nnz >= lu.n
+    else:
+        assert lu.U.nnz == lu.n
+        assert lu.L.nnz + lu.U.nnz - lu.n == stored

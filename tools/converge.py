@@ -66,17 +66,15 @@ def _cases(morkit, digests, equivalence, tmp):
             + [(README_CASE, readme_system, morkit.IrkaConfig(r=20))])
 
 
-def _route(args, kwargs, out):
-    """Route kind of one ``lu.factor(A, route=None)`` call that returned
-    `out`: "band-chol" for band Cholesky factors, "band" for band LU ones
-    (a symmetric band's fallback included)."""
-    A = args[0] if args else kwargs["A"]
-    route = args[1] if len(args) > 1 else kwargs.get("route")
-    if type(out._factors).__name__ == "_BandCholesky":
-        return "band-chol"
-    if type(A).__name__ in ("BandMatrix", "SymmetricBandMatrix"):
-        return "band"
-    return route.kind if route is not None and route.kind in ("dense", "ldlt") else "sparse"
+ROUTE_KEYS = {"pbtrf": "band-chol", "gbtrf": "band", "getrf": "dense", "sytrf": "ldlt",
+              "gstrf": "sparse"}
+
+
+def _route(out):
+    """Route key of the factors `out` of one ``lu.factor`` call, from the
+    routine that made them: "band-chol" for band Cholesky, "band" for band
+    LU (a symmetric band's fallback included)."""
+    return ROUTE_KEYS[out.routine]
 
 
 def measure(tree, name):
@@ -94,7 +92,7 @@ def measure(tree, name):
 
     def counting_factor(*args, **kwargs):
         out = factor(*args, **kwargs)
-        key = f"{_route(args, kwargs, out)}-{'complex' if out.dtype.kind == 'c' else 'real'}"
+        key = f"{_route(out)}-{'complex' if out.dtype.kind == 'c' else 'real'}"
         factors[key] = factors.get(key, 0) + 1
         return out
 
