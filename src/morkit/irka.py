@@ -334,9 +334,10 @@ def factor_augmented(system, sigma):
     """
     route = system.route
     try:
-        if route.band is not None:
-            return lu.factor(system.augmented.band(sigma, route.band))
-        return lu.factor(system.augmented.csc(sigma), route)
+        if route.layout is None:
+            return lu.factor(system.augmented.csc(sigma))
+        lower = route.lower is not None and complex(sigma).imag == 0.0
+        return lu.factor(system.augmented.scatter(sigma, route.lower if lower else route.layout))
     except SingularMatrixError as exc:
         raise ShiftCollisionError(sigma, f"augmented matrix singular at sigma={sigma}: {exc}") from exc
 
@@ -965,8 +966,8 @@ def irka_second_order_index1(system, config):
     trace.final_basis = basis
     route = system.route
     trace.lu_route, trace.lu_fill = route.kind, route.fill
-    if route.band is not None:
-        trace.lu_band = (route.band.kl, route.band.ku)
+    if route.kind == "band":
+        trace.lu_band = (route.layout.kl, route.layout.ku)
     if not trace.converged:
         warnings.warn(
             f"IRKA hit the iteration cap ({config.max_iter}) with shift movement "

@@ -3,30 +3,32 @@
 Thin, contract-enforcing layer over SuperLU and LAPACK. Every route's
 factors are one :class:`SparseLU`: ``solve``, ``solve_transposed``,
 ``n`` and ``dtype``, all the reduction needs, and ``routine``, the
-routine that factored. ``perm_r``, ``perm_c``, ``permutation_matrices()`` and
-``Pr @ A @ Pc == L @ U``, exact because equilibration is disabled, are
-SuperLU's alone (route None or "sparse"); on the LAPACK routes ``L``
-and ``U`` only read out the stored factor's size.
+routine that factored. ``perm_r``, ``perm_c``,
+``permutation_matrices()`` and ``Pr @ A @ Pc == L @ U``, exact because
+equilibration is disabled, are SuperLU's alone (a sparse matrix, the
+"sparse" route); on the LAPACK routes ``L`` and ``U`` only read out the
+stored factor's size.
 A :class:`Route` decides, once per sparsity pattern, how every
 matrix of that pattern is factored. It runs one SuperLU factorization of
-the pattern itself and measures its fill ``nnz(L + U)``:
+the pattern itself and measures its fill ``nnz(L + U)``. The LAPACK
+routes scatter each shift straight into the array their routine factors:
 
 * "ldlt": from :data:`DENSE_FILL` of n^2 on, when the matrix equals its
   transpose exactly at every shift, LAPACK ``?sytrf`` (Bunch-Kaufman
-  symmetric pivoting, ``A = P L D L^T P^T``) on the dense matrix;
+  symmetric pivoting, ``A = P L D L^T P^T``) on the dense lower
+  triangle, the only one scattered;
 * "dense": from :data:`DENSE_FILL` on otherwise, LAPACK ``?getrf`` on
   the dense matrix;
 * "band": below it, when reverse Cuthill-McKee from a pseudo-peripheral
   node (:func:`_rcm_order`) orders the pattern into a band whose
   storage, ``(2 kl + ku + 1) n`` entries, is at most :data:`BAND_FILL`
-  times that fill, LAPACK ``?gbtrf`` on the band
-  (:class:`~morkit.sparse.BandMatrix`). At a real shift of a matrix
-  that equals its transpose exactly at every shift, ``?pbtrf``
-  (Cholesky, ``B = L L^T``) on the band's lower triangle
-  (:class:`~morkit.sparse.SymmetricBandMatrix`) and ``?pbtrs`` for both
-  solves; a matrix that is not positive definite there is factored by
-  ``?gbtrf`` instead. Complex shifts stay on ``?gbtrf``: the matrix is
-  then complex symmetric, not Hermitian, and LAPACK has no band LDL^T;
+  times that fill, LAPACK ``?gbtrf`` on the band. At a real shift of a
+  matrix that equals its transpose exactly at every shift, ``?pbtrf``
+  (Cholesky, ``B = L L^T``) on the band's lower triangle and ``?pbtrs``
+  for both solves; a matrix that is not positive definite there is
+  factored by ``?gbtrf`` instead. Complex shifts stay on ``?gbtrf``: the
+  matrix is then complex symmetric, not Hermitian, and LAPACK has no
+  band LDL^T;
 * "sparse": otherwise SuperLU, each LU with its own minimum degree order.
 
 :data:`BAND_FILL` comes from per-factorization times: SuperLU against
@@ -88,8 +90,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import DimensionError, SingularMatrixError
-from .sparse import (BandMatrix, SymmetricBandMatrix, as_canonical_csc, column_abs_max,
-                     inverse_order)
+from .sparse import Stored, as_canonical_csc, column_abs_max, inverse_order
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
@@ -98,25 +99,18 @@ BAND_FILL = 4  # band storage / nnz(L+U) of a pattern up to which its LUs go ban
 
 class Route:
     """The route of every factorization of one shifted augmented pattern,
-    ``shifted.pattern`` (a :class:`~morkit.sparse.ShiftedAugmented`).
+    ``shifted.pattern`` (a :class:`~morkit.sparse.ShiftedAugmented`):
+    ``kind`` is "ldlt", "dense", "band" or "sparse", as the module
+    docstring sets out.
 
     ``fill`` is ``nnz(L + U) / n^2`` of SuperLU on the pattern itself:
     unit entries under a diagonal of n, which dominates its row and its
     column, so every pivot stays on the diagonal and the factorization
-    exists. From :data:`DENSE_FILL` on, sparse elimination saves too
-    little to pay for its indexing: LAPACK ``sytrf`` on the dense matrix
-    when it equals its transpose exactly at every shift
-    (:meth:`~morkit.sparse.ShiftedAugmented.is_symmetric`, ``kind``
-    "ldlt"), else ``getrf`` ("dense"). Below it, when the band of
-    A + A^T in reverse Cuthill-McKee order from a pseudo-peripheral node
-    (:func:`_rcm_order`) stores at most :data:`BAND_FILL` times the
-    fill, LAPACK on the band ("band"; ``band`` is its
-    :data:`~morkit.sparse.BandLayout`, None on the other routes):
-    ``pbtrf`` at the real shifts of a matrix that equals its transpose
-    exactly, with ``gbtrf`` when it is not positive definite, and
-    ``gbtrf`` otherwise; else SuperLU, each LU with its own minimum
-    degree order ("sparse"). ``symmetric`` records that exact symmetry,
-    tested on the ldlt, dense and band routes (False on the sparse one).
+    exists. ``layout`` is the :data:`~morkit.sparse.Layout` every shift
+    is scattered into (None on the sparse route), and ``lower``, on the
+    band route of a matrix that equals its transpose exactly
+    (:meth:`~morkit.sparse.ShiftedAugmented.is_symmetric`), the band's
+    lower triangle's, which its real shifts take instead (else None).
     """
 
     def __init__(self, shifted):
@@ -124,17 +118,20 @@ class Route:
         n = A.shape[0]
         fill_nnz = _fill_nnz(A)
         self.fill = fill_nnz / n**2
-        self.band, self.symmetric = None, False
+        self.layout = self.lower = None
         if self.fill >= DENSE_FILL:
-            self.symmetric = shifted.is_symmetric()
-            self.kind = "ldlt" if self.symmetric else "dense"
+            self.kind = "ldlt" if shifted.is_symmetric() else "dense"
+            self.layout = shifted.layout("dense-lower" if self.kind == "ldlt" else "dense")
             return
-        band = shifted.band_layout(_rcm_order(A))
+        order = _rcm_order(A)
+        band = shifted.layout("band", order)
         if (2 * band.kl + band.ku + 1) * n > BAND_FILL * fill_nnz:
             self.kind = "sparse"
             return
-        self.kind, self.symmetric = "band", shifted.is_symmetric()
-        self.band = shifted.lower_band_layout(band) if self.symmetric else band
+        self.kind, self.layout = "band", band
+        if shifted.is_symmetric():
+            self.lower = shifted.layout("band-lower", order)
+            self.layout = self.lower.full  # the same band, kept once
 
 
 def _fill_nnz(A):
@@ -339,27 +336,19 @@ def _ldlt_order(ipiv):
     return order
 
 
-def factor(A, route=None):
-    """Factor a square sparse matrix for solves with it and its transpose.
+def factor(A):
+    """Factor a square matrix for solves with it and its transpose.
 
     Parameters
     ----------
-    A : sparse matrix, BandMatrix or SymmetricBandMatrix
-        Square, real or complex. A :class:`~morkit.sparse.BandMatrix`,
-        as the band route assembles them, is factored by LAPACK
-        ``gbtrf`` (partial pivoting within the band). A
-        :class:`~morkit.sparse.SymmetricBandMatrix`, the band route's
-        assembly at a real shift of an exactly symmetric system, is
-        factored by LAPACK ``pbtrf`` (Cholesky, no pivoting), and when
-        it is not positive definite assembled in full and factored by
-        ``gbtrf``.
-    route : None or Route
-        The :class:`Route` of A's pattern. On the dense route A is
-        factored by LAPACK ``getrf`` (classical partial pivoting) with
-        no column order, on the ldlt route, where A must be symmetric,
-        by LAPACK ``sytrf`` (Bunch-Kaufman pivoting) from its lower
-        triangle; otherwise, and when None, SuperLU runs with minimum
-        degree ordering on the pattern of A + A^T.
+    A : sparse matrix or Stored
+        Square, real or complex. A sparse matrix is factored by SuperLU
+        with minimum degree ordering on the pattern of A + A^T; a
+        :data:`~morkit.sparse.Stored` matrix
+        (:meth:`~morkit.sparse.ShiftedAugmented.scatter`) by the LAPACK
+        routine that reads its storage (``getrf``, ``sytrf``, ``gbtrf``
+        or ``pbtrf``), and "band-lower", when A is not positive
+        definite, in full band storage by ``gbtrf``.
 
     Raises
     ------
@@ -369,17 +358,11 @@ def factor(A, route=None):
         factorization got far enough to identify it. Cholesky's pivot is
         ``l_jj^2``.
     """
-    if isinstance(A, SymmetricBandMatrix):
-        return _factor_band_cholesky(A)
-    if isinstance(A, BandMatrix):
-        return _factor_band(A)
+    if isinstance(A, Stored):
+        return _ROUTINES[A.layout.storage](A)
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"cannot factor non-square matrix of shape {A.shape}")
     A = as_canonical_csc(A)
-    if route is not None and route.kind == "dense":
-        return _factor_dense(A)
-    if route is not None and route.kind == "ldlt":
-        return _factor_ldlt(A)
     try:
         superlu = spla.splu(
             A,
@@ -389,34 +372,35 @@ def factor(A, route=None):
         )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"sparse LU breakdown: {exc}") from exc
+    absdata = np.abs(A.data[: A.nnz])
     # SuperLU's own U, whose diagonal needs no sorted copy; U's column j
     # holds the pivot of A's column argsort(perm_c)[j]
-    _check_pivots(A, superlu.U.diagonal(), np.argsort(superlu.perm_c))
+    _check_pivots("gstrf", superlu.U.diagonal(), absdata.max(initial=0.0),
+                  lambda: column_abs_max(A, absdata), np.argsort(superlu.perm_c))
     return SparseLU(superlu.solve, A.dtype, A.shape[0], "gstrf", superlu)
 
 
-def _factor_dense(A):
-    """:func:`factor`'s dense route: LAPACK ``getrf`` on canonical CSC `A`."""
+def _getrf(A):
+    """:func:`factor` on "dense" storage: LAPACK ``getrf``."""
     getrf = lapack.get_lapack_funcs("getrf", (A.data,))
-    lu, piv, info = getrf(A.toarray(order="F"), overwrite_a=True)
+    lu, piv, info = getrf(A.data, overwrite_a=True)
     if info > 0:  # U[info-1, info-1] is exactly zero
         raise SingularMatrixError("dense LU met an exactly zero pivot", column=int(info - 1))
-    _check_pivots(A, np.diagonal(lu))
+    _check_pivots("getrf", np.diagonal(lu), A.abs_max, A.column_abs_max)
     getrs = lapack.get_lapack_funcs("getrs", (lu,))
 
     def solve(rhs, trans):  # piv: row i was swapped with row piv[i]
         return getrs(lu, piv, rhs, trans=_TRANS[trans])[0]
-    return SparseLU(solve, A.dtype, A.shape[0], "getrf", lu)
+    return SparseLU(solve, lu.dtype, lu.shape[0], "getrf", lu)
 
 
 _SYTRF_LWORK = {}  # LAPACK's optimal ?sytrf workspace per (typecode, n)
 
 
-def _factor_ldlt(A):
-    """:func:`factor`'s ldlt route: LAPACK ``sytrf`` on the lower
-    triangle of canonical CSC `A`, which must be symmetric, with the
-    optimal workspace (blocked; the wrapper's default of n is not)."""
-    a = A.toarray(order="F")
+def _sytrf(A):
+    """:func:`factor` on "dense-lower" storage: LAPACK ``sytrf``, with
+    the optimal workspace (blocked; the wrapper's default of n is not)."""
+    a = A.data
     n = a.shape[0]
     sytrf = lapack.get_lapack_funcs("sytrf", (a,))
     lwork = _SYTRF_LWORK.get((sytrf.typecode, n))
@@ -435,25 +419,24 @@ def _factor_ldlt(A):
         blocks[:, 0, 0], blocks[:, 1, 1] = ldu[first, first], ldu[first + 1, first + 1]
         blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
         pivots[first] = pivots[first + 1] = np.linalg.svd(blocks, compute_uv=False)[:, 1]
-    _check_pivots(A, pivots, lambda: _ldlt_order(ipiv))
+    _check_pivots("sytrf", pivots, A.abs_max, A.column_abs_max, lambda: _ldlt_order(ipiv))
     sytrs = lapack.get_lapack_funcs("sytrs", (ldu,))
 
     def solve(rhs, trans):  # A = A^T: the transposed solve is the plain one
         return sytrs(ldu, ipiv, rhs, lower=1)[0]
-    return SparseLU(solve, A.dtype, n, "sytrf", ldu)
+    return SparseLU(solve, ldu.dtype, n, "sytrf", ldu)
 
 
-def _factor_band(band):
-    """:func:`factor`'s band route: LAPACK ``gbtrf`` on a BandMatrix,
-    whose storage it overwrites."""
-    kl, ku, order = band.kl, band.ku, band.order
-    gbtrf = lapack.get_lapack_funcs("gbtrf", (band.data,))
-    lub, piv, info = gbtrf(band.data, kl, ku, overwrite_ab=True)
+def _gbtrf(A):
+    """:func:`factor` on "band" storage: LAPACK ``gbtrf``."""
+    kl, ku, order = A.layout.kl, A.layout.ku, A.layout.order
+    gbtrf = lapack.get_lapack_funcs("gbtrf", (A.data,))
+    lub, piv, info = gbtrf(A.data, kl, ku, overwrite_ab=True)
     if info > 0:  # U[info-1, info-1] is exactly zero
         raise SingularMatrixError("band LU met an exactly zero pivot",
                                   column=int(order[info - 1]))
     # B's column j, pivoted by U[j, j], is A's column order[j]
-    _check_pivots(band, lub[kl + ku], order)
+    _check_pivots("gbtrf", lub[kl + ku], A.abs_max, A.column_abs_max, order)
     gbtrs = lapack.get_lapack_funcs("gbtrs", (lub,))
 
     def solve(rhs, trans):  # piv: row j was swapped with row piv[j]
@@ -461,47 +444,39 @@ def _factor_band(band):
     return SparseLU(solve, lub.dtype, lub.shape[1], "gbtrf", lub, order)
 
 
-def _factor_band_cholesky(band):
-    """:func:`factor`'s band route at a real shift of a symmetric
-    matrix: LAPACK ``pbtrf`` on a SymmetricBandMatrix, whose storage it
-    overwrites. A matrix that is not positive definite is assembled in
-    full band storage and factored by ``gbtrf`` instead."""
-    pbtrf = lapack.get_lapack_funcs("pbtrf", (band.data,))
-    chol, info = pbtrf(band.data, lower=1, overwrite_ab=1)
+def _pbtrf(A):
+    """:func:`factor` on "band-lower" storage: LAPACK ``pbtrf``. A matrix
+    that is not positive definite is factored by ``gbtrf`` in full band
+    storage instead."""
+    pbtrf = lapack.get_lapack_funcs("pbtrf", (A.data,))
+    chol, info = pbtrf(A.data, lower=1, overwrite_ab=1)
     if info > 0:  # the leading minor of order info is not positive definite
-        return _factor_band(band.full())
+        return _gbtrf(A.full())
     # B = L L^T eliminates B's column j with the pivot L[j, j]^2
-    _check_pivots(band, np.square(chol[0]), band.order)
+    _check_pivots("pbtrf", np.square(chol[0]), A.abs_max, A.column_abs_max, A.layout.order)
     pbtrs = lapack.get_lapack_funcs("pbtrs", (chol,))
 
     def solve(rhs, trans):  # B = B^T: the transposed solve is the plain one
         return pbtrs(chol, rhs, lower=1)[0]
-    return SparseLU(solve, chol.dtype, chol.shape[1], "pbtrf", chol, band.order)
+    return SparseLU(solve, chol.dtype, chol.shape[1], "pbtrf", chol, A.layout.order)
 
 
-def _check_pivots(A, pivots, pivot_cols=None):
+_ROUTINES = {"dense": _getrf, "dense-lower": _sytrf, "band": _gbtrf, "band-lower": _pbtrf}
+
+
+def _check_pivots(routine, pivots, abs_max, column_abs_max, pivot_cols=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
-    ``pivots[j]`` is U's pivot (D's on the ldlt route, ``L[j, j]^2``
-    on band Cholesky) of A's column ``pivot_cols[j]``: j when None, and
-    when a function, its result, asked for only when some pivot is small
-    enough to need the columns. `A` is canonical CSC, or a
-    :class:`~morkit.sparse.BandMatrix` or
-    :class:`~morkit.sparse.SymmetricBandMatrix` B, whose pivot j is of
-    its own column j and which keeps its moduli for this check. A pivot
-    is negligible when ``|u_jj| <= eps * n * colmax``, colmax the largest
-    modulus in its column of A.
+    ``pivots[j]`` is `routine`'s pivot (U's; D's on ``sytrf``, ``L[j,
+    j]^2`` on ``pbtrf``) of A's column ``pivot_cols[j]``: j when None,
+    and when a function, its result, asked for only when some pivot is
+    small enough to need the columns. `abs_max` is the largest modulus
+    in A, and ``column_abs_max()`` gives the largest in each of A's
+    columns. A pivot is negligible when ``|u_jj| <= eps * n * colmax``,
+    colmax the largest modulus in its column of A.
     """
     udiag = np.abs(pivots)
     scale = np.finfo(np.float64).eps * udiag.shape[0]
-    if isinstance(A, (BandMatrix, SymmetricBandMatrix)):
-        abs_max, pivot_colmax = A.abs_max, A.column_abs_max
-    else:
-        absdata = np.abs(A.data[: A.nnz])
-        abs_max = absdata.max(initial=0.0)
-
-        def pivot_colmax():
-            return column_abs_max(A, absdata)[pivot_cols]
     # every column maximum is at most the largest entry, so pivots above
     # that entry's bound pass every column's bound as well
     if udiag.min() > scale * abs_max:
@@ -510,10 +485,9 @@ def _check_pivots(A, pivots, pivot_cols=None):
         pivot_cols = np.arange(udiag.shape[0])
     elif callable(pivot_cols):
         pivot_cols = pivot_cols()
-    bad = np.flatnonzero(udiag <= scale * pivot_colmax())
+    bad = np.flatnonzero(udiag <= scale * column_abs_max()[pivot_cols])
     if bad.size:
         raise SingularMatrixError(
-            "sparse LU produced a negligible pivot; matrix is numerically singular",
+            f"{routine} produced a negligible pivot; matrix is numerically singular",
             column=int(pivot_cols[bad[0]]),
         )
-

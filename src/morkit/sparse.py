@@ -2,17 +2,17 @@
 
 All sparse blocks in this package live in compressed-sparse-column (CSC)
 form with canonical structure: row indices sorted within each column and
-duplicate entries summed. Values are float64 or complex128. The one
-exception is :class:`BandMatrix`, LAPACK's band storage of a matrix whose
-rows and columns were reordered into a band, which the band route of
-:mod:`morkit.lu` factors.
+duplicate entries summed. Values are float64 or complex128.
 
 The shifted augmented matrix has one assembler, :class:`ShiftedAugmented`:
 one index map per system (built once, as ``system.augmented``), from
-which every shift's matrix is scattered into CSC or band storage, on one
-pattern whatever the shift. At a real shift of a system whose matrix
-equals its transpose, it fills only the band's lower triangle
-(:class:`SymmetricBandMatrix`), which the band route factors by Cholesky.
+which every shift's matrix is scattered, on one pattern whatever the
+shift, into CSC for SuperLU or straight into the array that one LAPACK
+routine factors (a :data:`Stored` matrix). :func:`positions` alone
+decides where an entry lands in each of LAPACK's four storages: dense,
+its lower triangle, band, and the band's lower triangle. The lower
+storages, for a system whose matrix equals its transpose, are filled
+from the entries on and above the diagonal alone.
 """
 
 from collections import namedtuple
@@ -61,12 +61,12 @@ class ShiftedAugmented:
     It keeps M11, L11 and K11 aligned on the union of their patterns,
     the augmented CSC ``pattern`` (holding the fixed blocks' values, 0 on
     the union) and where the union lands in it. At a shift, :meth:`csc`
-    and :meth:`band` compute ``(sigma^2 M11 + sigma L11) + K11`` once on
-    the union and scatter it into CSC or band storage, the latter in the
-    layout (:meth:`band_layout`) that :class:`morkit.lu.Route` keeps.
-    The union's entries on and above the diagonal come first: a matrix
-    that equals its transpose is determined by them, and its lower band
-    storage is scattered from them alone.
+    and :meth:`scatter` compute ``(sigma^2 M11 + sigma L11) + K11`` once
+    on the union and scatter it into CSC or, in a :data:`Layout`
+    (:meth:`layout`) that :class:`morkit.lu.Route` keeps, into a LAPACK
+    storage. The union's entries on and above the diagonal come first: a
+    matrix that equals its transpose is determined by them, and its lower
+    storages are scattered from them alone.
     """
 
     def __init__(self, system):
@@ -135,93 +135,75 @@ class ShiftedAugmented:
                 return False
         return np.array_equal(P.data[mirror], P.data)
 
-    def band_layout(self, order):
-        """The :data:`BandLayout` of ``pattern`` with its rows and
-        columns taken in `order`, as narrow as the pattern allows, without
-        the lower storage's maps (see :meth:`lower_band_layout`). The
-        fixed entries are kept in the order of their places in the band,
-        which a shift's scatter visits faster than their CSC order."""
+    def layout(self, storage, order=None):
+        """The :data:`Layout` of ``pattern`` in `storage` (see
+        :func:`positions`), rows and columns taken in `order` (None: as
+        they are). A lower storage, for a matrix that equals its transpose
+        exactly (:meth:`is_symmetric`), takes S11's entries on and above
+        the diagonal alone, each at the place of the pair it forms with
+        its mirror, and the fixed entries on and below it. The fixed
+        entries are kept in the order of their places, which a shift's
+        scatter visits faster than their CSC order."""
         P = self.pattern
-        at, kl, ku = band_layout(P, order)
+        at, mirrored, shape, kl, ku = positions(P, storage, order)
         fixed = np.ones(P.nnz, dtype=bool)
         fixed[self._at] = False
-        fixed = np.flatnonzero(fixed)
+        fixed = np.flatnonzero(fixed & ~mirrored)
         fixed = fixed[np.argsort(at[fixed], kind="stable")]
-        # positions stay intp: every shift, complex ones and the sweep's
-        # included, scatters through these maps, and int32 ones cost numpy
-        # a cast per scatter (0.5 ms of 5.4 on the chain at n = 99,999)
-        return BandLayout(order, kl, ku, at[self._at], at[fixed], P.data[fixed], None)
+        at11, at_fixed, values = at[self._at], at[fixed], P.data[fixed]
+        values = values + 0.0 if storage.startswith("dense") else values  # see scatter
+        full = None
+        if storage.endswith("-lower"):
+            # int32 where it fits: the maps live as long as the system, and only
+            # real shifts pay the cast (0.5 ms each on the chain, 1 MB saved)
+            idx = sp.get_index_dtype(maxval=shape[0] * shape[1])
+            at11, at_fixed = at11[: self._upper11].astype(idx), at_fixed.astype(idx)
+            if storage == "band-lower":
+                full = self.layout("band", order)
+        # the full storages' positions stay intp: every shift, complex ones and
+        # the sweep's included, scatters through these maps, and int32 ones cost
+        # numpy a cast per scatter (0.5 ms of 5.4 on the chain at n = 99,999)
+        return Layout(storage, shape, order, kl, ku, at11, at_fixed, values, full)
 
-    def lower_band_layout(self, layout):
-        """`layout` (:meth:`band_layout`) with the maps of ``?pbtrf``'s
-        lower storage (``lower``, a :data:`LowerBand`), for a matrix that
-        equals its transpose exactly (:meth:`is_symmetric`; then ``kl ==
-        ku``). Each of S11's entries on or above the diagonal fills the
-        place, in the band's lower triangle, of the pair it forms with
-        its mirror; the fixed entries there are taken as they are."""
-        kl = layout.kl
-        # int32 where it fits: the maps live as long as the system, and only
-        # real shifts pay the cast (0.5 ms each on the chain, 1 MB saved)
-        idx = sp.get_index_dtype(maxval=(kl + 1) * self.pattern.shape[0])
-
-        def column_and_offset(at):  # an entry's column in the band, its row less its column
-            j, d = np.divmod(at, 3 * kl + 1)
-            return j, d - 2 * kl
-
-        j, d = column_and_offset(layout.at11[: self._upper11])
-        at11 = (np.abs(d) + np.minimum(j, j + d) * (kl + 1)).astype(idx)
-        j, d = column_and_offset(layout.at_fixed)
-        keep = d >= 0
-        at_fixed = (d[keep] + j[keep] * (kl + 1)).astype(idx)
-        return layout._replace(lower=LowerBand(at11, at_fixed, layout.values_fixed[keep]))
-
-    def band(self, sigma, layout):
-        """The augmented matrix at `sigma` in `layout` (:meth:`band_layout`),
-        of the dtype :meth:`csc` gives: a :class:`BandMatrix`, or, at a
-        real sigma when `layout` has the lower storage's maps
-        (:meth:`lower_band_layout`), a :class:`SymmetricBandMatrix`."""
-        n = self.pattern.shape[0]
-        lower = layout.lower if complex(sigma).imag == 0.0 else None
-        s11 = self._s11(sigma, upper=lower is not None)
-
-        def whole11():
-            return s11 if lower is None else self._s11(sigma)
-
-        def colmax():
-            absdata = np.abs(self.pattern.data)
-            absdata[self._at] = np.abs(whole11())
-            return column_abs_max(self.pattern, absdata)[layout.order]
-
+    def scatter(self, sigma, layout):
+        """The augmented matrix at `sigma` in `layout` (:meth:`layout`),
+        of the dtype :meth:`csc` gives, as a :data:`Stored`."""
+        lower = layout.storage.endswith("-lower")
+        s11 = self._s11(sigma, upper=lower)
         # on a matrix equal to its transpose, S11's largest modulus is one
         # on or above the diagonal
         abs_max = max(np.abs(s11).max(initial=0.0), self._abs_max_fixed)
+        if layout.storage.startswith("dense"):  # as toarray's copy of csc(), which
+            s11 = s11 + 0.0  # these routes factored, reads -0.0 as 0.0
+        data = np.zeros(layout.shape, s11.dtype, order="F")
+        flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
+        flat[layout.at11] = s11
+        flat[layout.at_fixed] = layout.values_fixed
 
-        def full():
-            data = _band_zeros(layout.kl, layout.ku, n, s11.dtype)
-            flat = data.reshape(-1, order="F")  # a view: data is Fortran-contiguous
-            flat[layout.at11] = whole11()
-            flat[layout.at_fixed] = layout.values_fixed
-            return BandMatrix(data, layout.kl, layout.ku, layout.order, abs_max, colmax)
+        def colmax():
+            absdata = np.abs(self.pattern.data)
+            absdata[self._at] = np.abs(self._s11(sigma) if lower else s11)
+            return column_abs_max(self.pattern, absdata)
 
-        if lower is None:
-            return full()
-        data = np.zeros((layout.kl + 1, n), order="F")
-        flat = data.reshape(-1, order="F")
-        flat[lower.at11] = s11
-        flat[lower.at_fixed] = lower.values_fixed
-        return SymmetricBandMatrix(data, layout.order, abs_max, colmax, full)
+        full = None if layout.full is None else (lambda: self.scatter(sigma, layout.full))
+        return Stored(data, layout, abs_max, colmax, full)
 
 
-# where ShiftedAugmented.band scatters a shift's matrix: the pattern's band
-# in `order` (kl sub-, ku superdiagonals), the flattened positions there
-# of S11's entries and of the fixed blocks' (whose values it keeps), and
-# the maps of the lower storage (a LowerBand) or None
-BandLayout = namedtuple("BandLayout", "order kl ku at11 at_fixed values_fixed lower")
+# where ShiftedAugmented.scatter writes a shift's matrix: the array of
+# `shape` that `storage` (see positions) holds, with rows and columns in
+# `order` (None: as they are), the band the pattern spans there (kl sub-,
+# ku superdiagonals), the flattened positions of S11's entries and of the
+# fixed blocks' (whose values it keeps), and on "band-lower", as `full`,
+# the "band" layout of the same order (None on the other storages)
+Layout = namedtuple("Layout", "storage shape order kl ku at11 at_fixed values_fixed full")
 
-# ?pbtrf's lower storage of a symmetric band: the flattened positions there
-# of S11's entries on and above the diagonal (the union's leading ones) and
-# of the fixed blocks' entries in the lower triangle, with their values
-LowerBand = namedtuple("LowerBand", "at11 at_fixed values_fixed")
+# a shift's matrix A as one LAPACK routine reads it: `data` in `layout`;
+# for the pivot check, which reads them after the routine has overwritten
+# `data`, A's largest modulus and, from `column_abs_max()`, the largest in
+# each of A's columns, in A's own order; on "band-lower", `full()` gives A
+# in the "band" layout of the same order, for the LU that takes over when
+# A is not positive definite (None on the other storages)
+Stored = namedtuple("Stored", "data layout abs_max column_abs_max full")
 
 
 def _stack_block_columns(block_columns, n_top):
@@ -262,40 +244,6 @@ def _stack_block_columns(block_columns, n_top):
     return sp.csc_array((data, indices, indptr), shape=(n_rows, n_cols)), first
 
 
-class BandMatrix:
-    """A square matrix A in LAPACK band storage, taken in the order `order`.
-
-    B = A[order][:, order] has kl subdiagonals and ku superdiagonals, and
-    ``data`` (Fortran order, 2 kl + ku + 1 rows) holds B[i, j] at
-    ``data[kl + ku + i - j, j]``, as ``?gbtrf`` reads it: its first kl
-    rows are the factorization's workspace. Entries inside the band that
-    A does not store are zeros.
-
-    The pivot check reads A's moduli after ``?gbtrf`` has overwritten
-    ``data``: ``abs_max`` is the largest modulus in A, and
-    ``column_abs_max()`` returns the largest in each of B's columns.
-    """
-
-    def __init__(self, data, kl, ku, order, abs_max, column_abs_max):
-        self.data, self.kl, self.ku, self.order = data, kl, ku, order
-        self.abs_max, self.column_abs_max = abs_max, column_abs_max
-
-
-class SymmetricBandMatrix:
-    """The lower triangle of a real symmetric :class:`BandMatrix`.
-
-    ``data`` (Fortran order, kd + 1 rows, kd = kl = ku) holds B[i, j] at
-    ``data[i - j, j]`` for i >= j, as ``?pbtrf`` reads it. ``order``,
-    ``abs_max`` and ``column_abs_max()`` are those of the whole matrix,
-    and ``full()`` assembles it as a :class:`BandMatrix`, for the LU that
-    takes over when the matrix is not positive definite.
-    """
-
-    def __init__(self, data, order, abs_max, column_abs_max, full):
-        self.data, self.order = data, order
-        self.abs_max, self.column_abs_max, self.full = abs_max, column_abs_max, full
-
-
 def column_abs_max(A, absdata):
     """Largest of `absdata` (the moduli of canonical CSC `A`'s stored
     entries) in each column of `A`, 0 in empty columns."""
@@ -307,16 +255,36 @@ def column_abs_max(A, absdata):
     return colmax
 
 
-def band_layout(A, order):
-    """``(at, kl, ku)``: the band of canonical CSC `A` with rows and
-    columns taken in `order`, as narrow as A's stored entries allow, and
-    where each of them lands in its Fortran-order storage, flattened."""
-    rank = inverse_order(order)
+def positions(A, storage, order=None):
+    """``(at, mirrored, shape, kl, ku)``: where each entry of canonical
+    CSC `A` lands in the Fortran-order array of `shape` that `storage`
+    holds, flattened, with A's rows and columns taken in `order` (None:
+    as they are); which entries a lower storage holds at their mirror's
+    place, being above the diagonal of ``B = A[order][:, order]``; and
+    the band they span in B (on "band-lower", kl = ku, the wider). The
+    storages are LAPACK's:
+
+    * "dense": B, as ``?getrf`` reads it;
+    * "dense-lower": B's lower triangle, as ``?sytrf`` reads it;
+    * "band": B[i, j] at ``[kl + ku + i - j, j]``, 2 kl + ku + 1 rows,
+      as ``?gbtrf`` reads it: its first kl rows are the workspace;
+    * "band-lower": B[i, j] at ``[i - j, j]`` for i >= j, kl + 1 rows,
+      as ``?pbtrf`` reads it.
+    """
+    n = A.shape[0]
+    rank = np.arange(n) if order is None else inverse_order(order)
     i = rank[A.indices].astype(np.intp)
-    j = rank[np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))].astype(np.intp)
+    j = rank[np.repeat(np.arange(n), np.diff(A.indptr))].astype(np.intp)
     d = i - j
     kl, ku = (max(int(d.max()), 0), max(-int(d.min()), 0)) if d.size else (0, 0)
-    return (kl + ku + d) + j * (2 * kl + ku + 1), kl, ku
+    lower = storage.endswith("-lower")
+    mirrored = d < 0 if lower else np.zeros(d.shape, dtype=bool)
+    if lower:  # the pair of (i, j) and (j, i) sits in column min(i, j)
+        j, d = np.minimum(i, j), np.abs(d)
+        kl = ku = max(kl, ku)
+    rows, diagonal = {"dense": (n, j), "dense-lower": (n, j), "band": (2 * kl + ku + 1, kl + ku),
+                      "band-lower": (kl + 1, 0)}[storage]  # the diagonal's row in column j
+    return (diagonal + d) + j * rows, mirrored, (rows, n), kl, ku
 
 
 def inverse_order(order):
@@ -324,7 +292,3 @@ def inverse_order(order):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0], dtype=order.dtype)
     return rank
-
-
-def _band_zeros(kl, ku, n, dtype):
-    return np.zeros((2 * kl + ku + 1, n), dtype=dtype, order="F")

@@ -98,7 +98,7 @@ class SecondOrderIndex1System:
     def augmented(self):
         """Index map of the shifted augmented matrix
         (:class:`~morkit.sparse.ShiftedAugmented`), which scatters every
-        shift's matrix into CSC or band storage."""
+        shift's matrix into CSC or a LAPACK routine's storage."""
         return ShiftedAugmented(self)
 
     @cached_property

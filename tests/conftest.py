@@ -17,8 +17,7 @@ import scipy.sparse as sp
 
 from morkit import InterpolationData, SecondOrderIndex1System, generate_synthetic
 from morkit.lu import _rcm_order
-from morkit.sparse import (BandMatrix, SymmetricBandMatrix, as_canonical_csc, band_layout,
-                           column_abs_max)
+from morkit.sparse import Layout, Stored, as_canonical_csc, column_abs_max, positions
 
 # dimensions (n1, n2), port layouts (m, p, symmetric), generator seeds
 DIMS = [(40, 10), (120, 25), (200, 40)]
@@ -88,32 +87,28 @@ def chain_system(n1, n2, symmetric, seed=0):
     )
 
 
-def band_of(A, order=None):
-    """`A` as a :class:`~morkit.sparse.BandMatrix` in `order` (default:
-    the band route's order of its pattern, ``morkit.lu._rcm_order``:
-    reverse Cuthill-McKee from a pseudo-peripheral node), as narrow as its
-    stored entries allow, with the moduli the pivot check reads."""
+def stored_of(A, storage, order=None):
+    """`A` in `storage` (see ``morkit.sparse.positions``), the
+    :data:`~morkit.sparse.Stored` matrix ``morkit.lu.factor`` takes for
+    it, in `order` (default: none on the dense storages, and on the band
+    ones the band route's order of its pattern, ``morkit.lu._rcm_order``:
+    reverse Cuthill-McKee from a pseudo-peripheral node), as narrow as
+    its stored entries allow, with the moduli the pivot check reads. A
+    lower storage takes symmetric `A`'s entries on and below the diagonal
+    in that order, and on "band-lower" ``full()`` is A's "band"."""
     A = as_canonical_csc(A)
-    order = _rcm_order(A) if order is None else order
-    at, kl, ku = band_layout(A, order)
-    data = np.zeros((2 * kl + ku + 1, A.shape[0]), dtype=A.dtype, order="F")
-    data.reshape(-1, order="F")[at] = A.data
+    if order is None and storage.startswith("band"):
+        order = _rcm_order(A)
+    at, mirrored, shape, kl, ku = positions(A, storage, order)
+    own = ~mirrored
+    data = np.zeros(shape, dtype=A.dtype, order="F")
+    data.reshape(-1, order="F")[at[own]] = A.data[own]
     absdata = np.abs(A.data)
-    colmax = column_abs_max(A, absdata)[order]
-    return BandMatrix(data, kl, ku, order, absdata.max(initial=0.0), lambda: colmax)
-
-
-def lower_band_of(A, order=None):
-    """Symmetric `A`'s lower band triangle as a
-    :class:`~morkit.sparse.SymmetricBandMatrix` in `order` (default: as
-    :func:`band_of`), whose ``full()`` is :func:`band_of` in that order."""
-    full = band_of(A, order)
-    kd, n = full.kl, full.data.shape[1]
-    data = np.zeros((kd + 1, n), dtype=full.data.dtype, order="F")
-    for d in range(kd + 1):  # B's d-th subdiagonal, from band storage's row kl + ku + d
-        data[d, : n - d] = full.data[2 * kd + d, : n - d]
-    return SymmetricBandMatrix(data, full.order, full.abs_max, full.column_abs_max,
-                               lambda: band_of(A, full.order))
+    # every entry a fixed one: the layout of a matrix with no S11
+    layout = Layout(storage, shape, order, kl, ku, at[:0], at[own], A.data[own], None)
+    full = (lambda: stored_of(A, "band", order)) if storage == "band-lower" else None
+    return Stored(data, layout, absdata.max(initial=0.0), lambda: column_abs_max(A, absdata),
+                  full)
 
 
 def grid_laplacian(side):

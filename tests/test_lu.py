@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +14,10 @@ from morkit import lu as lu_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
 from morkit.lu import _rcm_order, factor
-from morkit.sparse import (as_canonical_csc, assemble_shifted_augmented, band_layout,
-                           column_abs_max)
+from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, column_abs_max, positions
 from morkit.system import generate_synthetic, validate
 
-from conftest import GRID, band_of, chain_system, grid_ids, grid_system, lower_band_of
+from conftest import GRID, chain_system, grid_ids, grid_system, stored_of
 
 
 def _random_square(n, seed, density=0.25):
@@ -227,7 +225,7 @@ def test_negligible_pivot_names_its_original_column_in_any_order():
 def _dense(A):
     """A's LU on the dense route, as for a pattern that fills in
     completely."""
-    lu = factor(A, SimpleNamespace(kind="dense"))
+    lu = factor(stored_of(A, "dense"))
     assert lu.routine == "getrf"
     return lu
 
@@ -235,7 +233,7 @@ def _dense(A):
 def _band(A):
     """A's LU on the band route, in the reverse Cuthill-McKee order of
     its pattern."""
-    lu = factor(band_of(A))
+    lu = factor(stored_of(A, "band"))
     assert lu.routine == "gbtrf"
     return lu
 
@@ -243,7 +241,7 @@ def _band(A):
 def _ldlt(A):
     """A's LDL^T on the ldlt route, as for a symmetric pattern that
     fills in completely."""
-    lu = factor(A, SimpleNamespace(kind="ldlt"))
+    lu = factor(stored_of(A, "dense-lower"))
     assert lu.routine == "sytrf"
     return lu
 
@@ -258,6 +256,7 @@ def _assert_solves(lu, A, rtol=1e-12):
 
 
 ROUTES = {"sparse": factor, "dense": _dense, "band": _band}
+ROUTINES = {"sparse": "gstrf", "dense": "getrf", "band": "gbtrf"}
 DENSE_ROUTINES = {"dense": "getrf", "ldlt": "sytrf"}
 
 
@@ -300,18 +299,20 @@ def test_band_threshold_chooses_the_route():
              ("getrf", "getrf"))):
         route = system.route
         assert route.kind == kind
-        assert route.symmetric == (routines[0] in ("pbtrf", "sytrf"))
-        assert (route.band is not None) == (kind == "band")
+        storage = {"ldlt": "dense-lower", "dense": "dense", "band": "band"}.get(kind)
+        assert getattr(route.layout, "storage", None) == storage
+        assert (route.lower is not None) == (routines[0] == "pbtrf")
         if kind == "band":
             n = system.n1 + system.n2
             fill_nnz = route.fill * n**2
-            assert (2 * route.band.kl + route.band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
+            band = route.layout
+            assert (2 * band.kl + band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
         for sigma, want in zip((1.0, 2.0 + 30.0j), routines):
             assert factor_augmented(system, sigma).routine == want
 
 
 def test_band_route_measures_the_chains_rcm_band():
-    band = chain_system(400, 40, True).route.band
+    band = chain_system(400, 40, True).route.layout
     assert (band.kl, band.ku) == (2, 2)
     np.testing.assert_array_equal(np.sort(band.order), np.arange(440))
 
@@ -325,11 +326,11 @@ def test_band_route_starts_from_a_peripheral_node():
         A = as_canonical_csc(A)
         order = _rcm_order(A)
         np.testing.assert_array_equal(np.sort(order), np.arange(A.shape[0]))
-        return band_layout(A, order)[1:]
+        return positions(A, "band", order)[3:]
 
     for n1 in (400, 1000):
         system = chain_system(n1, n1 - 1, True)
-        band = system.route.band
+        band = system.route.layout
         assert (band.kl, band.ku) == (2, 2)
         A = system.augmented.pattern
         assert bandwidths(A) == (2, 2)
@@ -563,6 +564,33 @@ def test_ldlt_route_solves_agree_with_the_lu_route(n1, n2, m, seed, re, im):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("sigma", [5.0, 2.0 + 30.0j], ids=["real", "complex"])
+@pytest.mark.parametrize("routine", ["getrf", "sytrf"])
+def test_dense_routes_factor_the_dense_copy_bit_for_bit(routine, sigma):
+    # each shift is scattered straight into the array the routine
+    # factors: its factors (sytrf's lower triangle, the only one it
+    # reads and writes) and solves are LAPACK's on the dense copy of the
+    # CSC assembly, bit for bit
+    system = generate_synthetic(60, 12, 2, 2, seed=3, symmetric=routine == "sytrf")
+    lu = factor_augmented(system, sigma)
+    assert lu.routine == routine
+    dense = system.augmented.csc(sigma).toarray(order="F")
+    rhs = np.random.default_rng(1).standard_normal((lu.n, 2)).astype(dense.dtype)
+    if routine == "getrf":
+        factors, piv, info = lapack.get_lapack_funcs("getrf", (dense,))(dense)
+        want = lapack.get_lapack_funcs("getrs", (factors,))(factors, piv, rhs)[0]
+        got = lu._factors
+    else:
+        sytrf = lapack.get_lapack_funcs("sytrf", (dense,))
+        lwork = lu_module._SYTRF_LWORK[(sytrf.typecode, lu.n)]
+        factors, ipiv, info = sytrf(dense, lower=1, lwork=lwork)
+        want = lapack.get_lapack_funcs("sytrs", (factors,))(factors, ipiv, rhs, lower=1)[0]
+        got, factors = np.tril(lu._factors), np.tril(factors)
+    assert info == 0
+    assert np.array_equal(got, factors) and got.tobytes() == factors.tobytes()
+    assert lu.solve(rhs).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n, seed", [(8, 0), (25, 1), (60, 2)])
 def test_dense_route_factorization_identity(n, seed, dtype):
@@ -624,9 +652,10 @@ def test_singular_matrix_names_its_column_on_both_routes(route, dtype):
                                    [0.0, 1.0, 1.0],
                                    [2.0, 2.0, 1.0]], dtype=dtype))
     run = ROUTES[route]
-    with pytest.raises(SingularMatrixError) as err:
+    with pytest.raises(SingularMatrixError, match="negligible") as err:
         run(near)
     assert err.value.column == (2 if route == "dense" else 0)
+    assert str(err.value).startswith(ROUTINES[route] + " ")  # the routine that met it
     if route != "sparse":  # SuperLU stops at an exact zero without naming it
         with pytest.raises(SingularMatrixError) as err:
             run(exact)
@@ -644,7 +673,7 @@ def test_dense_route_pivot_check_is_relative_to_the_column():
 def test_band_route_pivot_check_is_relative_to_the_column():
     # as on the dense route, through the RCM order (1, 0) of the columns
     A = sp.csc_array(np.array([[1e20, 0.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(band_of(A).order, [1, 0])
+    np.testing.assert_array_equal(stored_of(A, "band").layout.order, [1, 0])
     _assert_solves(_band(A), A, rtol=1e-15)
 
 
@@ -670,8 +699,8 @@ def test_band_route_pivots_rows_through_a_zero_diagonal():
                                [0.0, 1.0, 4.0, 2.0, 0.0],
                                [0.0, 0.0, 5.0, 0.0, 1.0],
                                [0.0, 0.0, 0.0, 1.0, 2.0]]))
-    band = band_of(A, np.arange(5, dtype=np.int32))  # already banded
-    piv = lapack.dgbtrf(band.data.copy(), band.kl, band.ku)[1]
+    band = stored_of(A, "band", np.arange(5, dtype=np.int32))  # already banded
+    piv = lapack.dgbtrf(band.data.copy(), band.layout.kl, band.layout.ku)[1]
     assert np.count_nonzero(piv != np.arange(5)) >= 2
     _assert_solves(factor(band), A, rtol=1e-14)
 
@@ -734,8 +763,8 @@ def test_band_route_recovers_a_scrambled_band(n, kl, ku, seed, complex_values):
     scramble = rng.permutation(n)
     A = sp.csc_array(band[scramble][:, scramble])
     # however small or filled in, the matrix goes banded in its RCM order
-    band = band_of(A, _rcm_order(as_canonical_csc(A)))
-    assert max(band.kl, band.ku) <= max(kl, ku)
+    band = stored_of(A, "band", _rcm_order(as_canonical_csc(A)))
+    assert max(band.layout.kl, band.layout.ku) <= max(kl, ku)
     lu = factor(band)
     assert lu.routine == "gbtrf"
     dense = A.toarray()
@@ -759,7 +788,7 @@ def test_band_cholesky_solves_agree_with_superlu(grid, n1, n2, seed, log_sigma):
     # transposed solve are SuperLU's to 1e-12 relative (measured at most
     # 4.8e-16 over 240 systems and shifts)
     system = grid_system(20, seed=seed) if grid else chain_system(n1, n2, True, seed=seed)
-    assert system.route.kind == "band" and system.route.symmetric
+    assert system.route.kind == "band" and system.route.lower is not None
     sigma = 10.0**log_sigma
     chol = factor_augmented(system, sigma)
     assert chol.routine == "pbtrf" and chol.dtype == np.float64
@@ -781,10 +810,10 @@ def _indefinite_chain():
 def test_indefinite_symmetric_band_falls_back_to_band_lu():
     # pbtrf stops, and gbtrf factors the same shift
     system = _indefinite_chain()
-    assert system.route.kind == "band" and system.route.symmetric
+    assert system.route.kind == "band" and system.route.lower is not None
     A = system.augmented.csc(5.0)
     assert np.linalg.eigvalsh(A.toarray()).min() < 0.0
-    band = system.augmented.band(5.0, system.route.band)
+    band = system.augmented.scatter(5.0, system.route.lower)
     assert lapack.dpbtrf(band.data, lower=1)[1] > 0
     lu = factor_augmented(system, 5.0)
     assert lu.routine == "gbtrf" and lu.dtype == np.float64
@@ -807,8 +836,8 @@ def test_band_cholesky_names_the_column_of_a_negligible_pivot():
                                    [0.0, 1.0, 0.0, 0.0],
                                    [1.0, 0.0, 1.0 + delta, 0.0],
                                    [0.0, 0.0, 0.0, 1.0]]))
-        band = lower_band_of(A)
-        np.testing.assert_array_equal(band.order, [2, 0, 3, 1])
+        band = stored_of(A, "band-lower")
+        np.testing.assert_array_equal(band.layout.order, [2, 0, 3, 1])
         assert (lapack.dpbtrf(band.data, lower=1)[1] == 0) == completes
         with pytest.raises(SingularMatrixError, match="negligible") as err:
             factor(band)
@@ -823,7 +852,7 @@ def test_band_cholesky_readouts_have_the_stored_factors_size():
     sigma = 5.0
     lu = factor_augmented(system, sigma)
     assert lu.routine == "pbtrf"
-    n, kd = lu.n, system.route.band.kl
+    n, kd = lu.n, system.route.lower.kl
     assert lu.L.nnz == (kd + 1) * n and lu.U.nnz == n
     _assert_solves(lu, system.augmented.csc(sigma))
 

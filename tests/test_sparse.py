@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morkit.sparse import (
-    BandMatrix,
     ShiftedAugmented,
-    SymmetricBandMatrix,
     as_canonical_csc,
     assemble_shifted_augmented,
     is_symmetric,
 )
 from morkit.system import SecondOrderIndex1System, generate_synthetic
 
-from conftest import band_of, chain_system
+from conftest import chain_system, stored_of
 
 
 def test_as_canonical_csc_idempotent():
@@ -179,14 +177,59 @@ def test_real_shift_assembles_the_real_parts_of_the_complex_route(kind, sigma):
     assert not want.data.imag.any()
 
 
-def _unband(band):
-    """B = A[order][:, order] as a dense array, from band storage."""
-    n, kl, ku = band.data.shape[1], band.kl, band.ku
-    B = np.zeros((n, n), dtype=band.data.dtype)
-    for j in range(n):
-        for i in range(max(0, j - ku), min(n, j + kl + 1)):
-            B[i, j] = band.data[kl + ku + i - j, j]
-    return B
+STORAGES = ["dense", "dense-lower", "band", "band-lower"]
+
+
+def _lapack_storage(B, storage, kl, ku):
+    """Dense B in `storage`, diagonal by diagonal as LAPACK lays it out:
+    B itself, its lower triangle, B[i, j] at [kl + ku + i - j, j], or
+    B[i, j] at [i - j, j] for i >= j; every other place 0."""
+    if storage.startswith("dense"):
+        return np.tril(B) if storage == "dense-lower" else B
+    lower = storage == "band-lower"
+    n = B.shape[0]
+    out = np.zeros((kl + 1 if lower else 2 * kl + ku + 1, n), dtype=B.dtype)
+    for d in range(0 if lower else -ku, kl + 1):  # B[j + d, j], its row in out
+        row = d if lower else kl + ku + d
+        if d >= 0:
+            out[row, : n - d] = np.diagonal(B, -d)
+        else:
+            out[row, -d:] = np.diagonal(B, -d)
+    return out
+
+
+def _check_scatter(shifted, sigma, storage, order):
+    """``shifted.scatter`` at `sigma` in `storage` and `order` is the CSC
+    assembly's matrix in LAPACK's layout, on a band as narrow as the
+    pattern allows, of its dtype, with its moduli in its own column
+    order; a dense storage is toarray's copy byte for byte, and on
+    "band-lower" full() is the band of the same order. Returns it."""
+    A = shifted.csc(sigma)
+    dense = A.toarray()
+    B = dense if order is None else dense[order][:, order]
+    layout = shifted.layout(storage, order)
+    stored = shifted.scatter(sigma, layout)
+    assert stored.layout is layout and stored.data.shape == layout.shape
+    assert stored.data.dtype == A.dtype and stored.data.flags.f_contiguous
+    entries = shifted.pattern.tocoo()  # every stored entry, zeros included
+    rank = np.argsort(order) if order is not None else np.arange(A.shape[0])
+    d = rank[entries.row] - rank[entries.col]
+    kl, ku = max(d.max(initial=0), 0), max(-d.min(initial=0), 0)
+    assert (layout.kl, layout.ku) == ((max(kl, ku),) * 2 if storage == "band-lower" else (kl, ku))
+    want = _lapack_storage(B, storage, layout.kl, layout.ku)
+    np.testing.assert_array_equal(stored.data, want)
+    if storage.startswith("dense"):
+        assert stored.data.tobytes() == want.tobytes()
+    assert stored.abs_max == np.abs(dense).max(initial=0.0)
+    np.testing.assert_array_equal(stored.column_abs_max(), np.abs(dense).max(axis=0, initial=0.0))
+    if storage == "band-lower":
+        whole = stored.full()
+        assert whole.layout.storage == "band" and whole.layout.order is order
+        np.testing.assert_array_equal(
+            whole.data, shifted.scatter(sigma, shifted.layout("band", order)).data)
+    else:
+        assert stored.full is None
+    return stored
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 3j, 0.25 - 4j, 1e3 + 2e4j])
@@ -195,61 +238,70 @@ def test_shifted_band_is_the_assembled_matrix_in_band_storage(kind, sigma):
     # scattered from the one index map, in any order of the rows and
     # columns: the values of the CSC assembly, the same dtype and band,
     # and the moduli the pivot check reads. Entries that cancel at this
-    # sigma stay inside the band as zeros
+    # sigma stay inside the band as zeros. The dense storage is the
+    # CSC's dense copy, -0.0 and cancelled entries included
     if kind.startswith("awkward"):
         system = _awkward_system(np.int32 if kind.endswith("32") else np.int64)
     else:
         system = generate_synthetic(30, 8, 2, 3, seed=4, symmetric=False)
-    A = assemble_shifted_augmented(system, sigma)
-    order = np.random.default_rng(7).permutation(A.shape[0]).astype(np.int32)
     shifted = ShiftedAugmented(system)
-    band = shifted.band(sigma, shifted.band_layout(order))
-    assert band.data.dtype == A.dtype and band.data.flags.f_contiguous
-    want = A.toarray()[order][:, order]
-    np.testing.assert_array_equal(_unband(band), want)
-    csc = band_of(A, order)
-    assert (csc.kl, csc.ku) == (band.kl, band.ku)
-    np.testing.assert_array_equal(_unband(csc), want)
-    for b in (band, csc):
-        assert b.abs_max == np.abs(want).max()
-        np.testing.assert_array_equal(b.column_abs_max(), np.abs(want).max(axis=0))
+    order = np.random.default_rng(7).permutation(shifted.pattern.shape[0]).astype(np.int32)
+    band = _check_scatter(shifted, sigma, "band", order)
+    _check_scatter(shifted, sigma, "dense", None)
+    # the tests' own band of a CSC matrix (conftest.stored_of) agrees
+    csc = stored_of(shifted.csc(sigma), "band", order)
+    assert (csc.layout.kl, csc.layout.ku) == (band.layout.kl, band.layout.ku)
+    np.testing.assert_array_equal(csc.data, band.data)
+    assert csc.abs_max == band.abs_max
+    np.testing.assert_array_equal(csc.column_abs_max(), band.column_abs_max())
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, -2.5, 3j, 0.25 - 4j])
 @pytest.mark.parametrize("kind", ["chain", "generated"])
 def test_symmetric_band_is_the_lower_triangle_of_the_assembled_matrix(kind, sigma):
     # a system equal to its transpose, in any order of the rows and
-    # columns: at a real sigma the lower storage holds the permuted
-    # matrix's lower triangle, with the whole matrix's moduli, and full()
-    # is its whole band; a complex sigma takes the whole band at once
+    # columns: the lower storages hold the permuted matrix's lower
+    # triangle, scattered from S11's entries on and above the diagonal,
+    # with the whole matrix's moduli, and full() is its whole band. Their
+    # maps are int32, the full storages' intp
     system = chain_system(40, 6, True) if kind == "chain" else generate_synthetic(
         30, 8, 2, 2, seed=4)
     shifted = ShiftedAugmented(system)
     assert shifted.is_symmetric()
-    A = shifted.csc(sigma)
-    order = np.random.default_rng(3).permutation(A.shape[0]).astype(np.int32)
-    layout = shifted.lower_band_layout(shifted.band_layout(order))
-    assert layout.kl == layout.ku
-    band = shifted.band(sigma, layout)
-    want = A.toarray()[order][:, order]
-    whole = band
-    if complex(sigma).imag == 0.0:
-        assert isinstance(band, SymmetricBandMatrix)
-        assert band.data.dtype == np.float64 and band.data.flags.f_contiguous
-        n, kd = want.shape[0], layout.kl
-        lower = np.zeros_like(band.data)
-        for d in range(kd + 1):
-            lower[d, : n - d] = np.diagonal(want, -d)
-        np.testing.assert_array_equal(band.data, lower)
-        assert band.abs_max == np.abs(want).max()
-        np.testing.assert_array_equal(band.column_abs_max(), np.abs(want).max(axis=0))
-        whole = band.full()
-    assert isinstance(whole, BandMatrix)
-    np.testing.assert_array_equal(_unband(whole), want)
-    assert whole.abs_max == np.abs(want).max()
-    # the layout without the lower maps scatters the same whole band
-    np.testing.assert_array_equal(
-        shifted.band(sigma, shifted.band_layout(order)).data, whole.data)
+    order = np.random.default_rng(3).permutation(shifted.pattern.shape[0]).astype(np.int32)
+    band = _check_scatter(shifted, sigma, "band-lower", order)
+    assert band.layout.kl == band.layout.ku == band.full().layout.kl
+    dense = _check_scatter(shifted, sigma, "dense-lower", None)
+    for layout in (band.layout, dense.layout):
+        assert layout.at11.dtype == layout.at_fixed.dtype == np.int32
+    for layout in (band.layout.full, shifted.layout("dense")):
+        assert layout.at11.dtype == layout.at_fixed.dtype == np.intp
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    storage=st.sampled_from(STORAGES),
+    symmetric=st.booleans(),
+    n1=st.integers(2, 30),
+    n2=st.integers(1, 8),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    re=st.floats(-1e3, 1e3),
+    im=st.sampled_from([0.0, 1.0, -30.0, 2e3]),
+)
+def test_every_storage_holds_the_assembled_matrix(storage, symmetric, n1, n2, m, seed, re, im):
+    # every LAPACK storage, at real and complex shifts, of symmetric and
+    # nonsymmetric generated systems; the lower storages take a matrix
+    # equal to its transpose. The band storages in a random order
+    assume(symmetric or not storage.endswith("-lower"))
+    system = generate_synthetic(n1, n2, m, m if symmetric else m + 1, seed=seed,
+                                symmetric=symmetric)
+    shifted = ShiftedAugmented(system)
+    assert shifted.is_symmetric() or not symmetric
+    order = None
+    if storage.startswith("band"):
+        order = np.random.default_rng(seed).permutation(n1 + n2).astype(np.int32)
+    _check_scatter(shifted, complex(re, im) if im else re, storage, order)
 
 
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, 3e4, -1e-3])
@@ -305,8 +357,8 @@ def _shifted_systems(draw):
 def test_one_map_is_the_dense_augmented_matrix(case, seed):
     # one index map: its CSC is [[s^2 M + s L + K, K12], [K21, K22]] entry
     # for entry on the blocks' pattern at every sigma, and its band in
-    # any order is that matrix permuted, with the moduli the pivot check
-    # reads
+    # any order and its dense storage are that matrix, with the moduli
+    # the pivot check reads
     system, sigma, other = case
     dense = [[b.toarray() for b in row] for row in
              ((system.M11, system.L11, system.K11), (system.K12, system.K21, system.K22))]
@@ -323,9 +375,5 @@ def test_one_map_is_the_dense_augmented_matrix(case, seed):
     assert A.indptr.tobytes() == B.indptr.tobytes()
     assert A.indices.tobytes() == B.indices.tobytes()
     order = np.random.default_rng(seed).permutation(A.shape[0]).astype(np.int32)
-    band = shifted.band(sigma, shifted.band_layout(order))
-    assert band.data.dtype == A.dtype
-    permuted = want[order][:, order]
-    np.testing.assert_array_equal(_unband(band), permuted)
-    assert band.abs_max == np.abs(want).max()
-    np.testing.assert_array_equal(band.column_abs_max(), np.abs(permuted).max(axis=0))
+    _check_scatter(shifted, sigma, "band", order)
+    _check_scatter(shifted, sigma, "dense", None)

@@ -64,6 +64,7 @@ GOLDEN_CASES = {
     "golden-two_sided": (["--no-symmetric"], {"r": 10, "max_iter": 3}),
 }
 CRITERIA = ("1_schur", "2_hermite", "3_implicit")
+CRITERIA_TAIL_LINES = 30  # of pytest's output, shown when criteria lines are missing
 
 
 def _import_tree(tree):
@@ -145,6 +146,10 @@ def _criteria(tree):
         cwd=tree, env=env, capture_output=True, text=True, check=False,
     )
     lines = re.findall(r"^\[(?:PASS|FAIL)\] criterion [123],.*$", proc.stdout, re.M)
+    if len(lines) < len(CRITERIA):  # say why on stderr; the dump stays path-free
+        tail = (proc.stdout + proc.stderr).splitlines()[-CRITERIA_TAIL_LINES:]
+        print(f"criteria: {len(lines)} of {len(CRITERIA)} result lines, pytest exit "
+              f"{proc.returncode}; the end of its output:", *tail, sep="\n", file=sys.stderr)
     return {"passed": proc.returncode == 0 and len(lines) == 3, "lines": lines}
 
 
