@@ -120,8 +120,8 @@ def cmd_generate(args):
         symmetric=args.symmetric,
         proportional_damping=tuple(args.damping),
     )
+    report = validate(system)  # before any file is written
     manifest = save_system(system, args.out)
-    report = validate(system)
     print(f"wrote {manifest}")
     print(report.format(), end="")
     return 0

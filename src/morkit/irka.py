@@ -404,11 +404,11 @@ def _rhs(system, top, bottom, direction, factorization):
 
 @dataclass
 class ProjectionBasis:
-    """Real orthonormal projection bases (column counts always match)."""
+    """Real orthonormal projection bases (column counts always match);
+    a one-sided basis has ``W is V``."""
 
     V: np.ndarray
     W: np.ndarray
-    one_sided: bool = False
 
     @property
     def r(self):
@@ -427,9 +427,9 @@ def _tangential_bases(interp, solve, one_sided=False):
     positive-imag member's solution enter, which spans the same space as
     the complex pair. A shift whose solve raises
     :class:`ShiftCollisionError` is perturbed once (sigma -> sigma (1 +
-    1e-8) + 1e-8) and the block is solved again; the other shifts keep
-    their values. Two-sided bases of unequal numerical rank are truncated
-    to the smaller one.
+    1e-8) + 1e-8) and the whole block is solved again, the other shifts
+    at their own values; this one retry serves both levels. Two-sided
+    bases of unequal numerical rank are truncated to the smaller one.
     """
     sigmas, b, c, is_pair = _representatives(interp)
     moved = np.zeros(sigmas.shape, dtype=bool)
@@ -454,7 +454,7 @@ def _tangential_bases(interp, solve, one_sided=False):
     V, W = real_columns(V), None if one_sided else real_columns(W)
     V = orthonormalize(V)
     if one_sided:
-        return ProjectionBasis(V=V, W=V, one_sided=True)
+        return ProjectionBasis(V=V, W=V)
     W = orthonormalize(W)
     if V.shape[1] != W.shape[1]:
         k = min(V.shape[1], W.shape[1])
@@ -465,7 +465,7 @@ def _tangential_bases(interp, solve, one_sided=False):
             stacklevel=3,
         )
         V, W = V[:, :k], W[:, :k]
-    return ProjectionBasis(V=V, W=W, one_sided=False)
+    return ProjectionBasis(V=V, W=W)
 
 
 def build_bases(system, interp, one_sided=False):
@@ -475,35 +475,26 @@ def build_bases(system, interp, one_sided=False):
     blocks (see :func:`_tangential_bases`). One sparse LU per group of
     :func:`pair_conjugates` serves both the right solve and (two-sided
     case) the transposed left solve, so a build makes one right solve
-    per group, and as many left solves when two-sided. The LUs take the
-    system's route (see :func:`factor_augmented`).
+    per group, and as many left solves when two-sided; the shifts are
+    factored in turn, each LU freed before the next. The LUs take the
+    system's route (see :func:`factor_augmented`). A shift collision is
+    retried by :func:`_tangential_bases`, which solves the block again.
 
     With ``one_sided=True`` no left solves happen and W is V; the
     reduction is then a Galerkin projection, which preserves symmetry.
     """
     if not interp.is_conjugate_closed():
         raise StructuralError("interpolation data is not conjugate closed")
-    partial = None  # (V, W, the shift each column was solved at) across a collision
-
-    def solve_at(k, sigma, b_row, c_row, V, W):
-        fact = factor_augmented(system, sigma)  # freed before the next shift's LU
-        V[:, k] = tangential_solve_right(system, b_row, fact)
-        if W is not None:
-            W[:, k] = tangential_solve_left(system, c_row, fact)
 
     def solve(sigmas, b, c):
-        nonlocal partial
-        if partial is None:
-            V = np.empty((system.n1, len(sigmas)), dtype=np.complex128)
-            partial = V, None if one_sided else np.empty_like(V), [None] * len(sigmas)
-        V, W, solved_at = partial
-        # a retry after a shift collision keeps each column already
-        # solved at its shift
+        V = np.empty((system.n1, len(sigmas)), dtype=np.complex128)
+        W = None if one_sided else np.empty_like(V)
         for k, sigma in enumerate(sigmas.tolist()):
-            if solved_at[k] != sigma:
-                solve_at(k, sigma, b[k], c[k], V, W)
-                solved_at[k] = sigma
-        partial = None  # the caller holds the blocks from here on
+            fact = factor_augmented(system, sigma)
+            V[:, k] = tangential_solve_right(system, b[k], fact)
+            if W is not None:
+                W[:, k] = tangential_solve_left(system, c[k], fact)
+            del fact  # freed before the next shift's LU
         return V, W
 
     return _tangential_bases(interp, solve, one_sided=one_sided)
@@ -820,7 +811,6 @@ class IterationRecord:
     metric: float
     shifts: np.ndarray
     right_solves: int
-    left_solves: int
     seconds: dict = field(default_factory=dict)
 
 
@@ -839,13 +829,17 @@ class IterationTrace:
     fill of the augmented pattern that decided it (the system's
     :class:`~morkit.lu.Route`); on the band route it ends with the
     band's integer widths, ``kl <kl> ku <ku>``.
+
+    Left solves are not recorded: a two-sided run makes one per right
+    solve and a one-sided run none, so ``left_solves``, per iteration and
+    in total, follows from ``one_sided``. ``final_order`` is the order of
+    ``final_basis`` (0 before it is set).
     """
 
     requested_order: int
     one_sided: bool
     records: list = field(default_factory=list)
     converged: bool = False
-    final_order: int = 0
     final_interpolation: InterpolationData | None = None
     final_basis: ProjectionBasis | None = None
     lu_route: str | None = None  # Route.kind of the reduction's LUs
@@ -862,7 +856,11 @@ class IterationTrace:
 
     @property
     def left_solves(self):
-        return sum(rec.left_solves for rec in self.records)
+        return 0 if self.one_sided else self.right_solves
+
+    @property
+    def final_order(self):
+        return 0 if self.final_basis is None else self.final_basis.r
 
     def format(self, include_timings=False):
         lines = [
@@ -880,7 +878,7 @@ class IterationTrace:
             lines.append(f"  metric {rec.metric:.17g}")
             lines.append("  shifts " + " ".join(_format_complex(s) for s in rec.shifts))
             lines.append(f"  right_solves {rec.right_solves}")
-            lines.append(f"  left_solves {rec.left_solves}")
+            lines.append(f"  left_solves {0 if self.one_sided else rec.right_solves}")
             if include_timings:
                 lines.append(
                     "  seconds "
@@ -922,7 +920,7 @@ def irka_second_order_index1(system, config):
         config.r, system.m, system.p, config.freq_range, config.seed
     )
     trace = IterationTrace(requested_order=config.r, one_sided=one_sided)
-    solves = {"right": 0, "left": 0}  # solves of the current iteration
+    solves = {"right": 0}  # right solves of the current iteration
     seconds = {}  # wall time of the current iteration, by phase
 
     def timed(phase, fn, *args, **kwargs):
@@ -933,9 +931,7 @@ def irka_second_order_index1(system, config):
 
     def bases(interp):
         basis = timed("solve", build_bases, system, interp, one_sided=one_sided)
-        groups = len(pair_conjugates(interp.shifts))
-        solves["right"] += groups
-        solves["left"] += 0 if one_sided else groups
+        solves["right"] += len(pair_conjugates(interp.shifts))
         return basis
 
     def step(basis, interp):
@@ -950,18 +946,16 @@ def irka_second_order_index1(system, config):
                 metric=metric,
                 shifts=interp.shifts.copy(),
                 right_solves=solves["right"],
-                left_solves=solves["left"],
                 seconds=dict(seconds),
             )
         )
-        solves.update(right=0, left=0)
+        solves["right"] = 0
         seconds.clear()
 
     interp, basis, _, trace.converged = _shift_iteration(
         interp, bases, step, config.max_iter, config.shift_tol, record
     )
     rom = reduce(system, basis)
-    trace.final_order = rom.order
     trace.final_interpolation = interp
     trace.final_basis = basis
     route = system.route

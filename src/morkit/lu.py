@@ -129,9 +129,8 @@ class Route:
             self.kind = "sparse"
             return
         self.kind, self.layout = "band", band
-        if shifted.is_symmetric():
-            self.lower = shifted.layout("band-lower", order)
-            self.layout = self.lower.full  # the same band, kept once
+        if shifted.is_symmetric():  # the band just built is the lower one's full
+            self.lower = shifted._layout("band-lower", order, band)
 
 
 def _fill_nnz(A):

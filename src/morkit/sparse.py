@@ -144,6 +144,12 @@ class ShiftedAugmented:
         its mirror, and the fixed entries on and below it. The fixed
         entries are kept in the order of their places, which a shift's
         scatter visits faster than their CSC order."""
+        full = self.layout("band", order) if storage == "band-lower" else None
+        return self._layout(storage, order, full)
+
+    def _layout(self, storage, order, full):
+        """:meth:`layout`, with `full` the "band" layout of `order` on
+        "band-lower" (None on the other storages), built by the caller."""
         P = self.pattern
         at, mirrored, shape, kl, ku = positions(P, storage, order)
         fixed = np.ones(P.nnz, dtype=bool)
@@ -152,14 +158,11 @@ class ShiftedAugmented:
         fixed = fixed[np.argsort(at[fixed], kind="stable")]
         at11, at_fixed, values = at[self._at], at[fixed], P.data[fixed]
         values = values + 0.0 if storage.startswith("dense") else values  # see scatter
-        full = None
         if storage.endswith("-lower"):
             # int32 where it fits: the maps live as long as the system, and only
             # real shifts pay the cast (0.5 ms each on the chain, 1 MB saved)
             idx = sp.get_index_dtype(maxval=shape[0] * shape[1])
             at11, at_fixed = at11[: self._upper11].astype(idx), at_fixed.astype(idx)
-            if storage == "band-lower":
-                full = self.layout("band", order)
         # the full storages' positions stay intp: every shift, complex ones and
         # the sweep's included, scatters through these maps, and int32 ones cost
         # numpy a cast per scatter (0.5 ms of 5.4 on the chain at n = 99,999)

@@ -48,6 +48,16 @@ def test_generate_usage_error_on_zero_dimension(tmp_path):
     assert err.value.code != 0
 
 
+def test_generate_rejects_an_invalid_system_before_writing_it(tmp_path, capsys):
+    # a NaN damping factor makes L11 non-finite: nothing reaches the disk
+    out = tmp_path / "x"
+    rc = main(["generate", "--n1", "10", "--n2", "3", "--m", "1", "--p", "1",
+               "--damping", "nan", "0", "--out", str(out)])
+    assert rc == 1
+    assert "L11" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_generate_asymmetric_ports(tmp_path, capsys):
     manifest = _generate(tmp_path, n1=30, n2=8, m=2, p=3, seed=0,
                          extra=("--no-symmetric",))

@@ -11,6 +11,7 @@ Output bytes depend on the BLAS thread count, so the CLI runs in a
 subprocess pinned to one thread.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
+EQUIVALENCE = SRC.parent / "tools" / "equivalence.py"
 
 SYSTEM = ["--n1", "150", "--n2", "30", "--m", "2", "--p", "2", "--seed", "5"]
 CASES = {
@@ -54,3 +56,28 @@ def test_golden_outputs_are_byte_identical(tmp_path, case):
     for name in expected:
         produced = (ana_dir if name == "sweep.csv" else rom_dir) / name
         assert produced.read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+def _constants(path, *names):
+    """The module-level constants `names` of the Python file `path`, read
+    without importing it."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    return [found[name] for name in names]
+
+
+def test_equivalence_tool_reduces_the_golden_runs():
+    # tools/equivalence.py dumps "the golden runs" from its own copy of
+    # these flags, which must not drift from the fixtures'. It is read
+    # with ast: importing it pins the BLAS threads of this process
+    system, cases = _constants(EQUIVALENCE, "GOLDEN_SYSTEM", "GOLDEN_CASES")
+    assert system == SYSTEM
+    assert sorted(cases) == sorted(f"golden-{case}" for case in CASES)
+    for case, (gen_extra, reduce_args) in CASES.items():
+        flags = dict(zip(reduce_args[::2], reduce_args[1::2]))
+        config = {flag[2:].replace("-", "_"): int(value) for flag, value in flags.items()}
+        assert cases[f"golden-{case}"] == (gen_extra, config)

@@ -580,7 +580,6 @@ def test_build_bases_one_sided_counts(make_system, monkeypatch):
     assert solves["left"] == 0
     assert solves["right"] == 2        # one per conjugate-pair representative
     assert len(factored) == 2
-    assert basis.one_sided
     assert basis.W is basis.V
 
 
@@ -609,9 +608,10 @@ def test_build_bases_retries_collision_once():
     assert basis.V.shape == (1, 1)
 
 
-def test_build_bases_collision_refactors_only_the_moved_shift(make_system, monkeypatch):
-    # the second of three shifts collides once: the retry keeps the first
-    # column, so 3 shifts take 4 factorizations, the 4th at the moved shift
+def test_build_bases_collision_solves_the_block_again(make_system, monkeypatch):
+    # the second of three shifts collides once: the retry solves the whole
+    # block again, the colliding shift moved to sigma (1 + 1e-8) + 1e-8 and
+    # the others at their own values, so 3 shifts take 5 factorizations
     system = make_system(40, 10, 2, 2, 0)
     shifts = []
     original = irka.factor_augmented
@@ -626,9 +626,7 @@ def test_build_bases_collision_refactors_only_the_moved_shift(make_system, monke
     interp = InterpolationData(np.array([1.0, 2.0, 3.0], dtype=np.complex128),
                                np.ones((3, 2)), np.ones((3, 2)))
     basis = build_bases(system, interp)
-    assert len(shifts) == 4
-    assert shifts[0] == 1.0 and shifts[1] == 2.0 and shifts[3] == 3.0
-    assert shifts[2] != 2.0 and abs(shifts[2] - 2.0) < 1e-6
+    assert shifts == [1.0, 2.0, 1.0, 2.0 * (1.0 + 1e-8) + 1e-8, 3.0]
     assert basis.V.shape == (40, 3)
 
 

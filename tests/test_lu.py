@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from morkit import lu as lu_module
+from morkit import sparse as sparse_module
 from morkit.errors import DimensionError, SingularMatrixError
 from morkit.irka import factor_augmented
 from morkit.lu import _rcm_order, factor
@@ -309,6 +310,27 @@ def test_band_threshold_chooses_the_route():
             assert (2 * band.kl + band.ku + 1) * n <= lu_module.BAND_FILL * fill_nnz
         for sigma, want in zip((1.0, 2.0 + 30.0j), routines):
             assert factor_augmented(system, sigma).routine == want
+
+
+def test_route_builds_each_band_layout_once(monkeypatch):
+    # a symmetric chain's band is built once, for the width test, and
+    # its lower band's full is that band; a symmetric grid that goes
+    # sparse builds no lower band
+    counts = {}
+    original = sparse_module.positions
+
+    def counting(A, storage, order=None):
+        counts[storage] = counts.get(storage, 0) + 1
+        return original(A, storage, order)
+
+    monkeypatch.setattr(sparse_module, "positions", counting)
+    route = chain_system(400, 40, True).route
+    assert counts == {"band": 1, "band-lower": 1}
+    assert route.lower.full is route.layout
+    counts.clear()
+    system = grid_system(40)
+    assert system.augmented.is_symmetric() and system.route.kind == "sparse"
+    assert counts == {"band": 1}
 
 
 def test_band_route_measures_the_chains_rcm_band():
