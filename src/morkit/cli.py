@@ -183,6 +183,24 @@ def cmd_analyze(args):
     return 0
 
 
+def _backward_error(system, sigma):
+    """Largest normwise backward error, ``|b - A x| / (|A| |x| + |b|)`` in
+    infinity norms, of the augmented solves ``A x = [F1; F2]`` and ``A^T
+    x = [H1^T; H2^T]`` at `sigma`, column by column, through the system's
+    route (:func:`~morkit.irka.factor_augmented`) and against the
+    assembled matrix."""
+    A = system.augmented.csc(sigma)
+    lu = irka.factor_augmented(system, sigma)
+    worst = 0.0
+    for matrix, solve, rhs in ((A, lu.solve, np.vstack([system.F1, system.F2])),
+                               (A.T, lu.solve_transposed, np.vstack([system.H1.T, system.H2.T]))):
+        x = solve(rhs)
+        residual = np.abs(rhs - matrix @ x).max(axis=0)
+        scale = abs(matrix).sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+        worst = max(worst, float((residual / np.where(scale > 0, scale, 1.0)).max()))
+    return worst
+
+
 def _verify_checks(system, args):
     """Yield (name, passed, detail) for the library's invariants."""
     report = validate(system)
@@ -204,6 +222,15 @@ def _verify_checks(system, args):
     scale = max(1.0, abs(A).max())
     yield "factorization_identity", residual <= 1e-12 * scale, (
         f"|Pr A Pc - L U| = {residual:.3e}"
+    )
+
+    # the solves of the system's route, at a real and an imaginary shift
+    # in the band's middle
+    omega = math.sqrt(args.freq[0] * args.freq[1])
+    worst = max(_backward_error(system, sigma) for sigma in (omega, 1j * omega))
+    bound = 4 * (system.n1 + system.n2) * np.finfo(np.float64).eps
+    yield "route_backward_error", worst <= bound, (
+        f"{system.route.kind} route, normwise backward error {worst:.3e} <= 4 n eps = {bound:.3e}"
     )
 
     interp = irka.initial_interpolation(

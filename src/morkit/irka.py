@@ -327,13 +327,17 @@ def factor_augmented(system, sigma):
     pattern does not depend on sigma (entries that cancel are stored as
     zeros), so every shift is scattered from the system's one index map
     (``system.augmented``) and factored on the system's route
-    (``system.route``): sparse, banded or dense, decided once from that
-    pattern (see :class:`~morkit.lu.Route`). A singular factorization
+    (``system.route``): sparse, banded, dense, or in the modal
+    coordinates of a proportionally damped system, which form no shifted
+    matrix, decided once from that pattern (see
+    :class:`~morkit.lu.Route`). A singular factorization
     means sigma collided with an eigenvalue of the underlying pencil and
     raises :class:`ShiftCollisionError`.
     """
     route = system.route
     try:
+        if route.modes is not None:
+            return lu.factor(lu.ModalShift(route.modes, sigma))
         if route.layout is None:
             return lu.factor(system.augmented.csc(sigma))
         lower = route.lower is not None and complex(sigma).imag == 0.0
@@ -360,7 +364,7 @@ def tangential_solve_right(system, direction, factorization):
         raise DimensionError(
             f"right direction has length {direction.shape[0]}, system has m={system.m}"
         )
-    sol = factorization.solve(_rhs(system, system.F1, system.F2, direction, factorization))
+    sol = factorization.solve(_rhs(system.F1, system.F2, direction, factorization))
     return sol[: system.n1]
 
 
@@ -378,22 +382,18 @@ def tangential_solve_left(system, direction, factorization):
             f"left direction has length {direction.shape[0]}, system has p={system.p}"
         )
     sol = factorization.solve_transposed(
-        _rhs(system, system.H1.T, system.H2.T, direction, factorization))
+        _rhs(system.H1.T, system.H2.T, direction, factorization))
     return sol[: system.n1]
 
 
-def _rhs(system, top, bottom, direction, factorization):
+def _rhs(top, bottom, direction, factorization):
     """The right-hand side ``[top @ direction; bottom @ direction]``.
 
-    A real direction solved with real band factors (the band route's
-    real shifts) stays real, so the right-hand side is built and solved
-    in float64, without a complex copy of the n1 x m block. The other
-    routes keep the complex product: for a dense block it rounds the
-    real part differently in the last bit, and their outputs stay as
-    they were.
+    A real direction solved with real factors (a real shift's) stays
+    real, so the right-hand side is built and solved in float64, without
+    a complex copy of the n1 x m block.
     """
-    if (factorization.dtype == np.float64 and not direction.imag.any()
-            and system.route.kind == "band"):
+    if factorization.dtype == np.float64 and not direction.imag.any():
         direction = direction.real
     return np.concatenate([top @ direction, bottom @ direction])
 

@@ -11,9 +11,21 @@ stored factor's size.
 A :class:`Route` decides, once per sparsity pattern, how every
 matrix of that pattern is factored. It runs one SuperLU factorization of
 the pattern itself and measures its fill ``nnz(L + U)``. The LAPACK
-routes scatter each shift straight into the array their routine factors:
+routes scatter each shift straight into the array their routine factors;
+"modal" factors no shifted matrix:
 
-* "ldlt": from :data:`DENSE_FILL` of n^2 on, when the matrix equals its
+* "modal": from :data:`DENSE_FILL` of n^2 on, when four conditions hold:
+  L11 equals ``alpha M11 + beta K11`` entry by entry, to
+  :data:`PROPORTIONAL_ULPS` (tested on the aligned union of the three
+  patterns, in O(nnz), before anything else); M11 and K11 equal their
+  transposes exactly; M11 is positive definite; and every mode is stiff
+  and strictly damped, ``lam_i > 0`` and ``alpha + beta lam_i > 0``.
+  One symmetric-definite eigendecomposition of (K11, M11) per system
+  (:data:`Modes`) then makes the (1,1) block diagonal at every shift
+  (classical normal modes; Caughey & O'Kelly, J. Appl. Mech. 32, 1965),
+  and each shift factors only K22's n2 x n2 complement by ``?getrf``;
+  every solve is refined once against the assembled matrix;
+* "ldlt": from :data:`DENSE_FILL` on otherwise, when the matrix equals its
   transpose exactly at every shift, LAPACK ``?sytrf`` (Bunch-Kaufman
   symmetric pivoting, ``A = P L D L^T P^T``) on the dense lower
   triangle, the only one scattered;
@@ -72,6 +84,21 @@ in its trace (see :class:`~morkit.irka.IterationTrace`), with the
 bandwidths on the band route; the benchmark's chain, for one, records
 ``lu_route band fill 4.0000099997999949e-05 kl 2 ku 2``.
 
+The "modal" route pays its eigendecomposition once per system, inside
+the first reduction or sweep. On the benchmark's synth-fill system (n1 =
+1,000, n2 = 100; one BLAS thread, a 2-core Xeon) ``?potrf`` takes 10 ms,
+the Cholesky of K11 that screens out ``lam <= 0`` 15 ms, ``?sygst`` 28
+ms, ``?syevr`` 211 ms and the back-substitution 29 ms; a shift then
+factors in 1-2 ms, against ``zsytrf``'s 41 ms below, and a
+solve, refined, costs four real products with Phi. ``?syevr`` is the
+driver because of its workspace, O(n1): ``?syevd`` took 160 ms but
+raised the process's peak memory by 24.6 MB against ``?syevr``'s 16.4 MB
+(3 n1^2 doubles, the Cholesky factor, K11 and the eigenvectors), and at
+n1 = 2,000 1.36 s against 1.83 s, but 87 MB against 57 MB. The dense
+M11 and K11 are freed before the first shift; Phi, n1^2 doubles, stays.
+Damping that is not proportional, an undamped mode or an indefinite M11
+keeps the system on "ldlt" or "dense".
+
 The "ldlt" route reads one triangle and does half of ``?getrf``'s work.
 It needs LAPACK's blocked algorithm: scipy's ``?sytrf`` wrapper defaults
 to a workspace of n, which runs the unblocked one, slower than
@@ -82,26 +109,29 @@ against ``zgetrf``'s 72 ms and ``dsytrf`` 20 ms against ``dgetrf``'s
 32 ms; with the default workspace ``zsytrf`` took 247 ms.
 """
 
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
+from .dense import _real_times
 from .errors import DimensionError, SingularMatrixError
 from .sparse import Stored, as_canonical_csc, column_abs_max, inverse_order
 
 PIVOT_TOL = 0.1  # threshold partial pivoting; 1.0 would be classical pivoting
 DENSE_FILL = 1 / 3  # nnz(L+U) / n^2 of a pattern from which its LUs go dense
 BAND_FILL = 4  # band storage / nnz(L+U) of a pattern up to which its LUs go banded
+PROPORTIONAL_ULPS = 16  # per entry, between L11 and alpha M11 + beta K11 on the modal route
 
 
 class Route:
     """The route of every factorization of one shifted augmented pattern,
     ``shifted.pattern`` (a :class:`~morkit.sparse.ShiftedAugmented`):
-    ``kind`` is "ldlt", "dense", "band" or "sparse", as the module
-    docstring sets out.
+    ``kind`` is "modal", "ldlt", "dense", "band" or "sparse", as the
+    module docstring sets out.
 
     ``fill`` is ``nnz(L + U) / n^2`` of SuperLU on the pattern itself:
     unit entries under a diagonal of n, which dominates its row and its
@@ -111,6 +141,7 @@ class Route:
     band route of a matrix that equals its transpose exactly
     (:meth:`~morkit.sparse.ShiftedAugmented.is_symmetric`), the band's
     lower triangle's, which its real shifts take instead (else None).
+    ``modes`` is the :data:`Modes` of the modal route (else None).
     """
 
     def __init__(self, shifted):
@@ -118,8 +149,12 @@ class Route:
         n = A.shape[0]
         fill_nnz = _fill_nnz(A)
         self.fill = fill_nnz / n**2
-        self.layout = self.lower = None
+        self.layout = self.lower = self.modes = None
         if self.fill >= DENSE_FILL:
+            self.modes = _modes(shifted)
+            if self.modes is not None:
+                self.kind = "modal"
+                return
             self.kind = "ldlt" if shifted.is_symmetric() else "dense"
             self.layout = shifted.layout("dense-lower" if self.kind == "ldlt" else "dense")
             return
@@ -131,6 +166,68 @@ class Route:
         self.kind, self.layout = "band", band
         if shifted.is_symmetric():  # the band just built is the lower one's full
             self.lower = shifted._layout("band-lower", order, band)
+
+
+# classical normal modes of a proportionally damped (1,1) block, for the
+# "modal" route (see _modes): Phi^T M11 Phi = I and Phi^T K11 Phi =
+# diag(lam), so that Phi^T S11(s) Phi = diag(d(s)) with d(s) = s^2 +
+# alpha s + (1 + beta s) lam at every shift, for L11 = alpha M11 + beta
+# K11; G12 = Phi^T K12, G21 = K21 Phi, K22 dense, `abs_max` the largest
+# modulus in K12 and K22 (the augmented matrix's columns n1 on, the same
+# at every shift), and `shifted`, whose matrix at a shift the solves
+# refine against
+Modes = namedtuple("Modes", "shifted alpha beta lam phi G12 G21 K22 abs_max")
+
+
+def _modes(shifted):
+    """The :data:`Modes` of `shifted`'s (1,1) block (a
+    :class:`~morkit.sparse.ShiftedAugmented`), or None unless L11 =
+    alpha M11 + beta K11 to :data:`PROPORTIONAL_ULPS` per entry
+    (:meth:`~morkit.sparse.ShiftedAugmented.proportional`), M11 and K11
+    equal their transposes exactly, M11 is positive definite and every
+    mode is stiff and strictly damped, ``lam > 0`` and ``alpha + beta lam
+    > 0``, so that no ``d(s)`` vanishes in the closed right half-plane.
+
+    Phi is built in place: Cholesky ``M11 = L L^T`` (``?potrf``), ``C =
+    L^-1 K11 L^-T`` (``?sygst``), ``C = Q diag(lam) Q^T`` (``?syevr``),
+    ``Phi = L^-T Q`` (``?trsm``); the dense M11 and K11 are gone on
+    return. Before the eigensolve a Cholesky of a copy of K11 rejects a
+    K11 that is not positive definite, such as one with rigid-body
+    modes, for which some ``lam <= 0``: 15 ms at n1 = 1,000 and 99 ms at
+    2,000 (one BLAS thread, a 2-core Xeon), against the eigensolve's 0.3
+    and 2.4 s, and no more memory than the eigensolve takes. A system
+    that fails only ``alpha + beta lam > 0`` (alpha or beta negative)
+    still pays the eigensolve before it is turned away.
+    """
+    coefficients = shifted.proportional(PROPORTIONAL_ULPS)
+    if coefficients is None:
+        return None
+    alpha, beta = coefficients
+    M, K = shifted.dense11(0), shifted.dense11(2)
+    if not (np.array_equal(M, M.T) and np.array_equal(K, K.T)):
+        return None
+    chol, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
+    if info != 0:  # not positive definite
+        return None
+    if lapack.dpotrf(K, lower=1, clean=0)[1] != 0:  # some lam <= 0: no eigensolve
+        return None
+    C, info = lapack.dsygst(K, chol, itype=1, lower=1, overwrite_a=1)
+    del K
+    lam, Q, _, _, info = lapack.dsyevr(C, lower=1, overwrite_a=1)
+    del C
+    if info != 0 or not ((lam > 0) & (alpha + beta * lam > 0)).all():
+        return None
+    phi = blas.dtrsm(1.0, chol, Q, lower=1, trans_a=1, overwrite_b=1)
+    del chol, Q
+    P, n1 = shifted.pattern, shifted.n1
+    G12 = np.ascontiguousarray((P[:n1, n1:].T @ phi).T)
+    G21 = P[n1:, :n1] @ phi
+    abs_max = np.abs(P.data[P.indptr[n1]:]).max(initial=0.0)
+    return Modes(shifted, alpha, beta, lam, phi, G12, G21, P[n1:, n1:].toarray(), abs_max)
+
+
+# one shift of the modal route: the system's Modes and the shift sigma
+ModalShift = namedtuple("ModalShift", "modes sigma")
 
 
 def _fill_nnz(A):
@@ -235,7 +332,8 @@ class SparseLU:
     dtype : numpy.dtype
         Arithmetic of the factors: float64 or complex128.
     routine : str
-        "gstrf" (SuperLU), "getrf", "sytrf", "gbtrf" or "pbtrf" (LAPACK).
+        "gstrf" (SuperLU), "getrf", "sytrf", "gbtrf" or "pbtrf" (LAPACK),
+        or "modal" (``?getrf`` of the complement in modal coordinates).
     L, U : scipy.sparse.csc_array
         SuperLU's unit-lower and upper triangular factors; on the other
         routes, size readouts (see above).
@@ -340,14 +438,15 @@ def factor(A):
 
     Parameters
     ----------
-    A : sparse matrix or Stored
+    A : sparse matrix, Stored or ModalShift
         Square, real or complex. A sparse matrix is factored by SuperLU
         with minimum degree ordering on the pattern of A + A^T; a
         :data:`~morkit.sparse.Stored` matrix
         (:meth:`~morkit.sparse.ShiftedAugmented.scatter`) by the LAPACK
         routine that reads its storage (``getrf``, ``sytrf``, ``gbtrf``
         or ``pbtrf``), and "band-lower", when A is not positive
-        definite, in full band storage by ``gbtrf``.
+        definite, in full band storage by ``gbtrf``; a
+        :data:`ModalShift` in modal coordinates (:func:`_modal`).
 
     Raises
     ------
@@ -357,6 +456,8 @@ def factor(A):
         factorization got far enough to identify it. Cholesky's pivot is
         ``l_jj^2``.
     """
+    if isinstance(A, ModalShift):
+        return _modal(A)
     if isinstance(A, Stored):
         return _ROUTINES[A.layout.storage](A)
     if A.shape[0] != A.shape[1]:
@@ -460,22 +561,86 @@ def _pbtrf(A):
     return SparseLU(solve, chol.dtype, chol.shape[1], "pbtrf", chol, A.layout.order)
 
 
+def _modal(shift):
+    """:func:`factor` of a :data:`ModalShift`: the augmented matrix at the
+    shift in the modal coordinates of its (1,1) block, by block
+    elimination through ``diag(d)`` and the LU (``?getrf``) of its
+    complement ``S = K22 - G21 diag(d)^-1 G12`` (see :data:`Modes`).
+
+    Each solve takes one step of iterative refinement against the
+    assembled matrix (:meth:`~morkit.sparse.ShiftedAugmented.csc`). The
+    eigendecomposition is exact to ``eps ||L^-1 K11 L^-T||`` alone, which
+    at a lightly damped mode is many times ``|d|``: without the step,
+    interpolation residuals rose from 1e-14 to 1e-10 on the generated
+    systems, and with it they stay at the LU routes' 1e-14.
+
+    The pivots are the d's, each against the sum of its three terms'
+    moduli, and S's: S's column j against the augmented matrix's column
+    ``n1 + j``, as the other routes check theirs, so that a complement
+    that shrinks as a whole near a collision is still caught. The column
+    of a negligible pivot of S is ``n1 + j``, that of a d none. A real
+    shift stays float64.
+    """
+    modes = shift.modes
+    sigma = complex(shift.sigma)
+    s = sigma.real if sigma.imag == 0.0 else sigma
+    lam, phi, G12, G21 = modes.lam, modes.phi, modes.G12, modes.G21
+    n1, n2 = G12.shape
+    d = (s * s + modes.alpha * s) + (1.0 + modes.beta * s) * lam
+    scale = abs(s) * (abs(s) + np.abs(modes.alpha + modes.beta * lam)) + lam
+    if not (np.abs(d) > np.finfo(np.float64).eps * (n1 + n2) * scale).all():
+        raise SingularMatrixError("modal LU met a negligible modal pivot; "
+                                  "matrix is numerically singular")
+    inv_d = (1.0 / d)[:, None]
+    S = np.asfortranarray(modes.K22 - _times(G21, inv_d * G12))
+    getrf = lapack.get_lapack_funcs("getrf", (S,))
+    lu, piv, info = getrf(S, overwrite_a=True)
+    if info > 0:  # U[info-1, info-1] is exactly zero
+        raise SingularMatrixError("modal LU met an exactly zero pivot", column=int(n1 + info - 1))
+    A = modes.shifted.csc(s)
+    # S's column j eliminates A's column n1 + j, which holds K12 over K22
+    _check_pivots("modal", np.diagonal(lu), modes.abs_max,
+                  lambda: column_abs_max(A, np.abs(A.data)), np.arange(n1, n1 + n2), n1 + n2)
+    getrs = lapack.get_lapack_funcs("getrs", (lu,))
+
+    def eliminate(b, trans):
+        # A = [[Phi^-T D Phi^-1, K12], [K21, K22]]; A^T swaps K12 and K21^T
+        first, second = (G21, G12) if trans == "N" else (G12.T, G21.T)
+        z = inv_d * _times(phi.T, b[:n1])
+        x2 = getrs(lu, piv, b[n1:] - _times(first, z), trans=_TRANS[trans])[0]
+        x1 = _times(phi, z - inv_d * _times(second, x2))
+        return np.concatenate([x1, x2])
+
+    def solve(rhs, trans):
+        b = rhs.reshape(n1 + n2, -1)
+        x = eliminate(b, trans)
+        x += eliminate(b - (A @ x if trans == "N" else A.T @ x), trans)
+        return x.reshape(rhs.shape)
+    return SparseLU(solve, lu.dtype, n1 + n2, "modal", lu)
+
+
+def _times(M, X):
+    """``M @ X`` for a real M, in one real product whatever X's dtype."""
+    return _real_times(M, np.ascontiguousarray(X)) if X.dtype.kind == "c" else M @ X
+
+
 _ROUTINES = {"dense": _getrf, "dense-lower": _sytrf, "band": _gbtrf, "band-lower": _pbtrf}
 
 
-def _check_pivots(routine, pivots, abs_max, column_abs_max, pivot_cols=None):
+def _check_pivots(routine, pivots, abs_max, column_abs_max, pivot_cols=None, n=None):
     """Reject factorizations whose pivots are negligible relative to A.
 
     ``pivots[j]`` is `routine`'s pivot (U's; D's on ``sytrf``, ``L[j,
     j]^2`` on ``pbtrf``) of A's column ``pivot_cols[j]``: j when None,
     and when a function, its result, asked for only when some pivot is
     small enough to need the columns. `abs_max` is the largest modulus
-    in A, and ``column_abs_max()`` gives the largest in each of A's
-    columns. A pivot is negligible when ``|u_jj| <= eps * n * colmax``,
-    colmax the largest modulus in its column of A.
+    in those columns of A (or in A), and ``column_abs_max()`` gives the
+    largest in each of A's columns. A pivot is negligible when ``|u_jj|
+    <= eps * n * colmax``, colmax the largest modulus in its column of A
+    and n A's order, the number of pivots when None.
     """
     udiag = np.abs(pivots)
-    scale = np.finfo(np.float64).eps * udiag.shape[0]
+    scale = np.finfo(np.float64).eps * (udiag.shape[0] if n is None else n)
     # every column maximum is at most the largest entry, so pivots above
     # that entry's bound pass every column's bound as well
     if udiag.min() > scale * abs_max:

@@ -86,6 +86,7 @@ class ShiftedAugmented:
             values[(union.data & (1 << k)) != 0] = block.data
             self._shifted.append(values[first])
         union.data = np.zeros(union.nnz)
+        self.n1 = system.n1
         self.pattern, at = _stack_block_columns(
             ((union, system.K21), (system.K12, system.K22)), system.n1)
         self._at = at[first]
@@ -134,6 +135,47 @@ class ShiftedAugmented:
             if not np.array_equal(values[mirror], values):
                 return False
         return np.array_equal(P.data[mirror], P.data)
+
+    def proportional(self, ulps):
+        """``(alpha, beta)`` when ``L11 = alpha M11 + beta K11`` entry by
+        entry on the union, else None.
+
+        alpha and beta are the least-squares fit of L11's nonzero entries,
+        each equation divided by its entry, so that every entry weighs
+        alike whatever its size. Every entry of the union, zeros of L11
+        included, must then match its fit to within `ulps` units in the
+        last place of the fit's terms, ``|alpha M_k| + |beta K_k|``. An
+        L11 without a nonzero entry has no fit (None).
+        """
+        M, L, K = self._shifted
+        nonzero = L != 0.0
+        if not nonzero.any():
+            return None
+        weight = 1.0 / np.abs(L[nonzero])
+        terms = np.column_stack([M[nonzero] * weight, K[nonzero] * weight])
+        norms = np.linalg.norm(terms, axis=0)
+        norms[norms == 0.0] = 1.0
+        terms /= norms
+        target = np.sign(L[nonzero])
+        coef = np.linalg.lstsq(terms, target, rcond=None)[0]
+        # one step of refinement takes the fit from tens of ulps to a few
+        coef += np.linalg.lstsq(terms, target - terms @ coef, rcond=None)[0]
+        alpha, beta = (float(c) for c in coef / norms)
+        aM, bK = alpha * M, beta * K
+        gap = np.abs(L - (aM + bK))
+        if (gap <= ulps * np.finfo(np.float64).eps * (np.abs(aM) + np.abs(bK))).all():
+            return alpha, beta
+        return None
+
+    def dense11(self, k):
+        """Block k of (M11, L11, K11) as a dense Fortran-order n1 x n1
+        array, from its values on the union."""
+        P = self.pattern
+        n1 = self.n1
+        cols = np.repeat(np.arange(P.shape[1]), np.diff(P.indptr))[self._at]
+        out = np.zeros((n1, n1), order="F")
+        out.reshape(-1, order="F")[P.indices[self._at] + cols * n1] = self._shifted[k]
+        return out
 
     def layout(self, storage, order=None):
         """The :data:`Layout` of ``pattern`` in `storage` (see

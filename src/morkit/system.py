@@ -42,7 +42,8 @@ class SecondOrderIndex1System:
     Three things are built from them on first use and kept: the K22
     factorization (``k22_lu``), the one index map of the shifted
     augmented matrix (``augmented``) and the route that every shift's
-    factorization of that matrix takes (``route``).
+    factorization of that matrix takes (``route``: modal, ldlt, dense,
+    band or sparse; the modal route keeps an n1 x n1 eigenvector matrix).
     """
 
     M11: sp.csc_array
@@ -105,7 +106,8 @@ class SecondOrderIndex1System:
     def route(self):
         """Route of every shift's augmented factorization
         (:class:`~morkit.lu.Route`), decided from the augmented pattern,
-        which is the same at every shift."""
+        which is the same at every shift, and, for a pattern that fills
+        densely, from whether the damping is proportional."""
         return lu.Route(self.augmented)
 
 

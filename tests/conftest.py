@@ -9,6 +9,7 @@ than its rank makes basis deflation kick in, after which two exact
 reduction routes may legitimately differ.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +69,7 @@ def chain_system(n1, n2, symmetric, seed=0):
     fills in far below ``morkit.lu.DENSE_FILL`` and reverse Cuthill-McKee
     from a pseudo-peripheral node (an end of the chain) orders it into a
     band with ``kl = ku = 2``, so its route (``system.route``) is the
-    band (generated systems go dense, grids from side 25 on stay
+    band (generated systems go modal, grids from side 25 on stay
     sparse)."""
     rng = np.random.default_rng(seed)
     M11 = sp.diags_array(rng.uniform(1.0, 2.0, n1))
@@ -85,6 +86,17 @@ def chain_system(n1, n2, symmetric, seed=0):
         F1=rng.standard_normal((n1, 2)), F2=np.zeros((n2, 2)),
         H1=rng.standard_normal((2, n1)), H2=np.zeros((2, n2)), Da=np.zeros((2, 2)),
     )
+
+
+def nonproportional(system, seed=0):
+    """`system` with a sparse symmetric positive definite term, a random
+    positive diagonal, added to its damping L11, which is then no longer
+    ``alpha M11 + beta K11``: a generated system, which fills densely,
+    keeps the "ldlt" route (symmetric) or the "dense" one instead of the
+    "modal" one."""
+    rng = np.random.default_rng(seed)
+    extra = sp.diags_array(rng.uniform(0.1, 1.0, system.n1))
+    return dataclasses.replace(system, L11=system.L11 + extra)
 
 
 def stored_of(A, storage, order=None):

@@ -33,7 +33,7 @@ from morkit import lu as lu_module
 from morkit.sparse import ShiftedAugmented, assemble_shifted_augmented
 from morkit.system import generate_synthetic
 
-from conftest import chain_system, grid_system, scalar_system
+from conftest import chain_system, grid_system, nonproportional, scalar_system
 
 
 def scalar_rom(M=1.0, L=2.0, K=4.5, F=1.0, H=1.0, D=0.0):
@@ -160,7 +160,7 @@ def test_sweep_routes_every_point_by_the_first_points_fill(make_system):
     # every point, the first one too, factors on the system's route
     # (dense here), so a sweep with any number of workers repeats single
     # evaluations bit for bit
-    system = make_system(120, 25, 2, 2, 0, symmetric=False)
+    system = nonproportional(make_system(120, 25, 2, 2, 0, symmetric=False))
     I = np.eye(120)
     rom = reduce(system, ProjectionBasis(V=I, W=I))
     omegas = np.logspace(1, 4, 6)
@@ -193,8 +193,9 @@ def test_first_factorization_of_a_reduction_and_a_sweep_takes_the_route(
     # reduction or sweep starts with a SuperLU factorization; the
     # symmetric chain's real start shifts factor by band Cholesky, and a
     # sweep's points are all complex
-    make = {"generated": lambda: generate_synthetic(40, 10, 2, 2, seed=0, symmetric=False),
-            "symmetric": lambda: generate_synthetic(40, 10, 2, 2, seed=0),
+    make = {"generated": lambda: nonproportional(
+                generate_synthetic(40, 10, 2, 2, seed=0, symmetric=False)),
+            "symmetric": lambda: nonproportional(generate_synthetic(40, 10, 2, 2, seed=0)),
             "chain": lambda: chain_system(200, 20, True)}[kind]
     seen = _spy_on_factorizations(monkeypatch)
     with warnings.catch_warnings():

@@ -8,9 +8,9 @@ import pytest
 
 from morkit import ConvergenceWarning
 from morkit.cli import main
-from morkit.system import load_system, save_system
+from morkit.system import generate_synthetic, load_system, save_system
 
-from conftest import scalar_system
+from conftest import nonproportional, scalar_system
 
 
 def _dir_bytes(path):
@@ -398,6 +398,19 @@ def test_verify_passes_on_generated_system(tmp_path, capsys):
     assert "hermite_values" in out
     assert "symmetric_one_sided" in out
     assert out.strip().endswith("(0 failing check(s))")
+
+
+def test_verify_checks_the_backward_error_of_the_systems_route(tmp_path, capsys):
+    # a generated system goes modal, the same with damping that is not
+    # proportional by LDL^T; both solve within 4 n eps
+    system = generate_synthetic(60, 15, 2, 2, seed=2)
+    for name, kind in ((system, "modal"), (nonproportional(system), "ldlt")):
+        manifest = save_system(name, tmp_path / kind)
+        rc = main(["verify", "--manifest", str(manifest), "--r", "4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (line,) = [line for line in out.splitlines() if "route_backward_error" in line]
+        assert line.startswith(f"PASS route_backward_error: {kind} route")
 
 
 def test_verify_reports_hand_broken_symmetry_without_failing(tmp_path, capsys):

@@ -58,5 +58,5 @@ def test_route_names_the_factorization_path():
     # band's fallback at a real shift included), the two dense routines
     # and SuperLU (the sparse route's, and K22's own LU)
     for routine, key in (("pbtrf", "band-chol"), ("gbtrf", "band"), ("getrf", "dense"),
-                         ("sytrf", "ldlt"), ("gstrf", "sparse")):
+                         ("sytrf", "ldlt"), ("gstrf", "sparse"), ("modal", "modal")):
         assert converge._route(SimpleNamespace(routine=routine)) == key

@@ -61,7 +61,8 @@ from morkit.system import (
     to_dense_schur,
 )
 
-from conftest import GRID, chain_system, damped_pairs, grid_ids, grid_system, scalar_system
+from conftest import (GRID, chain_system, damped_pairs, grid_ids, grid_system, nonproportional,
+                      scalar_system)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1168,8 +1169,8 @@ def test_trace_records_the_factorization_route_once(make_system, kind, route):
     # one deterministic line: the route of the reduction's LUs and the
     # fill of the augmented pattern, which chose it; on the band route
     # also the integer bandwidths of its RCM order
-    system = {"generated": lambda: make_system(40, 10, 2, 2, 0, symmetric=False),
-              "symmetric": lambda: make_system(40, 10, 2, 2, 0),
+    system = {"generated": lambda: nonproportional(make_system(40, 10, 2, 2, 0, symmetric=False)),
+              "symmetric": lambda: nonproportional(make_system(40, 10, 2, 2, 0)),
               "chain": lambda: chain_system(200, 20, True),
               "grid": lambda: grid_system(30)}[kind]()
     with warnings.catch_warnings():
@@ -1250,8 +1251,9 @@ def test_driver_iteration_cap_warns(make_system):
 def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch):
     # every LU of a reduction, the first one too, in every outer
     # iteration, takes the system's route, decided from its pattern
-    # before the first LU: dense for a generated system, by LDL^T when
-    # it is symmetric
+    # before the first LU: dense for a generated system whose damping is
+    # not proportional, by LDL^T when it is symmetric, and modal for one
+    # whose damping is
     calls = []
 
     def spy(system, sigma):
@@ -1260,9 +1262,12 @@ def test_driver_routes_every_factorization_by_its_first(make_system, monkeypatch
         return out
 
     monkeypatch.setattr(irka, "factor_augmented", spy)
-    for symmetric, kind, routine in ((False, "dense", "getrf"), (True, "ldlt", "sytrf")):
+    for symmetric, kind, routine in ((False, "dense", "getrf"), (True, "ldlt", "sytrf"),
+                                     (True, "modal", "modal")):
         calls.clear()
         system = make_system(40, 10, 2, 2, 0, symmetric=symmetric)
+        if kind != "modal":
+            system = nonproportional(system)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             irka_second_order_index1(system, IrkaConfig(r=4, max_iter=3))

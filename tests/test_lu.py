@@ -12,13 +12,14 @@ from scipy.linalg import lapack
 
 from morkit import lu as lu_module
 from morkit import sparse as sparse_module
-from morkit.errors import DimensionError, SingularMatrixError
+from morkit.errors import DimensionError, ShiftCollisionError, SingularMatrixError
 from morkit.irka import factor_augmented
 from morkit.lu import _rcm_order, factor
 from morkit.sparse import as_canonical_csc, assemble_shifted_augmented, column_abs_max, positions
-from morkit.system import generate_synthetic, validate
+from morkit.system import SecondOrderIndex1System, generate_synthetic, validate
 
-from conftest import GRID, chain_system, grid_ids, grid_system, stored_of
+from conftest import (GRID, chain_system, grid_ids, grid_system, nonproportional,
+                      scalar_system, stored_of)
 
 
 def _random_square(n, seed, density=0.25):
@@ -265,10 +266,11 @@ def test_fill_threshold_chooses_the_route(monkeypatch):
     # the pattern's fill against DENSE_FILL: from the threshold on every
     # LU of the system is dense (LDL^T for an exactly symmetric system),
     # below it banded or sparse. The pattern's fill is that of SuperLU at
-    # a shift
+    # a shift. The damping is not proportional, so no system goes modal
     for symmetric, dense_kind in ((True, "ldlt"), (False, "dense")):
         def system():
-            return generate_synthetic(60, 12, 2, 2, seed=3, symmetric=symmetric)
+            return nonproportional(
+                generate_synthetic(60, 12, 2, 2, seed=3, symmetric=symmetric))
 
         first = system().route
         lu = factor(assemble_shifted_augmented(system(), 2.0 + 30.0j))
@@ -287,17 +289,18 @@ def test_fill_threshold_chooses_the_route(monkeypatch):
 def test_band_threshold_chooses_the_route():
     # below DENSE_FILL, the RCM band's storage against BAND_FILL times the
     # pattern's fill: a chain goes banded, a 2-D grid (band about its side
-    # wide) stays on SuperLU; generated systems go dense, by LDL^T when
-    # symmetric. A symmetric chain's real shifts factor by band Cholesky,
-    # a nonsymmetric one's by band LU. The routines at a real and at a
-    # complex shift
+    # wide) stays on SuperLU; generated systems whose damping is not
+    # proportional go dense, by LDL^T when symmetric. A symmetric chain's
+    # real shifts factor by band Cholesky, a nonsymmetric one's by band
+    # LU. The routines at a real and at a complex shift
     for system, kind, routines in (
             (chain_system(400, 40, True), "band", ("pbtrf", "gbtrf")),
             (chain_system(400, 40, False), "band", ("gbtrf", "gbtrf")),
             (grid_system(40), "sparse", ("gstrf", "gstrf")),
-            (generate_synthetic(60, 12, 2, 2, seed=3), "ldlt", ("sytrf", "sytrf")),
-            (generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False), "dense",
-             ("getrf", "getrf"))):
+            (nonproportional(generate_synthetic(60, 12, 2, 2, seed=3)), "ldlt",
+             ("sytrf", "sytrf")),
+            (nonproportional(generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False)),
+             "dense", ("getrf", "getrf"))):
         route = system.route
         assert route.kind == kind
         storage = {"ldlt": "dense-lower", "dense": "dense", "band": "band"}.get(kind)
@@ -443,7 +446,7 @@ def test_ldlt_route_needs_exact_symmetry(block):
     # ?sytrf reads one triangle, so one ulp off an entry, or K21 off K12^T
     # by a rounding error, keeps the system on LU, though validate's
     # tolerance reports it symmetric
-    base = generate_synthetic(60, 12, 2, 2, seed=3)
+    base = nonproportional(generate_synthetic(60, 12, 2, 2, seed=3))
     assert base.route.kind == "ldlt"
     dense = getattr(base, block).toarray()
     if block == "K21":  # against K12^T: any entry
@@ -460,7 +463,7 @@ def test_ldlt_route_needs_a_symmetric_pattern():
     # an entry whose mirror is not stored breaks symmetry, however small;
     # so does a stored zero whose mirror is not stored (the pattern
     # decides), and stored zeros at both mirrored places do not
-    base = generate_synthetic(60, 12, 2, 2, seed=3)
+    base = nonproportional(generate_synthetic(60, 12, 2, 2, seed=3))
     K = base.K11.tocoo()
     union = (abs(base.M11) + abs(base.L11) + abs(base.K11)).toarray()
     i, j = np.argwhere(union == 0)[0]  # neither it nor its mirror is stored
@@ -483,7 +486,7 @@ def test_ldlt_route_needs_a_symmetric_pattern():
 def test_ldlt_solves_match_a_dense_solve(sigma, rhs_dtype):
     # a symmetric system's augmented matrix at a real and a complex
     # shift; the transposed solve is the plain one, since A = A^T
-    system = generate_synthetic(60, 12, 2, 2, seed=3)
+    system = nonproportional(generate_synthetic(60, 12, 2, 2, seed=3))
     lu = factor_augmented(system, sigma)
     assert lu.routine == "sytrf"
     assert lu.dtype == (np.float64 if sigma.imag == 0.0 else np.complex128)
@@ -572,9 +575,10 @@ def test_ldlt_names_the_column_of_a_negligible_pivot():
 )
 def test_ldlt_route_solves_agree_with_the_lu_route(n1, n2, m, seed, re, im):
     # generated symmetric systems fill densely and are exactly symmetric,
-    # so they factor by LDL^T; its solves agree with getrf's on the same
-    # matrix to 1e-12 relative (measured at most 1.2e-15 on 300 systems)
-    system = generate_synthetic(n1, n2, m, m, seed=seed)
+    # so, with damping that is not proportional, they factor by LDL^T;
+    # its solves agree with getrf's on the same matrix to 1e-12 relative
+    # (measured at most 1.2e-15 on 300 systems)
+    system = nonproportional(generate_synthetic(n1, n2, m, m, seed=seed), seed)
     assert system.route.kind == "ldlt"
     sigma = complex(re, im)
     ldlt = factor_augmented(system, sigma)
@@ -593,7 +597,8 @@ def test_dense_routes_factor_the_dense_copy_bit_for_bit(routine, sigma):
     # factors: its factors (sytrf's lower triangle, the only one it
     # reads and writes) and solves are LAPACK's on the dense copy of the
     # CSC assembly, bit for bit
-    system = generate_synthetic(60, 12, 2, 2, seed=3, symmetric=routine == "sytrf")
+    system = nonproportional(
+        generate_synthetic(60, 12, 2, 2, seed=3, symmetric=routine == "sytrf"))
     lu = factor_augmented(system, sigma)
     assert lu.routine == routine
     dense = system.augmented.csc(sigma).toarray(order="F")
@@ -891,6 +896,9 @@ _TRACED = {
     "gbtrf-fallback": lambda: ("gbtrf", np.float64, factor_augmented(_indefinite_chain(), 5.0),
                                (2 * 2 + 2 + 1) * 220),
     "gstrf": lambda: ("gstrf", np.float64, factor(_random_square(25, 1)), None),
+    "modal": lambda: ("modal", np.complex128,
+                      factor_augmented(generate_synthetic(60, 12, 2, 2, seed=3), 2.0 + 30.0j),
+                      12 * 12),
 }
 
 
@@ -899,7 +907,7 @@ def test_every_route_answers_what_the_tracer_reads(case):
     # the benchmark's tracer reads n, dtype, L.nnz and U.nnz of every
     # factorization, whatever its routine; on LAPACK's routes L.nnz +
     # U.nnz - n is the stored factor array's size (the chain's band:
-    # kl = ku = 2, n = 220)
+    # kl = ku = 2, n = 220; the modal route's n2 x n2 complement)
     routine, dtype, lu, stored = _TRACED[case]()
     assert lu.routine == routine and lu.dtype == dtype
     assert isinstance(lu.n, int) and isinstance(lu.L.nnz, int) and isinstance(lu.U.nnz, int)
@@ -909,3 +917,164 @@ def test_every_route_answers_what_the_tracer_reads(case):
     else:
         assert lu.U.nnz == lu.n
         assert lu.L.nnz + lu.U.nnz - lu.n == stored
+
+
+def test_modal_route_is_chosen_by_its_four_conditions():
+    # a generated system fills densely and is damped proportionally, L11 =
+    # 0.5 M11 + 1e-4 K11, so it goes modal, symmetric or not; it keeps
+    # the ldlt or dense route when any condition fails (dense when the
+    # matrix is no longer exactly symmetric)
+    for symmetric, other in ((True, "ldlt"), (False, "dense")):
+        base = generate_synthetic(60, 12, 2, 2, seed=3, symmetric=symmetric)
+        assert base.route.kind == "modal"
+        assert base.route.layout is None and base.route.lower is None
+        modes = base.route.modes
+        assert (modes.alpha, modes.beta) == pytest.approx((0.5, 1e-4), rel=1e-12)
+
+        def damped(M11, K11):  # the generator's damping of other blocks
+            return dataclasses.replace(base, M11=M11, K11=K11, L11=0.5 * M11 + 1e-4 * K11)
+
+        def bumped(system, block, change):
+            dense = getattr(system, block).toarray()
+            i, j = np.argwhere(np.triu(dense, k=1) != 0)[0]
+            change(dense, i, j)
+            return dataclasses.replace(system, **{block: sp.csc_array(dense)})
+
+        def off(A, i, j):  # one entry off by a millionth, and its mirror
+            A[i, j] = A[j, i] = A[i, j] * (1 + 1e-6)
+
+        def ulp(A, i, j):  # one entry one ulp off its mirror
+            A[i, j] = np.nextafter(A[i, j], np.inf)
+
+        M, K = base.M11.toarray(), base.K11.toarray()
+        M[0, 0], K[0, 0] = -M[0, 0], -K[0, 0]
+        failing = {
+            "L11 off by one entry": (bumped(base, "L11", off), other),
+            "L11 = 0": (dataclasses.replace(base, L11=sp.csc_array(base.L11.shape)), other),
+            "M11 indefinite": (damped(sp.csc_array(M), base.K11), other),
+            "K11 indefinite, a mode not stiff": (damped(base.M11, sp.csc_array(K)), other),
+            "K11 unsymmetric": (bumped(base, "K11", ulp), "dense"),
+            "M11 unsymmetric": (bumped(base, "M11", ulp), "dense"),
+            "a mode damped negatively": (generate_synthetic(
+                60, 12, 2, 2, seed=3, symmetric=symmetric, proportional_damping=(-1.0, 1e-4)),
+                other),
+            "damping not proportional": (nonproportional(base), other),
+        }
+        for name, (system, kind) in failing.items():
+            assert system.route.kind == kind, name
+            assert system.route.modes is None
+        # the same blocks, damped proportionally again: modal
+        assert damped(base.M11, base.K11).route.kind == "modal"
+
+
+def test_modal_route_factors_a_real_shift_in_real_arithmetic():
+    # d(s) and the complement are real at a real shift; the factors solve
+    # the augmented matrix and its transpose
+    system = generate_synthetic(60, 12, 2, 2, seed=3)
+    for sigma, dtype in ((5.0, np.float64), (2.0 + 30.0j, np.complex128)):
+        lu = factor_augmented(system, sigma)
+        assert lu.routine == "modal" and lu.dtype == dtype and lu.n == 72
+        _assert_solves(lu, system.augmented.csc(sigma), rtol=1e-10)
+
+
+def test_modes_diagonalize_the_mass_and_the_stiffness():
+    # Phi^T M11 Phi = I and Phi^T K11 Phi = diag(lam), with G12 and G21 the
+    # coupling blocks in modal coordinates and K22 dense
+    system = generate_synthetic(60, 12, 2, 2, seed=3, symmetric=False)
+    modes = system.route.modes
+    phi = modes.phi
+    np.testing.assert_allclose(phi.T @ (system.M11 @ phi), np.eye(60), atol=1e-12)
+    K = phi.T @ (system.K11 @ phi)
+    scale = np.abs(modes.lam).max()
+    np.testing.assert_allclose(K, np.diag(modes.lam), atol=1e-12 * scale)
+    np.testing.assert_allclose(modes.G12, phi.T @ system.K12.toarray(), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(modes.G21, system.K21.toarray() @ phi, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(modes.K22, system.K22.toarray())
+
+
+def test_collision_on_the_modal_route_raises_shift_collision():
+    # M = 1, L = 1, K11 = 2, K12 = K21 = 2, K22 = 1: the damping is
+    # proportional, and at s = 1 the augmented matrix [[4, 2], [2, 1]] is
+    # singular, since d(1) = 1 + 1 + 2 = 4 and K22 - 2 * 2 / 4 = 0
+    system = scalar_system(L11=1.0, K11=2.0, K12=2.0, K21=2.0, K22=1.0)
+    assert system.route.kind == "modal"
+    with pytest.raises(ShiftCollisionError) as caught:
+        factor_augmented(system, 1.0)
+    assert caught.value.sigma == 1.0
+    assert isinstance(caught.value.__cause__, SingularMatrixError)
+    assert caught.value.__cause__.column == 1  # K22's column, the complement's
+    lu = factor_augmented(system, 2.0)  # [[8, 2], [2, 1]]
+    np.testing.assert_allclose(lu.solve(np.array([8.0, 2.0])), [1.0, 0.0], atol=1e-15)
+    # in the left half-plane d(s) = s^2 + s + 2 vanishes at a mode's own
+    # pole, where the elimination through d breaks down: it raises, as a
+    # collision, rather than dividing by zero
+    pole = complex(-0.5, np.sqrt(7.0) / 2.0)
+    with pytest.raises(ShiftCollisionError) as caught:
+        factor_augmented(system, pole)
+    assert "modal pivot" in str(caught.value.__cause__)
+
+
+def test_a_near_collision_on_the_modal_route_raises_shift_collision():
+    # three ulps from s = 1 the complement of the scalar system above is
+    # not zero but tiny, and all of it: the pivot check weighs it against
+    # the augmented matrix's column (K12 over K22), not against itself.
+    # With a second, decoupled connector (n2 = 2), the pivot is the
+    # first of two and its column is still n1 = 1
+    s = 1.0
+    for _ in range(3):
+        s = np.nextafter(s, 2.0)
+
+    def blk(rows):
+        return sp.csc_array(np.array(rows, dtype=float))
+
+    one = scalar_system(L11=1.0, K11=2.0, K12=2.0, K21=2.0, K22=1.0)
+    two = SecondOrderIndex1System(
+        M11=blk([[1.0]]), L11=blk([[1.0]]), K11=blk([[2.0]]),
+        K12=blk([[2.0, 0.0]]), K21=blk([[2.0], [0.0]]), K22=blk(np.eye(2)),
+        F1=np.ones((1, 1)), F2=np.zeros((2, 1)), H1=np.ones((1, 1)),
+        H2=np.zeros((1, 2)), Da=np.zeros((1, 1)))
+    for system in (one, two):
+        assert system.route.kind == "modal"
+        for sigma in (s, complex(s, 0.0), complex(1.0, 1e-15)):
+            with pytest.raises(ShiftCollisionError) as caught:
+                factor_augmented(system, sigma)
+            assert caught.value.__cause__.column == 1
+            assert "negligible pivot" in str(caught.value.__cause__)
+
+
+def _backward_error(A, x, b):
+    """Largest normwise backward error ``|b - A x| / (|A| |x| + |b|)``
+    (infinity norms) of the columns of the solution `x` of ``A x = b``."""
+    x, b = x.reshape(b.shape[0], -1), b.reshape(b.shape[0], -1)
+    residual = np.abs(b - A @ x).max(axis=0)
+    norm_a = abs(A).sum(axis=1).max()
+    return float((residual / (norm_a * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n1=st.integers(4, 80),
+    n2=st.integers(1, 16),
+    m=st.integers(1, 3),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**16),
+    log_omega=st.floats(0.0, 4.5),
+    ratio=st.sampled_from([None, 0.0, 1e-3, 0.1, 1.0, 10.0]),
+)
+def test_modal_solves_are_backward_stable(n1, n2, m, symmetric, seed, log_omega, ratio):
+    # at a real shift (ratio None), on the imaginary axis (0.0) and in the
+    # right half-plane, both solves' normwise backward error against the
+    # assembled matrix stays within 4 n eps
+    system = generate_synthetic(n1, n2, m, m, seed=seed, symmetric=symmetric)
+    assert system.route.kind == "modal"
+    omega = 10.0**log_omega
+    sigma = omega if ratio is None else omega * complex(ratio, 1.0)
+    lu = factor_augmented(system, sigma)
+    A = system.augmented.csc(sigma)
+    rng = np.random.default_rng(seed)
+    n = lu.n
+    bound = 4 * n * np.finfo(np.float64).eps
+    for b in (np.vstack([system.F1, system.F2]), rng.standard_normal((n, 2)) + 1j *
+              rng.standard_normal((n, 2)), rng.standard_normal(n)):
+        assert _backward_error(A, lu.solve(b), b) <= bound
+        assert _backward_error(A.T, lu.solve_transposed(b), b) <= bound

@@ -18,7 +18,7 @@ one BLAS thread, and records:
 * the inner IRKA runs (``irka_first_order``), their iterations and how
   many of them converged;
 * the ``lu.factor`` calls by route and arithmetic, such as
-  ``dense-complex`` or ``band-chol-real`` (band Cholesky; K22's own LU
+  ``modal-complex`` or ``band-chol-real`` (band Cholesky; K22's own LU
   counts as ``sparse-real`` when the reduction makes it; a system
   loaded from files has it already);
 * the wall time of ``irka_second_order_index1``, building or loading the
@@ -67,7 +67,7 @@ def _cases(morkit, digests, equivalence, tmp):
 
 
 ROUTE_KEYS = {"pbtrf": "band-chol", "gbtrf": "band", "getrf": "dense", "sytrf": "ldlt",
-              "gstrf": "sparse"}
+              "gstrf": "sparse", "modal": "modal"}
 
 
 def _route(out):

@@ -52,21 +52,26 @@ passed, and the other 13 stayed. The three chains' digests changed again
 when the real shifts of exactly symmetric band systems began to factor by
 band Cholesky (``?pbtrf``/``?pbtrs``), with their right-hand sides built
 in float64; ``tools/equivalence.py`` passed, and the other 13 stayed.
-The current record::
+The 13 systems of dense fill, all damped proportionally, changed when
+such systems began to factor in modal coordinates (trace line
+``lu_route modal``) and every real direction on a real shift began to
+be solved in float64; ``tools/equivalence.py`` passed, with every
+verdict, final order and iteration count kept, and the three chains
+stayed. The current record::
 
-    synth150-s0 276a7b1537609e8d
-    synth150-s1 1c9a8c1fa4ff43ef
-    synth150-s2 5723126d3c15f858
-    synth150-s3 fa0e5fb3e29dc20c
-    synth150-s4 156ef485ead1a77c
-    mimo-inner-s0 c4396b8d93760be8
-    mimo-inner-s1 17136335a0e88eb0
-    mimo-inner-s2 45475aa7b1bfd299
-    mimo-inner-s3 d645f8a6ff90d2f4
-    nonsym200-s0 1eb3ff54695c3721
-    nonsym200-s1 df47d14f045044aa
-    nonsym200-s2 0c5db90c3ef401f8
-    synth-fill-s0 a47691490318ffc3
+    synth150-s0 b43016c8d720c29c
+    synth150-s1 b4010b3c0a55c3a6
+    synth150-s2 070c00fb42b7129b
+    synth150-s3 b9da4d8a0e381e93
+    synth150-s4 a964c3635b54bc0a
+    mimo-inner-s0 ba5416c6d0a4bf28
+    mimo-inner-s1 75db9bb2d69df8fc
+    mimo-inner-s2 c3e67f1f6ae0f034
+    mimo-inner-s3 c655726971d32016
+    nonsym200-s0 cc93393620287287
+    nonsym200-s1 e260801ee4128e8a
+    nonsym200-s2 16b8282a6466f753
+    synth-fill-s0 9757f03dc83594f3
     chain5000-s0 5030ceaaa273da34
     chain5000-s0-2s f3abe7955a61733a
     chain50000-s0 96b59bb248a9b29c
@@ -84,7 +89,7 @@ The systems:
   three outer iterations);
 * ``chain5000-s0-2s``: the same chain reduced two-sided, the one case
   whose left solves go through the band route's transposed solve
-  (``?gbtrs``; the other two-sided systems take the dense route);
+  (``?gbtrs``; the other two-sided systems take the modal route);
 * ``chain50000-s0``: the benchmark's chain-sparse system (50,000 masses,
   r = 10, at most three outer iterations).
 """
